@@ -191,7 +191,7 @@ def predict(
     omitted = kk.members[n_origin_terms:]
     if omitted:
         orders.append((origin.mu + omitted[0] + 1.0).real)
-    elif not _ladder_fully_excluded(profile, origin, profile.nu):
+    elif not ladder_fully_excluded(profile):
         # coefficients beyond the scan could still contribute
         orders.append((origin.mu + max_k + 2.0).real)
     if boundary_terms:
@@ -204,22 +204,13 @@ def predict(
     )
 
 
-def _ladder_fully_excluded(
-    profile: RadialProfile, origin: OriginExpansion, nu: float
-) -> bool:
+def ladder_fully_excluded(profile: RadialProfile) -> bool:
     """True when *every* ladder index is excluded, scanned or not.
 
     Each term's binomial ladder lives at mu + (lam_i - mu) + 2j, so if
     (lam_i - nu - 1)/2 is a nonnegative integer for every term, every
     possibly-nonzero coefficient is killed regardless of j.
     """
-    return all(
-        _is_nonneg_int((t.lam - nu - 1.0) / 2.0) for t in profile.terms
-    )
-
-
-def ladder_fully_excluded(profile: RadialProfile) -> bool:
-    """Public form of the all-indices-excluded test (see classifier)."""
     return all(
         _is_nonneg_int((t.lam - profile.nu - 1.0) / 2.0) for t in profile.terms
     )

@@ -25,17 +25,7 @@ import sys
 import numpy as np
 
 from . import asymptotics as asym
-from .errors import (
-    DomainError,
-    ExponentCollisionError,
-    FinHankelError,
-    HypothesisError,
-    IncompatibleLadderError,
-    NotApplicableError,
-    ProfileFormatError,
-    SmoothnessBudgetError,
-    ZeroLadderError,
-)
+from .errors import FinHankelError, ProfileFormatError
 from .invertibility import classify, verify_profile_slow_decrease
 from .profiles import (
     RadialProfile,
@@ -49,17 +39,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_TOLERANCE = 3
 EXIT_HYPOTHESIS = 4
-
-_HYPOTHESIS_ERRORS = (
-    HypothesisError,
-    IncompatibleLadderError,
-    ExponentCollisionError,
-    NotApplicableError,
-    ZeroLadderError,
-    SmoothnessBudgetError,
-    DomainError,
-)
-
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
@@ -285,9 +264,6 @@ def main(argv=None) -> int:
     except ProfileFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _HYPOTHESIS_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_HYPOTHESIS
     except FinHankelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS

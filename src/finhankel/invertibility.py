@@ -24,6 +24,7 @@ translation, derivative sums, smooth perturbation, tensor product).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -332,8 +333,6 @@ def derive_params(profile: RadialProfile, max_k: int = 8) -> tuple[SlowDecreaseP
         rep = asym.dominance(pred)
         if rep.kind is asym.Dominance.BOUNDARY:
             dom = pred.boundary_terms[0]
-        elif rep.kind is asym.Dominance.ORIGIN:
-            dom = next(t for t in pred.origin_terms if t.amplitude != 0)
         else:
             dom = next(t for t in pred.origin_terms if t.amplitude != 0)
         A = dom.exponent.real - nu + 1.0
@@ -371,15 +370,7 @@ def verify_profile_slow_decrease(
 
     report = slow_decrease_check(sampler, params, r_range, grid_step)
     if notes:
-        report = CheckReport(
-            passed=report.passed,
-            worst_margin=report.worst_margin,
-            windows=report.windows,
-            failures=report.failures,
-            insufficient_resolution=report.insufficient_resolution,
-            params=report.params,
-            notes=notes + report.notes,
-        )
+        report = dataclasses.replace(report, notes=notes + report.notes)
     return report
 
 

@@ -151,12 +151,6 @@ class OriginExpansion:
         if len(self.coeffs) != self.max_k + 1:
             raise DomainError("coeffs must be dense up to max_k")
 
-    def coefficient(self, k: int) -> complex:
-        return self.coeffs[k]
-
-    def items(self):
-        return tuple(enumerate(self.coeffs))
-
 
 @dataclass(frozen=True)
 class BoundaryExpansion:

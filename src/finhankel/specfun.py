@@ -15,7 +15,9 @@ test suite against an independent high-precision oracle:
 The Bessel evaluators expose vectorised variants used by the quadrature
 module; the series branch always runs in 80-bit extended precision so that
 the alternating-series cancellation (which grows like e^x) does not eat
-into the double-precision result.
+into the double-precision result.  ``hankel_scaled_grid`` sums the same
+large-argument expansion at complex argument for the exponentially scaled
+Hankel functions, with a bound on its truncation error.
 """
 
 from __future__ import annotations
@@ -163,21 +165,68 @@ def _bessel_series(nu: float, x: np.ndarray, scaled: bool, longdouble: bool) -> 
             t = np.where(x == 0, dt(1.0), t)
     acc = t.copy()
     comp = np.zeros_like(acc)  # Neumaier compensation
+    minus_q = -q
+    abs_acc = np.abs(acc)
     for k in range(1, 400):
-        t = t * (-q) / dt(k * (k + nu))
+        t = t * minus_q / dt(k * (k + nu))
+        abs_t = np.abs(t)
         new = acc + t
-        comp += np.where(np.abs(acc) >= np.abs(t), (acc - new) + t, (t - new) + acc)
+        comp += np.where(abs_acc >= abs_t, (acc - new) + t, (t - new) + acc)
         acc = new
-        if np.max(np.abs(t)) <= 1e-22 * max(float(np.max(np.abs(acc))), 1e-300):
+        abs_acc = np.abs(acc)
+        if abs_t.max() <= 1e-22 * max(float(abs_acc.max()), 1e-300):
             break
     return acc + comp
 
 
+def _asym_terms(nu: float, zmin: float, at_least: int = 0) -> tuple[int, float]:
+    """Number of correction terms of the large-argument expansion to use at
+    |z| >= zmin, and |a_l(nu)| / zmin^l for the first term l left out.
+
+    Terms are taken until they reach the floor (but at least ``at_least``
+    of them) or start growing, capped at 20 for the cosine and sine series
+    together.
+    """
+    fournu2 = 4.0 * nu * nu
+
+    def ratio(k: int) -> float:
+        return abs(fournu2 - (2 * k - 1) ** 2) / (8 * k * zmin)
+
+    mag = 1.0  # |a_k| / zmin^k, the size of the last term taken
+    shrinking = False
+    for k in range(1, 21):
+        rk = ratio(k)
+        if shrinking and rk >= 1.0:
+            return k - 1, mag * rk  # divergent tail reached
+        shrinking = shrinking or rk < 1.0
+        mag *= rk
+        if mag < 1e-21 and k >= at_least:
+            return k, mag * ratio(k + 1)
+    return 20, mag * ratio(21)
+
+
+def _asym_pq(nu: float, inv_z: np.ndarray, count: int, dt):
+    """P and Q sums of DLMF 10.17.3 with ``count`` correction terms at 1/z.
+
+    ``dt`` is the real type the coefficients are formed in; ``inv_z`` may
+    be real or complex.
+    """
+    fournu2 = 4.0 * nu * nu
+    p = np.ones_like(inv_z)
+    qs = np.zeros_like(inv_z)
+    u = np.ones_like(inv_z)  # u_k = a_k / z^k
+    for k in range(1, count + 1):
+        u = u * (dt(fournu2 - (2 * k - 1) ** 2) / dt(8 * k)) * inv_z
+        target = qs if k % 2 else p  # odd terms feed the sine series
+        if (k // 2) % 2 == 0:
+            np.add(target, u, out=target)
+        else:
+            np.subtract(target, u, out=target)
+    return p, qs
+
+
 def _bessel_asym(nu: float, x: np.ndarray, longdouble: bool, xlo=None) -> np.ndarray:
     """Large-argument cosine/sine expansion (valid for x above the cutoff).
-
-    Correction terms are taken until they reach the floor or start growing,
-    capped at 20 for each of the cosine and sine series.
 
     ``xlo`` is an optional exact low part of the argument (x_true = x + xlo).
     The phase is corrected to first order in it, which matters when x is a
@@ -188,28 +237,8 @@ def _bessel_asym(nu: float, x: np.ndarray, longdouble: bool, xlo=None) -> np.nda
     dt = _LD if longdouble else np.float64
     pi = _PI_LD if longdouble else np.pi
     x = np.asarray(x, dtype=dt)
-    fournu2 = 4.0 * nu * nu
-    xmin = float(np.min(x))
-    inv_x = 1.0 / x
-    p = np.ones_like(x)
-    qs = np.zeros_like(x)
-    u = np.ones_like(x)  # u_k = a_k / x^k
-    mag = 1.0  # |u_k| at the smallest argument, where terms are largest
-    shrinking = False
-    for k in range(1, 21):
-        ratio = abs(fournu2 - (2 * k - 1) ** 2) / (8 * k * xmin)
-        if shrinking and ratio >= 1.0:
-            break  # divergent tail reached; stop at the smallest term
-        shrinking = shrinking or ratio < 1.0
-        u = u * (dt(fournu2 - (2 * k - 1) ** 2) / dt(8 * k)) * inv_x
-        mag *= ratio
-        target = qs if k % 2 else p  # odd terms feed the sine series
-        if (k // 2) % 2 == 0:
-            np.add(target, u, out=target)
-        else:
-            np.subtract(target, u, out=target)
-        if mag < 1e-21:
-            break
+    count, _ = _asym_terms(nu, float(np.min(x)))
+    p, qs = _asym_pq(nu, 1.0 / x, count, dt)
     shift = (dt(0.5 * nu) + dt(0.25)) * pi
     omega = x - shift
     # two-sum residue of the subtraction joins the supplied low part
@@ -221,6 +250,33 @@ def _bessel_asym(nu: float, x: np.ndarray, longdouble: bool, xlo=None) -> np.nda
     cw = np.cos(omega)
     sw = np.sin(omega)
     return env * ((cw - low * sw) * p - (sw + low * cw) * qs)
+
+
+def hankel_scaled_grid(nu: float, z: np.ndarray, kind: int = 1):
+    """Exponentially scaled Hankel functions from the same expansion.
+
+    Returns ``(h, bound)``: h = e^(-iz) H1_nu(z) for ``kind`` 1 or
+    e^(iz) H2_nu(z) for ``kind`` 2, in complex double, and a bound on its
+    relative truncation error.  The bound is DLMF 10.17.14-15, twice the
+    first omitted term times exp(|nu^2 - 1/4| / |z|); it holds for real nu
+    in the closed quarter plane where the kind decays (Re z > 0 and
+    Im z >= 0 for kind 1, Im z <= 0 for kind 2) when the series keeps at
+    least nu - 1/2 terms, which it does up to nu = 20.5; the bound is
+    infinite beyond.  Meant for |z| >= 16.
+    """
+    if kind not in (1, 2):
+        raise DomainError(f"Hankel kind must be 1 or 2, got {kind!r}")
+    nu = float(nu)
+    z = np.asarray(z, dtype=np.complex128)
+    zmin = float(np.min(np.abs(z)))
+    count, omitted = _asym_terms(nu, zmin, math.ceil(nu - 0.5))
+    bound = 2.0 * omitted * math.exp(abs(nu * nu - 0.25) / zmin)
+    if count < nu - 0.5:
+        bound = math.inf
+    p, qs = _asym_pq(nu, 1.0 / z, count, np.float64)
+    sign = 1.0 if kind == 1 else -1.0
+    rot = np.exp(-1j * sign * (0.5 * nu + 0.25) * np.pi)
+    return np.sqrt(2.0 / (np.pi * z)) * rot * (p + 1j * sign * qs), bound
 
 
 def _bessel_grid(

@@ -109,3 +109,31 @@ def reciprocal_sqrt_series(count: int) -> list[Fraction]:
             acc += sqrt_coeffs[k] * inv[n - k]
         inv.append(-acc)
     return inv
+
+
+def mp_term_transform(lam, rho, nu, r) -> complex:
+    """Closed form of the integral of s^lam (1-s^2)^(rho-1) J_nu(r s) over
+    (0, 1), for complex lam and rho, from the Bessel series integrated term
+    by term:
+
+        (r/2)^nu Gamma(rho) Gamma(a) / (2 Gamma(nu+1) Gamma(a+rho))
+            * 1F2(a; nu+1, a+rho; -r^2/4),          a = (lam+nu+1)/2.
+    """
+    with mp.workdps(30):
+        lam = mp.mpc(complex(lam).real, complex(lam).imag)
+        rho = mp.mpc(complex(rho).real, complex(rho).imag)
+        nu, r = mp.mpf(nu), mp.mpf(r)
+        a = (lam + nu + 1) / 2
+        pre = (r / 2) ** nu * mp.gamma(rho) * mp.gamma(a) / (2 * mp.gamma(nu + 1) * mp.gamma(a + rho))
+        return complex(pre * mp.hyp1f2(a, nu + 1, a + rho, -r * r / 4))
+
+
+def mp_hankel_scaled(nu: float, z: complex, kind: int) -> complex:
+    """e^(-iz) H1_nu(z) (kind 1) or e^(iz) H2_nu(z) (kind 2).  mpmath forms
+    H as J +- iY, which cancels like e^(-2|Im z|) where H decays, so the
+    working precision grows with |Im z|."""
+    with mp.workdps(40 + int(abs(complex(z).imag))):
+        zz = mp.mpc(complex(z).real, complex(z).imag)
+        if kind == 1:
+            return complex(mp.hankel1(nu, zz) * mp.exp(-1j * zz))
+        return complex(mp.hankel2(nu, zz) * mp.exp(1j * zz))

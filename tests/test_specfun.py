@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 
 from finhankel.errors import DomainError, PoleError
-from finhankel.specfun import bessel_j, bessel_j_leading, gamma, reciprocal_gamma
+from finhankel.specfun import (
+    bessel_j,
+    bessel_j_leading,
+    gamma,
+    hankel_scaled_grid,
+    reciprocal_gamma,
+)
 
-from oracles import j0_first_zero, mp_bessel_j, mp_gamma
+from oracles import j0_first_zero, mp_bessel_j, mp_gamma, mp_hankel_scaled
 
 # frozen via oracles.j0_first_zero() (series bisection with tail bound)
 J0_FIRST_ZERO = 2.404825557695773
@@ -154,3 +160,31 @@ def test_reciprocal_gamma_inverts_gamma():
 def test_gamma_finite_input_required():
     with pytest.raises(DomainError):
         gamma(complex(float("nan"), 0.0))
+
+
+@pytest.mark.parametrize("nu", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("kind", [1, 2])
+def test_hankel_scaled_along_contours(nu, kind):
+    """The contours x0 + i sigma tau (sigma = +1 for H1, -1 for H2) start at
+    the seam phase 30 or beyond; the relative error stays within the
+    reported truncation bound plus a few ulps, also at |z| = 16 where the
+    bound is what limits it."""
+    sigma = 1.0 if kind == 1 else -1.0
+    tau = np.array([0.0, 2.0, 35.0])
+    for x0 in (16.0, 30.0, 1e4):
+        z = x0 + 1j * sigma * tau
+        h, bound = hankel_scaled_grid(nu, z, kind)
+        assert bound < 1e-12
+        for zi, hi in zip(z, h):
+            ref = mp_hankel_scaled(nu, zi, kind)
+            assert abs(hi - ref) <= (bound + 1e-15) * abs(ref)
+
+
+def test_hankel_scaled_kind_and_terminating_series():
+    with pytest.raises(DomainError):
+        hankel_scaled_grid(0.0, np.array([30.0]), 3)
+    # half-integer order: the expansion terminates, H1_(1/2)(z) e^(-iz) = -i sqrt(2/(pi z))
+    z = np.array([20.0 + 5.0j, 400.0])
+    h, bound = hankel_scaled_grid(0.5, z, 1)
+    assert bound == 0.0
+    assert np.allclose(h, -1j * np.sqrt(2.0 / (np.pi * z)), rtol=1e-15, atol=0)
