@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyPredictionError, HypothesisError
+from .errors import EmptyPredictionError, HypothesisError, check_radius
 from .profiles import (
     BoundaryExpansion,
     OriginExpansion,
@@ -74,8 +74,7 @@ class AsymptoticTerm:
     phase: Phase | None = None
 
     def evaluate(self, r: float) -> complex:
-        if r <= 0:
-            raise HypothesisError("asymptotic terms are defined for r > 0")
+        r = check_radius(r, "AsymptoticTerm.evaluate")
         val = self.amplitude * cmath.exp(-self.exponent * math.log(r))
         if self.phase is not None:
             val *= self.phase(r)
@@ -218,8 +217,7 @@ def ladder_fully_excluded(profile: RadialProfile) -> bool:
 
 def evaluate_prediction(pred: Prediction, r: float) -> complex:
     """Numeric value of all retained terms at radius r (0 for an empty one)."""
-    if r <= 0:
-        raise HypothesisError("predictions are evaluated at r > 0")
+    r = check_radius(r, "evaluate_prediction")
     return sum(
         (t.evaluate(r) for t in pred.origin_terms + pred.boundary_terms),
         start=0j,

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by the whole package."""
+"""Exception taxonomy shared by the whole package, and the radius check."""
+
+import math
+import numbers
 
 
 class FinHankelError(Exception):
@@ -51,3 +54,10 @@ class RuleViolationError(FinHankelError):
 
 class ProfileFormatError(FinHankelError, ValueError):
     """Profile JSON is malformed or violates the schema."""
+
+
+def check_radius(r, who: str) -> float:
+    """The radius as a float; bools, non-real, non-finite and r <= 0 raise."""
+    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not math.isfinite(r) or r <= 0:
+        raise DomainError(f"{who} requires a finite real r > 0, got {r!r}")
+    return float(r)

@@ -366,7 +366,7 @@ def verify_profile_slow_decrease(
     nu = profile.nu
 
     def sampler(rr: np.ndarray) -> np.ndarray:
-        return np.abs(hankel_sweep(profile, rr)) * rr ** nu
+        return np.abs(hankel_sweep(profile, rr, cfg)) * rr ** nu
 
     report = slow_decrease_check(sampler, params, r_range, grid_step)
     if notes:

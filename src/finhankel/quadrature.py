@@ -33,7 +33,14 @@ Panels, below the seam and for cutoff profiles at every r:
 Exponents with a nonzero imaginary part make the endpoint factors oscillate
 in log s, which no fixed polynomial weight absorbs; those cases fall back to
 geometrically graded panels plus the leading term of the discarded tail in
-closed form (at the origin) and an explicit bound on the rest.
+closed form and an explicit bound on the rest.
+
+One builder, ``_TermIntegral.node_sets``, turns a term, a mesh and a node
+count into these pieces as node sets: nodes, weights with the profile
+factor folded in, and a kernel kind (J_nu(r s), or r^nu J_nu(x)/x^nu at the
+origin).  A closed-form end term is one more node.  Nothing in a node set
+depends on r, so the point evaluator sums them at one r, at two
+resolutions, and hankel_sweep sums the same sets over a whole grid of r.
 
 Panel sums cancel: large r makes the transform exponentially smaller than
 the absolute mass of the integrand (panel values alternate in sign), so
@@ -41,9 +48,10 @@ every node value, weight and partial sum of a panel is kept in 80-bit
 extended precision; in double the cancellation noise floor alone would
 exceed the 1e-10 default tolerance by r ~ 500.  Extended precision thus
 serves the panel path and the origin zone [0, a] of the steepest-descent
-path, which cancels against the contours from a.  The batch sweep evaluator
-trades accuracy for speed: double precision, shared panel mesh, no
-per-point error estimate.
+path, which cancels against the contours from a.  The batch sweep trades
+accuracy for speed: it casts the node sets, built once for the largest r
+with 12 nodes per panel, to double precision and returns no per-point
+error estimate.
 
 Profiles flagged ``vanishes_near_one`` are materialised with a fixed smooth
 cutoff equal to 1 below s = 1/3 and 0 above s = 2/3, which realises "the
@@ -54,14 +62,13 @@ cutoff is not analytic, so those profiles never leave the real axis.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_jacobi
 
-from .errors import DomainError, SmoothnessBudgetError
+from .errors import DomainError, SmoothnessBudgetError, check_radius
 from .profiles import (
     RadialProfile,
     boundary_power_terms,
@@ -76,9 +83,20 @@ _CUT_LO, _CUT_HI = 1.0 / 3.0, 2.0 / 3.0
 _SPLIT = _LD(2**32 + 1)  # Dekker split point for the 64-bit mantissa
 _KERNEL_CUT = 16.0  # series/expansion switch tuned for mass-weighted error
 _SEAM_PHASE = 30.0  # smallest r*a at which [a, 1] is deformed onto contours
+_NODES = 32  # nodes per panel of the point evaluator; half as many for its check
+_MAX_PANELS = 20000  # oscillation panels per mesh before they are widened
+_SWEEP_NODES = 12  # nodes per panel of hankel_sweep
+# radii per kernel matrix of hankel_sweep: each of the kernel's temporaries
+# then holds 192 x 7.7k doubles at r = 2000, about 12 MB
+_SWEEP_CHUNK = 192
 # relative accuracy of a double-precision contour sum: the Laguerre rules'
 # low moments are good to about 4e-15 when alpha = rho - 1 is near -1
 _CONTOUR_ROUNDING = 4e-15
+# error of a Gauss-Jacobi sum per unit of its absolute mass, measured against
+# mpmath on e^(i(c u + theta)), c <= 4, for 12 to 32 nodes: at most 4.4e-16
+# for exponents e >= -0.8, growing like 7.5e-17 / (1 + e) toward e = -1
+# (1.8e-15 at -0.98, 7.4e-14 at -0.999); charged as this / min(1, 1 + e)
+_JACOBI_ROUNDING = 5e-16
 _HALF_PI_LD = 2 * np.arctan(_LD(1))
 
 
@@ -98,16 +116,10 @@ def _two_prod_ld(a, b):
 @dataclass(frozen=True)
 class QuadratureConfig:
     target_rel_tol: float = 1e-10
-    max_panels: int = 20000
-    nodes_per_panel: int = 32
 
     def __post_init__(self):
         if not 0.0 < self.target_rel_tol < 1.0:
             raise DomainError("target_rel_tol must lie in (0, 1)")
-        if self.nodes_per_panel < 8:
-            raise DomainError("nodes_per_panel must be >= 8")
-        if self.max_panels < 1:
-            raise DomainError("max_panels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -223,17 +235,20 @@ def _seam_phase(nu: float, tol: float):
     return None
 
 
+def _graded_ratio(n: int) -> float:
+    """Width ratio of successive panels graded toward a branch point.
+
+    An n-point Legendre panel [q a, a] next to the branch point at 0 is
+    good to about 3^-2n at q = 1/4 (5e-16 from 16 nodes up) and 5.8^-2n at
+    q = 1/2 (5e-19 at 12 nodes, where 1/4 would leave 4e-12).
+    """
+    return 0.25 if n >= 16 else 0.5
+
+
 def _cexp_ld(re, im) -> complex:
     """exp(re + i*im) for long-double exponent parts, rounded to complex."""
     mag = np.exp(_LD(re))
     return complex(float(mag * np.cos(_LD(im))), float(mag * np.sin(_LD(im))))
-
-
-def _check_radius(r, who: str) -> float:
-    """The radius as a float; bools, non-real, non-finite and r <= 0 raise."""
-    if isinstance(r, bool) or not isinstance(r, numbers.Real) or not math.isfinite(r) or r <= 0:
-        raise DomainError(f"{who} requires a finite real r > 0, got {r!r}")
-    return float(r)
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +299,29 @@ def _phi_factor(s, dist1, lam, rho, from_u: bool = False):
     )
 
 
+@dataclass(frozen=True)
+class _NodeSet:
+    """Nodes of one real-axis piece of a term, valid at every r.
+
+    Rows of ``s`` and ``w`` are panels, with midpoints ``mid`` for the
+    phase bins of ``_TermIntegral._kernel_floor``.  ``w`` holds the profile
+    factor, the rule weight and the panel half-width.  The kernel is
+    J_nu(r s), or r^nu J_nu(x)/x^nu at x = r s when ``scaled``.
+    ``rounding`` is the rule's own error per unit of absolute mass.
+    """
+
+    s: np.ndarray
+    w: np.ndarray
+    mid: np.ndarray
+    scaled: bool = False
+    rounding: float = 0.0
+
+
+def _single_node(s: float, w: complex, mid: float, scaled: bool) -> _NodeSet:
+    """A closed-form piece as one node: its weight times the kernel at s."""
+    return _NodeSet(np.full((1, 1), s, dtype=_LD), np.full((1, 1), w, dtype=_CLD), np.array([mid]), scaled)
+
+
 class _TermIntegral:
     """One closed-form term  s^lam (1-s^2)^(rho-1) J_nu(r s)  on (0,1)."""
 
@@ -298,13 +336,11 @@ class _TermIntegral:
 
     # -- mesh -----------------------------------------------------------
 
-    def build_mesh(self, refine: float, max_panels: int = 10 ** 9):
-        """refine <= 1 scales every phase budget down.
+    def build_mesh(self, refine: float) -> np.ndarray:
+        """Edges of the oscillation panels; refine <= 1 scales every phase budget down.
 
-        Returns (jacobi_origin, jacobi_boundary, edges): the endpoint zones
-        always carry at most ``_ENDPOINT_PHASE * refine`` of Bessel phase;
-        the booleans say whether a Jacobi rule absorbs the zone (real
-        exponent) or a graded fallback must cover it.  The panel budget is
+        The endpoint zones below edges[0] and above edges[-1] carry at most
+        ``_ENDPOINT_PHASE * refine`` of Bessel phase.  The panel budget is
         honoured by widening the oscillation panels; accuracy loss then
         shows up in the two-resolution error estimate, never as an error.
         """
@@ -313,15 +349,40 @@ class _TermIntegral:
         d_top = 0.0 if self.cutoff else min(0.3, _ENDPOINT_PHASE * refine / r)
         osc = 2.0 * math.pi * refine / r
         span = self.upper - d_top - lo
-        if span / osc > max_panels - 60:
-            osc = span / max(max_panels - 60, 8)
+        if span / osc > _MAX_PANELS - 60:
+            osc = span / (_MAX_PANELS - 60)
         forced = (_CUT_LO,) if self.cutoff else ()
-        edges = _middle_edges(lo, self.upper - d_top, osc, forced)
-        jac_origin = self.lam.imag == 0.0
-        jac_boundary = (not self.cutoff) and self.rho.imag == 0.0
-        return jac_origin, jac_boundary, edges
+        return _middle_edges(lo, self.upper - d_top, osc, forced)
 
-    # -- pieces ----------------------------------------------------------
+    # -- node sets -------------------------------------------------------
+
+    def node_sets(self, edges: np.ndarray, n: int, tol: float, to_edge: bool):
+        """The term on [0, edges[-1]], and on [edges[-1], 1] when ``to_edge``,
+        as n-point node sets: Legendre panels between the edges, and an
+        endpoint zone each side.  A real exponent there is absorbed by a
+        Gauss-Jacobi rule; a complex one oscillates in log s, which no fixed
+        polynomial weight absorbs, so geometrically graded panels cover the
+        zone, a single node carries the leading term of the discarded end
+        piece in closed form, and the rest is bounded.  Returns (sets, bound
+        on the discarded end pieces).
+        """
+        sets = [self._legendre(edges, n)]
+        s_a = float(edges[0])
+        if self.lam.imag == 0.0:
+            sets.append(self._origin_jacobi(s_a, n))
+            tail = 0.0
+        else:
+            graded, tail = self._origin_graded(s_a, n, tol)
+            sets += graded
+        if to_edge:
+            d_top = 1.0 - float(edges[-1])
+            if self.rho.imag == 0.0:
+                sets.append(self._boundary_jacobi(d_top, n))
+            else:
+                graded, bound = self._boundary_graded(d_top, n, tol)
+                sets += graded
+                tail += bound
+        return sets, tail
 
     def _factor(self, s, dist1, from_u: bool = False):
         f = _phi_factor(s, dist1, self.lam, self.rho, from_u)
@@ -345,117 +406,106 @@ class _TermIntegral:
         low = float(np.sum(mass[phase < 14.0]))
         return 2e-14 * seam + 1e-16 * high + 2e-15 * low
 
-    def _middle(self, edges: np.ndarray, n: int):
+    def _legendre(self, edges: np.ndarray, n: int, from_u: bool = False) -> _NodeSet:
+        """Legendre panels between ascending ``edges`` in s, or with ``from_u``
+        in u = 1 - s, where 1 - s stays exact next to s = 1."""
         x, w = _gauss_legendre_ld(n)
         e = np.asarray(edges).astype(_LD)
         mid = (e[1:] + e[:-1]) / 2
         half = (e[1:] - e[:-1]) / 2
-        s = mid[:, None] + half[:, None] * x[None, :]
-        dist1 = (1 - mid)[:, None] - half[:, None] * x[None, :]
-        arg, arg_lo = _two_prod_ld(_LD(self.r), s)
-        f = self._factor(s, dist1) * bessel_j_grid(
-            self.nu, arg, longdouble=True, xlo=arg_lo, cutoff=self._cut
-        )
-        floor = self._kernel_floor(mid, np.abs(f) @ w * half)
-        return np.sum((f @ w) * half), floor
+        t = mid[:, None] + half[:, None] * x[None, :]
+        if from_u:
+            s, dist1, mid = 1 - t, t, 1 - mid
+        else:
+            s, dist1 = t, (1 - mid)[:, None] - half[:, None] * x[None, :]
+        return _NodeSet(s, self._factor(s, dist1, from_u) * (half[:, None] * w[None, :]), mid)
 
-    def _middle_u(self, u_edges: np.ndarray, n: int):
-        """Legendre panels parametrised by u = 1 - s (u_edges ascending)."""
-        x, w = _gauss_legendre_ld(n)
-        e = np.asarray(u_edges).astype(_LD)
-        mid = (e[1:] + e[:-1]) / 2
-        half = (e[1:] - e[:-1]) / 2
-        u = mid[:, None] + half[:, None] * x[None, :]
-        s = 1 - u
-        arg, arg_lo = _two_prod_ld(_LD(self.r), s)
-        f = self._factor(s, u, from_u=True) * bessel_j_grid(
-            self.nu, arg, longdouble=True, xlo=arg_lo, cutoff=self._cut
-        )
-        floor = self._kernel_floor(1 - mid, np.abs(f) @ w * half)
-        return np.sum((f @ w) * half), floor
-
-    def _origin_jacobi(self, s_a: float, n: int):
+    def _origin_jacobi(self, s_a: float, n: int) -> _NodeSet:
+        """[0, s_a] with weight s^(lam+nu) after peeling J_nu(x)/x^nu."""
         b = self.lam.real + self.nu
         x, w = _gauss_jacobi(n, 0.0, b)
         h = _LD(s_a) / 2
         s = h * (1 + x)
-        g = bessel_j_scaled_grid(self.nu, self.r * s, longdouble=True, cutoff=self._cut)
-        g = g * np.exp(_LD(self.rho.real - 1.0) * np.log1p(-s * s)) if self.rho.imag == 0.0 \
-            else g.astype(_CLD) * np.exp((complex(self.rho) - 1.0) * np.log1p(-(s * s).astype(_CLD)))
+        f = np.exp(_LD(self.rho.real - 1.0) * np.log1p(-s * s)) if self.rho.imag == 0.0 \
+            else np.exp((complex(self.rho) - 1.0) * np.log1p(-(s * s).astype(_CLD)))
         if self.cutoff:
-            g = g * _smooth_cutoff_ld(s)
-        rnu = np.exp(_LD(self.nu) * np.log(_LD(self.r)))
-        scale = h ** _LD(b + 1.0) * rnu
-        floor = self._kernel_floor([s_a / 2], [float(abs(scale) * np.sum(w * np.abs(g)))])
-        return scale * np.sum(w * g), floor
+            f = f * _smooth_cutoff_ld(s)
+        w = w * f * h ** _LD(b + 1.0)
+        return _NodeSet(s[None, :], w[None, :], np.array([s_a / 2]), True, _JACOBI_ROUNDING / min(1.0, 1.0 + b))
 
-    def _boundary_jacobi(self, d_b: float, n: int):
+    def _boundary_jacobi(self, d_b: float, n: int) -> _NodeSet:
+        """[1 - d_b, 1] with weight (1-s)^(rho-1)."""
         a = self.rho.real - 1.0
         x, w = _gauss_jacobi(n, a, 0.0)
         h = _LD(d_b) / 2
         u = h * (1 - x)  # 1 - s
-        s = 1 - u
         f = np.exp(complex(self.lam) * np.log1p(-u).astype(_CLD)) if self.lam.imag != 0.0 \
             else np.exp(_LD(self.lam.real) * np.log1p(-u))
-        f = f * np.exp(_LD(self.rho.real - 1.0) * np.log(2 - u))
-        arg, arg_lo = _two_prod_ld(_LD(self.r), s)
-        f = f * bessel_j_grid(self.nu, arg, longdouble=True, xlo=arg_lo, cutoff=self._cut)
-        scale = h ** _LD(a + 1.0)
-        floor = self._kernel_floor([1 - d_b / 2], [float(scale * np.sum(w * np.abs(f)))])
-        return scale * np.sum(w * f), floor
+        w = w * f * np.exp(_LD(a) * np.log(2 - u)) * h ** _LD(a + 1.0)
+        return _NodeSet((1 - u)[None, :], w[None, :], np.array([1 - d_b / 2]), False,
+                        _JACOBI_ROUNDING / min(1.0, 1.0 + a))
 
     def _origin_graded(self, s_top: float, n: int, tol: float):
         """Fallback for complex lam: geometric panels down to delta, then [0, delta].
 
         There the integrand is (r/2)^nu s^(lam+nu) / Gamma(nu+1) times 1 + E(s),
         |E(s)| < 2 s^2 ((r/2)^2/(nu+1) + |rho-1|) while that is small, so the
-        leading term is added in closed form and the E part is bounded.  Next
-        to a transform of size r^-(lam+1), that bound is about (r delta)^(p1+2),
-        so the depth brings r*delta (at least 2*delta) down to (tol/100)^(1/(p1+2)).
+        leading term is a scaled-kernel node at s = 0 with weight
+        delta^p / p, p = lam+nu+1, and the E part is bounded.  Next to a
+        transform of size r^-(lam+1), that bound is about (r delta)^(p1+2), so
+        the depth brings r*delta (at least 2*delta) down to
+        (tol/100)^(1/(p1+2)).  Returns (node sets, bound).
         """
         p1 = self.lam.real + self.nu + 1.0
-        ratio = 0.25
+        ratio = _graded_ratio(n)
         k = (self.r / 2) ** 2 / (self.nu + 1.0) + abs(self.rho - 1.0)
         reach = math.log(max(tol, 1e-30) * 1e-2) / (p1 + 2.0) - math.log(max(self.r, 2.0) * s_top)
         depth = min(220, max(4, math.ceil(reach / math.log(ratio))))
         edges = np.sort(s_top * ratio ** np.arange(depth + 1, dtype=np.float64))
-        value, floor = self._middle(edges, n)
         delta = float(edges[0])
-        scale = (self.r / 2) ** self.nu / float(_gamma_real_ld(self.nu + 1.0))
         p = self.lam + self.nu + 1.0
-        lead = scale * np.exp(p * math.log(delta)) / p
-        bound = 2.0 * scale * k * delta ** (p1 + 2.0) / (p1 + 2.0)
-        return value + lead, bound + floor, depth
+        lead = _single_node(0.0, np.exp(p * math.log(delta)) / p, delta / 2, True)
+        scale = (self.r / 2) ** self.nu / float(_gamma_real_ld(self.nu + 1.0))
+        return [self._legendre(edges, n), lead], 2.0 * scale * k * delta ** (p1 + 2.0) / (p1 + 2.0)
 
     def _boundary_graded(self, d_top: float, n: int, tol: float):
         """Fallback for complex rho: geometric panels in u = 1 - s down to delta.
 
         On [0, delta] the integrand is u^(rho-1) G(u), G = (2-u)^(rho-1)
-        (1-u)^lam J_nu(r(1-u)), so G(0) delta^rho / rho is added in closed
-        form and |G'| < 2^max(Re rho - 1, 0) (r + |lam| + |rho-1|), with a
-        factor 2 to spare, bounds the rest.  The depth brings r*delta (at
-        least delta) down to (tol/100)^(1/(Re rho + 1)).
+        (1-u)^lam J_nu(r(1-u)), so G(0) delta^rho / rho is a plain-kernel node
+        at s = 1 with weight 2^(rho-1) delta^rho / rho, and
+        |G'| < 2^max(Re rho - 1, 0) (r + |lam| + |rho-1|), with a factor 2 to
+        spare, bounds the rest.  The depth brings r*delta (at least delta)
+        down to (tol/100)^(1/(Re rho + 1)).  Returns (node sets, bound).
         """
         p1 = self.rho.real
-        ratio = 0.25
+        ratio = _graded_ratio(n)
         reach = math.log(max(tol, 1e-30) * 1e-2) / (p1 + 1.0) - math.log(max(self.r, 1.0) * d_top)
         depth = min(220, max(4, math.ceil(reach / math.log(ratio))))
         u_edges = np.sort(d_top * ratio ** np.arange(depth + 1, dtype=np.float64))
-        value, floor = self._middle_u(u_edges, n)
         delta = float(u_edges[0])
-        edge = bessel_j_grid(self.nu, np.array([self.r], dtype=_LD), longdouble=True, cutoff=self._cut)
-        lead = 2.0 ** (self.rho - 1.0) * float(edge[0]) * np.exp(self.rho * math.log(delta)) / self.rho
+        lead = _single_node(1.0, 2.0 ** (self.rho - 1.0) * np.exp(self.rho * math.log(delta)) / self.rho,
+                            1.0 - delta / 2, False)
         slope = 2.0 ** max(p1 - 1.0, 0.0) * (self.r + abs(self.lam) + abs(self.rho - 1.0))
-        bound = 2.0 * slope * delta ** (p1 + 1.0) / (p1 + 1.0)
-        return value + lead, bound + floor, depth
+        return [self._legendre(u_edges, n, from_u=True), lead], 2.0 * slope * delta ** (p1 + 1.0) / (p1 + 1.0)
 
-    def _origin(self, s_a: float, n: int, tol: float):
-        """[0, s_a]: (value, floor or tail bound, panels)."""
-        if self.lam.imag == 0.0:
-            value, floor = self._origin_jacobi(s_a, n)
-            return value, floor, 1
-        value, bound, depth = self._origin_graded(s_a, n, tol)
-        return value, bound, depth + 1
+    def _real_axis(self, edges: np.ndarray, n: int, tol: float, to_edge: bool):
+        """The node sets summed at r in extended precision: (value, kernel
+        floors, rule rounding and tail bounds, panels)."""
+        sets, err = self.node_sets(edges, n, tol, to_edge)
+        value = _LD(0.0)
+        for ns in sets:
+            if ns.scaled:
+                rnu = np.exp(_LD(self.nu) * np.log(_LD(self.r)))
+                k = rnu * bessel_j_scaled_grid(self.nu, self.r * ns.s, longdouble=True, cutoff=self._cut)
+            else:
+                arg, arg_lo = _two_prod_ld(_LD(self.r), ns.s)
+                k = bessel_j_grid(self.nu, arg, longdouble=True, xlo=arg_lo, cutoff=self._cut)
+            t = ns.w * k
+            value = value + np.sum(t)
+            mass = np.sum(np.abs(t), axis=1)
+            err += self._kernel_floor(ns.mid, mass) + ns.rounding * float(np.sum(mass))
+        return value, err, sum(ns.mid.size for ns in sets)
 
     # -- steepest-descent contours ------------------------------------------
 
@@ -509,7 +559,7 @@ class _TermIntegral:
             x, w = _gauss_laguerre(nl, alpha)
             rules = 1
         else:
-            ratio = 0.25
+            ratio = _graded_ratio(n)
             depth = max(4, math.ceil(math.log(tol * 1e-3) / ((alpha + 2.0) * math.log(ratio))))
             top = 2.0 ** math.ceil(math.log2(48.0 + 4.0 * max(alpha, 0.0)))
             e = np.concatenate([ratio ** np.arange(depth, 0, -1.0), 2.0 ** np.arange(0.0, math.log2(top) + 1)])
@@ -564,68 +614,34 @@ class _TermIntegral:
         """
         r = self.r
         a = seam / r
-        s_a = _ENDPOINT_PHASE / r
-        edges = _middle_edges(s_a, a, 2.0 * math.pi / r)
+        edges = _middle_edges(_ENDPOINT_PHASE / r, a, 2.0 * math.pi / r)
         tol = cfg.target_rel_tol
-        n = cfg.nodes_per_panel
-        nh = max(8, n // 2)
         nl = _laguerre_nodes(tol)
         vals = []
-        for m, ml in ((n, nl + 8), (nh, nl)):
-            acc, floor = self._middle(edges, m)
-            v, bound, origin_panels = self._origin(s_a, m, tol)
+        for m, ml in ((_NODES, nl + 8), (_NODES // 2, nl)):
+            v, v_err, v_panels = self._real_axis(edges, m, tol, False)
             c, c_err, rules = self._contours(a, ml, m, tol)
-            vals.append(complex(acc + v) + c)
-            if m == n:
-                err = floor + bound + c_err
-                panels = len(edges) - 1 + origin_panels + rules
+            vals.append(complex(v) + c)
+            if m == _NODES:
+                err, panels = v_err + c_err, v_panels + rules
         return vals[0], abs(vals[0] - vals[1]) + err, panels
 
     # -- driver ----------------------------------------------------------
 
     def evaluate(self, cfg: QuadratureConfig, refine: float):
-        _, jac_boundary, edges = self.build_mesh(refine, cfg.max_panels)
-        s_a = float(edges[0])
-        d_top = self.upper - float(edges[-1])
-        n = cfg.nodes_per_panel
-        nh = max(8, n // 2)
-        panels = len(edges) - 1
-        tail_err = 0.0
-        vals = []
-        for m in (n, nh):
-            acc, floor = self._middle(edges, m)
-            if m == n:
-                tail_err += floor
-            v, bound, origin_panels = self._origin(s_a, m, cfg.target_rel_tol)
-            acc = acc + v
-            if m == n:
-                tail_err += bound
-                panels += origin_panels
-            if not self.cutoff:
-                if jac_boundary:
-                    v, floor = self._boundary_jacobi(d_top, m)
-                    acc = acc + v
-                    if m == n:
-                        tail_err += floor
-                else:
-                    v, bound, depth = self._boundary_graded(d_top, m, cfg.target_rel_tol)
-                    acc = acc + v
-                    if m == n:
-                        tail_err += bound
-                        panels += depth + 1
-            vals.append(acc)
-        if not self.cutoff and jac_boundary:
-            panels += 1
-        value = complex(vals[0])
-        err = abs(complex(vals[0] - vals[1])) + tail_err
-        return value, err, panels
+        """Panels on the mesh at ``refine``: (value, estimate, panels)."""
+        edges = self.build_mesh(refine)
+        tol = cfg.target_rel_tol
+        fine, err, panels = self._real_axis(edges, _NODES, tol, not self.cutoff)
+        coarse = self._real_axis(edges, _NODES // 2, tol, not self.cutoff)[0]
+        return complex(fine), abs(complex(fine - coarse)) + err, panels
 
     def integrate(self, cfg: QuadratureConfig):
         best = None
         prev_err = math.inf
         for refine in (1.0, 0.5, 0.25):
             approx_panels = self.r * 2 / (2.0 * math.pi * refine) + 60
-            if best is not None and approx_panels > cfg.max_panels:
+            if best is not None and approx_panels > _MAX_PANELS:
                 break
             value, err, panels = self.evaluate(cfg, refine)
             if best is None or err < best[1]:
@@ -667,7 +683,7 @@ def finite_hankel(
     was achieved (no exception).
     """
     cfg = cfg or _DEFAULT_CFG
-    r = _check_radius(r, "finite_hankel")
+    r = check_radius(r, "finite_hankel")
     total = 0j
     err = 0.0
     panels = 0
@@ -712,7 +728,7 @@ def iterated_transform(
     Re(rho) - 1 >= k.
     """
     cfg = cfg or _DEFAULT_CFG
-    r = _check_radius(r, "iterated_transform")
+    r = check_radius(r, "iterated_transform")
     if not isinstance(shift, int) or shift < 0 or shift > 8:
         raise DomainError("shift must be an integer in [0, 8]")
     budget = min(t.rho.real - 1.0 for t in profile.terms)
@@ -735,105 +751,57 @@ def iterated_transform(
 
 
 # ---------------------------------------------------------------------------
-# batch sweep (double precision, shared mesh)
+# batch sweep (double precision, the point evaluator's node sets)
 # ---------------------------------------------------------------------------
 
 
-def _sweep_groups(profile: RadialProfile, r_ref: float, nodes: int):
-    """Precompute r-independent node/weight groups for a whole profile."""
-    plain_s, plain_w = [], []
-    scaled = []  # (s, weights) groups needing an extra r^nu factor
-    nu = profile.nu
-    cutoff = profile.vanishes_near_one
-    x, w = _gauss_legendre_ld(nodes)
-
-    def add_legendre(ti, coeff, edges_arr):
-        e = np.asarray(edges_arr).astype(_LD)
-        mid = (e[1:] + e[:-1]) / 2
-        half = (e[1:] - e[:-1]) / 2
-        s = mid[:, None] + half[:, None] * x[None, :]
-        dist1 = (1 - mid)[:, None] - half[:, None] * x[None, :]
-        f = ti._factor(s, dist1) * half[:, None] * w[None, :]
-        plain_s.append(np.asarray(s, dtype=np.float64).ravel())
-        plain_w.append(coeff * np.asarray(f, dtype=np.complex128).ravel())
-
-    def add_legendre_u(ti, coeff, u_edges):
-        e = np.asarray(u_edges).astype(_LD)
-        mid = (e[1:] + e[:-1]) / 2
-        half = (e[1:] - e[:-1]) / 2
-        u = mid[:, None] + half[:, None] * x[None, :]
-        s = 1 - u
-        f = ti._factor(s, u, from_u=True) * half[:, None] * w[None, :]
-        plain_s.append(np.asarray(s, dtype=np.float64).ravel())
-        plain_w.append(coeff * np.asarray(f, dtype=np.complex128).ravel())
-
-    for t in profile.terms:
-        ti = _TermIntegral(t.lam, t.rho, nu, r_ref, cutoff)
-        jac_origin, jac_boundary, edges = ti.build_mesh(1.0)
-        s_a = float(edges[0])
-        d_top = ti.upper - float(edges[-1])
-        add_legendre(ti, t.coeff, edges)
-        if jac_origin:
-            b = t.lam.real + nu
-            xj, wj = _gauss_jacobi(nodes, 0.0, b)
-            h = _LD(s_a) / 2
-            sj = h * (1 + xj)
-            gw = wj * np.exp(_LD(t.rho.real - 1.0) * np.log1p(-sj * sj))
-            if cutoff:
-                gw = gw * _smooth_cutoff_ld(sj)
-            gw = gw * h ** _LD(b + 1.0)
-            scaled.append((np.asarray(sj, dtype=np.float64), t.coeff * np.asarray(gw, dtype=np.complex128)))
-        else:
-            eg = np.sort(s_a * 0.25 ** np.arange(61, dtype=np.float64))
-            add_legendre(ti, t.coeff, eg)
-        if not cutoff:
-            if jac_boundary:
-                a = t.rho.real - 1.0
-                xj, wj = _gauss_jacobi(nodes, a, 0.0)
-                h = _LD(d_top) / 2
-                uj = h * (1 - xj)
-                sj = 1 - uj
-                fw = wj * np.exp(_LD(t.lam.real) * np.log1p(-uj)) if t.lam.imag == 0.0 else \
-                    wj.astype(_CLD) * np.exp(complex(t.lam) * np.log1p(-uj).astype(_CLD))
-                fw = fw * np.exp(_LD(t.rho.real - 1.0) * np.log(2 - uj))
-                fw = fw * h ** _LD(a + 1.0)
-                plain_s.append(np.asarray(sj, dtype=np.float64))
-                plain_w.append(t.coeff * np.asarray(fw, dtype=np.complex128))
-            else:
-                ug = np.sort(d_top * 0.25 ** np.arange(61, dtype=np.float64))
-                add_legendre_u(ti, t.coeff, ug)
-    s_cat = np.concatenate(plain_s) if plain_s else np.empty(0)
-    w_cat = np.concatenate(plain_w) if plain_w else np.empty(0, np.complex128)
-    return s_cat, w_cat, scaled
-
-
 def hankel_sweep(
-    profile: RadialProfile,
-    r_values,
-    nodes: int = 12,
-    chunk: int = 256,
+    profile: RadialProfile, r_values, cfg: QuadratureConfig | None = None
 ) -> np.ndarray:
     """finite_hankel evaluated on a whole grid of r at once (double precision).
 
-    One singularity-graded, oscillation-resolving mesh is built for
-    max(r_values) and reused; the profile factor is evaluated once and only
-    the Bessel kernel is recomputed per r.  Intended for slow-decrease
-    sweeps, with no error estimates: on ordinary profiles the values agree
-    with finite_hankel to 1e-12-1e-13 relative, with an absolute floor near
-    1e-17 that dominates where the transform is smaller than that.
+    Each term's node sets come from the same builder as finite_hankel's
+    panel path, built once for max(r_values) with 12 nodes per panel and
+    reused at every r: the profile factor is evaluated once and only the
+    Bessel kernel is recomputed per r, one matrix product per kernel kind.
+    Complex exponents get the same graded end zones and closed-form end
+    terms as the point evaluator, with depths set by ``cfg``'s target.
+    Intended for slow-decrease sweeps, with no error estimates: the values
+    agree with the closed form to about 1e-12 relative, with an absolute
+    floor of a few 1e-16 (the double-precision Bessel series near r s ~ 10)
+    that dominates where the transform is below about 1e-4.
     """
+    cfg = cfg or _DEFAULT_CFG
     r = np.asarray(r_values)
     if r.ndim != 1 or r.size == 0:
         raise DomainError("hankel_sweep requires a 1-d grid of positive r")
-    r = np.array([_check_radius(x, "hankel_sweep") for x in r.tolist()])
+    r = np.array([check_radius(x, "hankel_sweep") for x in r.tolist()])
     nu = profile.nu
-    s_plain, w_plain, scaled = _sweep_groups(profile, float(np.max(r)), nodes)
+    r_max = float(np.max(r))
+    groups = {False: [], True: []}  # scaled kernel -> (nodes, weights) per node set
+    for t in profile.terms:
+        ti = _TermIntegral(t.lam, t.rho, nu, r_max, profile.vanishes_near_one)
+        sets, _ = ti.node_sets(ti.build_mesh(1.0), _SWEEP_NODES, cfg.target_rel_tol, not ti.cutoff)
+        for ns in sets:
+            groups[ns.scaled].append((ns.s.ravel(), t.coeff * np.asarray(ns.w, dtype=np.complex128).ravel()))
     out = np.zeros(r.size, dtype=np.complex128)
-    for i0 in range(0, r.size, chunk):
-        rc = r[i0 : i0 + chunk]
-        args = rc[:, None] * s_plain[None, :]
-        out[i0 : i0 + chunk] = bessel_j_grid(nu, args) @ w_plain
-        for sj, wj in scaled:
-            args = rc[:, None] * sj[None, :]
-            out[i0 : i0 + chunk] += (rc ** nu) * (bessel_j_scaled_grid(nu, args) @ wj)
+    for scaled, group in groups.items():
+        if not group:
+            continue
+        s_ld = np.concatenate([s for s, _ in group])
+        s = s_ld.astype(np.float64)
+        # the rounding of s to double, carried as the argument's low part,
+        # would otherwise shift the phase by up to r * 5e-17
+        s_lo = (s_ld - s).astype(np.float64)
+        # real and imaginary weights as two real columns: a product with a
+        # complex vector would first copy the kernel matrix to complex
+        w = np.concatenate([w for _, w in group])
+        w = np.stack([w.real, w.imag], axis=1)
+        for i0 in range(0, r.size, _SWEEP_CHUNK):
+            rc = r[i0 : i0 + _SWEEP_CHUNK, None]
+            if scaled:
+                k = (bessel_j_scaled_grid(nu, rc * s) @ w) * rc ** nu
+            else:
+                k = bessel_j_grid(nu, rc * s, xlo=rc * s_lo) @ w
+            out[i0 : i0 + _SWEEP_CHUNK] += k[:, 0] + 1j * k[:, 1]
     return out
