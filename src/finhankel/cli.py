@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import asymptotics as asym
-from .errors import FinHankelError, ProfileFormatError
+from .errors import DomainError, FinHankelError, ProfileFormatError
 from .invertibility import classify, verify_profile_slow_decrease
 from .profiles import (
     RadialProfile,
@@ -63,20 +63,19 @@ def _load_profile(path: str) -> RadialProfile:
     return profile_from_json(text)
 
 
-def _emit_rows(args, header, rows, extra=None, out=None):
+def _emit_rows(args, header, rows, extra=None):
     """Rows as CSV lines or a JSON document; identical numbers either way."""
-    out = out if out is not None else sys.stdout
     if args.format == "json":
         doc = {"rows": [dict(zip(header, row)) for row in rows]}
         if extra:
             doc.update(extra)
-        out.write(json.dumps(doc) + "\n")
+        sys.stdout.write(json.dumps(doc) + "\n")
         return
-    out.write(",".join(header) + "\n")
+    sys.stdout.write(",".join(header) + "\n")
     for row in rows:
-        out.write(",".join(_fmt(v) for v in row) + "\n")
+        sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
     for key, val in (extra or {}).items():
-        out.write(f"# {key} = {_fmt(val)}\n")
+        sys.stdout.write(f"# {key} = {_fmt(val)}\n")
 
 
 def _tolerance_ok(values, estimates, tol) -> bool:
@@ -261,7 +260,8 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ProfileFormatError as exc:
+    except (ProfileFormatError, DomainError) as exc:
+        # a DomainError here is an argument value the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except FinHankelError as exc:

@@ -81,7 +81,6 @@ _CLD = np.clongdouble
 _ENDPOINT_PHASE = 8.0  # Bessel phase allowed inside each endpoint panel
 _CUT_LO, _CUT_HI = 1.0 / 3.0, 2.0 / 3.0
 _SPLIT = _LD(2**32 + 1)  # Dekker split point for the 64-bit mantissa
-_KERNEL_CUT = 16.0  # series/expansion switch tuned for mass-weighted error
 _SEAM_PHASE = 30.0  # smallest r*a at which [a, 1] is deformed onto contours
 _NODES = 32  # nodes per panel of the point evaluator; half as many for its check
 _MAX_PANELS = 20000  # oscillation panels per mesh before they are widened
@@ -137,33 +136,6 @@ _DEFAULT_CFG = QuadratureConfig()
 # ---------------------------------------------------------------------------
 
 
-def _legendre_eval(n: int, x: np.ndarray):
-    pm, p = np.zeros_like(x), np.ones_like(x)
-    for k in range(1, n + 1):
-        pm, p = p, ((2 * k - 1) * x * p - (k - 1) * pm) / _LD(k)
-    dp = n * (x * p - pm) / (x * x - 1)
-    return p, dp
-
-
-@lru_cache(maxsize=64)
-def _gauss_legendre_ld(n: int):
-    """Legendre nodes/weights refined to long-double accuracy.
-
-    Double-precision weights would reintroduce O(1e-16) per-node noise into
-    the cancellation-heavy panel sums, defeating the extended-precision
-    accumulation.
-    """
-    x = np.polynomial.legendre.leggauss(n)[0].astype(_LD)
-    for _ in range(3):
-        p, dp = _legendre_eval(n, x)
-        x = x - p / dp
-    _, dp = _legendre_eval(n, x)
-    w = 2 / ((1 - x * x) * dp * dp)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def _jacobi_eval(n: int, a: float, b: float, x: np.ndarray):
     """P_n^(a,b)(x) and its derivative by the three-term recurrence."""
     a, b = _LD(a), _LD(b)
@@ -185,7 +157,9 @@ def _gauss_jacobi(n: int, a: float, b: float):
 
     scipy's rule is off by up to 1e-10 relative in its moments when an
     exponent is near -1 (1e-13 elsewhere), which the origin and boundary
-    panels would pass on to the value unseen.
+    panels would pass on to the value unseen.  With a = b = 0 this is the
+    Legendre rule of every panel: double-precision weights would put
+    O(1e-16) per-node noise into the cancelling panel sums.
     """
     x, w0 = roots_jacobi(n, a, b)
     x = x.astype(_LD)
@@ -303,23 +277,21 @@ def _phi_factor(s, dist1, lam, rho, from_u: bool = False):
 class _NodeSet:
     """Nodes of one real-axis piece of a term, valid at every r.
 
-    Rows of ``s`` and ``w`` are panels, with midpoints ``mid`` for the
-    phase bins of ``_TermIntegral._kernel_floor``.  ``w`` holds the profile
-    factor, the rule weight and the panel half-width.  The kernel is
+    Rows of ``s`` and ``w`` are panels.  ``w`` holds the profile factor,
+    the rule weight and the panel half-width.  The kernel is
     J_nu(r s), or r^nu J_nu(x)/x^nu at x = r s when ``scaled``.
     ``rounding`` is the rule's own error per unit of absolute mass.
     """
 
     s: np.ndarray
     w: np.ndarray
-    mid: np.ndarray
     scaled: bool = False
     rounding: float = 0.0
 
 
-def _single_node(s: float, w: complex, mid: float, scaled: bool) -> _NodeSet:
+def _single_node(s: float, w: complex, scaled: bool) -> _NodeSet:
     """A closed-form piece as one node: its weight times the kernel at s."""
-    return _NodeSet(np.full((1, 1), s, dtype=_LD), np.full((1, 1), w, dtype=_CLD), np.array([mid]), scaled)
+    return _NodeSet(np.full((1, 1), s, dtype=_LD), np.full((1, 1), w, dtype=_CLD), scaled)
 
 
 class _TermIntegral:
@@ -332,7 +304,6 @@ class _TermIntegral:
         self.r = float(r)
         self.cutoff = cutoff
         self.upper = _CUT_HI if cutoff else 1.0
-        self._cut = max(_KERNEL_CUT, 1.8 * abs(self.nu))
 
     # -- mesh -----------------------------------------------------------
 
@@ -390,17 +361,19 @@ class _TermIntegral:
             f = f * _smooth_cutoff_ld(s)
         return f
 
-    def _kernel_floor(self, mid, absrow) -> float:
-        """Bound on the Bessel-evaluator error folded through the panels.
+    def _kernel_floor(self, s, mass) -> float:
+        """Bound on the Bessel-evaluator error folded through the nodes.
 
-        The evaluator switches branches near phase 16; the large-argument
-        expansion bottoms out around 1e-14 right above the seam, decays fast,
-        and the extended-precision series sits near 1e-15.  This smooth
-        component is invisible to the two-resolution estimate, so it is
-        accounted for explicitly from the absolute panel masses.
+        The long-double evaluator switches branches at the phase
+        ``specfun._series_cutoff`` gives (16 for orders up to about 9); the
+        large-argument expansion bottoms out around 1e-14 right above the
+        switch, decays fast, and the extended-precision series sits near
+        1e-15.  This smooth component is invisible to the two-resolution
+        estimate, so each node's absolute mass |w k| is charged by its own
+        phase r s, the one that picked its branch.
         """
-        phase = self.r * np.asarray(mid, dtype=np.float64)
-        mass = np.asarray(absrow, dtype=np.float64)
+        phase = self.r * np.asarray(s, dtype=np.float64)
+        mass = np.asarray(mass, dtype=np.float64)
         seam = float(np.sum(mass[(phase >= 14.0) & (phase <= 22.0)]))
         high = float(np.sum(mass[phase > 22.0]))
         low = float(np.sum(mass[phase < 14.0]))
@@ -409,16 +382,16 @@ class _TermIntegral:
     def _legendre(self, edges: np.ndarray, n: int, from_u: bool = False) -> _NodeSet:
         """Legendre panels between ascending ``edges`` in s, or with ``from_u``
         in u = 1 - s, where 1 - s stays exact next to s = 1."""
-        x, w = _gauss_legendre_ld(n)
+        x, w = _gauss_jacobi(n, 0.0, 0.0)
         e = np.asarray(edges).astype(_LD)
         mid = (e[1:] + e[:-1]) / 2
         half = (e[1:] - e[:-1]) / 2
         t = mid[:, None] + half[:, None] * x[None, :]
         if from_u:
-            s, dist1, mid = 1 - t, t, 1 - mid
+            s, dist1 = 1 - t, t
         else:
             s, dist1 = t, (1 - mid)[:, None] - half[:, None] * x[None, :]
-        return _NodeSet(s, self._factor(s, dist1, from_u) * (half[:, None] * w[None, :]), mid)
+        return _NodeSet(s, self._factor(s, dist1, from_u) * (half[:, None] * w[None, :]))
 
     def _origin_jacobi(self, s_a: float, n: int) -> _NodeSet:
         """[0, s_a] with weight s^(lam+nu) after peeling J_nu(x)/x^nu."""
@@ -431,7 +404,7 @@ class _TermIntegral:
         if self.cutoff:
             f = f * _smooth_cutoff_ld(s)
         w = w * f * h ** _LD(b + 1.0)
-        return _NodeSet(s[None, :], w[None, :], np.array([s_a / 2]), True, _JACOBI_ROUNDING / min(1.0, 1.0 + b))
+        return _NodeSet(s[None, :], w[None, :], True, _JACOBI_ROUNDING / min(1.0, 1.0 + b))
 
     def _boundary_jacobi(self, d_b: float, n: int) -> _NodeSet:
         """[1 - d_b, 1] with weight (1-s)^(rho-1)."""
@@ -442,8 +415,7 @@ class _TermIntegral:
         f = np.exp(complex(self.lam) * np.log1p(-u).astype(_CLD)) if self.lam.imag != 0.0 \
             else np.exp(_LD(self.lam.real) * np.log1p(-u))
         w = w * f * np.exp(_LD(a) * np.log(2 - u)) * h ** _LD(a + 1.0)
-        return _NodeSet((1 - u)[None, :], w[None, :], np.array([1 - d_b / 2]), False,
-                        _JACOBI_ROUNDING / min(1.0, 1.0 + a))
+        return _NodeSet((1 - u)[None, :], w[None, :], False, _JACOBI_ROUNDING / min(1.0, 1.0 + a))
 
     def _origin_graded(self, s_top: float, n: int, tol: float):
         """Fallback for complex lam: geometric panels down to delta, then [0, delta].
@@ -464,7 +436,7 @@ class _TermIntegral:
         edges = np.sort(s_top * ratio ** np.arange(depth + 1, dtype=np.float64))
         delta = float(edges[0])
         p = self.lam + self.nu + 1.0
-        lead = _single_node(0.0, np.exp(p * math.log(delta)) / p, delta / 2, True)
+        lead = _single_node(0.0, np.exp(p * math.log(delta)) / p, True)
         scale = (self.r / 2) ** self.nu / float(_gamma_real_ld(self.nu + 1.0))
         return [self._legendre(edges, n), lead], 2.0 * scale * k * delta ** (p1 + 2.0) / (p1 + 2.0)
 
@@ -484,8 +456,7 @@ class _TermIntegral:
         depth = min(220, max(4, math.ceil(reach / math.log(ratio))))
         u_edges = np.sort(d_top * ratio ** np.arange(depth + 1, dtype=np.float64))
         delta = float(u_edges[0])
-        lead = _single_node(1.0, 2.0 ** (self.rho - 1.0) * np.exp(self.rho * math.log(delta)) / self.rho,
-                            1.0 - delta / 2, False)
+        lead = _single_node(1.0, 2.0 ** (self.rho - 1.0) * np.exp(self.rho * math.log(delta)) / self.rho, False)
         slope = 2.0 ** max(p1 - 1.0, 0.0) * (self.r + abs(self.lam) + abs(self.rho - 1.0))
         return [self._legendre(u_edges, n, from_u=True), lead], 2.0 * slope * delta ** (p1 + 1.0) / (p1 + 1.0)
 
@@ -497,15 +468,15 @@ class _TermIntegral:
         for ns in sets:
             if ns.scaled:
                 rnu = np.exp(_LD(self.nu) * np.log(_LD(self.r)))
-                k = rnu * bessel_j_scaled_grid(self.nu, self.r * ns.s, longdouble=True, cutoff=self._cut)
+                k = rnu * bessel_j_scaled_grid(self.nu, self.r * ns.s, longdouble=True)
             else:
                 arg, arg_lo = _two_prod_ld(_LD(self.r), ns.s)
-                k = bessel_j_grid(self.nu, arg, longdouble=True, xlo=arg_lo, cutoff=self._cut)
+                k = bessel_j_grid(self.nu, arg, longdouble=True, xlo=arg_lo)
             t = ns.w * k
             value = value + np.sum(t)
-            mass = np.sum(np.abs(t), axis=1)
-            err += self._kernel_floor(ns.mid, mass) + ns.rounding * float(np.sum(mass))
-        return value, err, sum(ns.mid.size for ns in sets)
+            mass = np.abs(t)
+            err += self._kernel_floor(ns.s, mass) + ns.rounding * float(np.sum(mass))
+        return value, err, sum(ns.s.shape[0] for ns in sets)
 
     # -- steepest-descent contours ------------------------------------------
 
@@ -563,7 +534,7 @@ class _TermIntegral:
             depth = max(4, math.ceil(math.log(tol * 1e-3) / ((alpha + 2.0) * math.log(ratio))))
             top = 2.0 ** math.ceil(math.log2(48.0 + 4.0 * max(alpha, 0.0)))
             e = np.concatenate([ratio ** np.arange(depth, 0, -1.0), 2.0 ** np.arange(0.0, math.log2(top) + 1)])
-            xl, wl = _gauss_legendre_ld(n)
+            xl, wl = _gauss_jacobi(n, 0.0, 0.0)
             mid = (e[1:] + e[:-1]) / 2
             half = (e[1:] - e[:-1]) / 2
             x = (mid[:, None] + half[:, None] * np.asarray(xl, dtype=np.float64)[None, :]).ravel()

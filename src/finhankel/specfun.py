@@ -13,11 +13,14 @@ test suite against an independent high-precision oracle:
 * ``reciprocal_gamma`` entire, with *exact* zeros at 0, -1, -2, ...
 
 The Bessel evaluators expose vectorised variants used by the quadrature
-module; the series branch always runs in 80-bit extended precision so that
-the alternating-series cancellation (which grows like e^x) does not eat
-into the double-precision result.  ``hankel_scaled_grid`` sums the same
-large-argument expansion at complex argument for the exponentially scaled
-Hankel functions, with a bound on its truncation error.
+module, in 80-bit extended or in double precision.  Below a switch point
+(``_series_cutoff``) the ascending series runs, in the caller's precision;
+its alternating-sum cancellation grows like e^x, so the switch sits at 16
+in extended precision and at 13 in double (or at 1.8|nu| if that is
+larger), and the large-argument expansion takes over above it.
+``hankel_scaled_grid`` sums the same large-argument expansion at complex
+argument for the exponentially scaled Hankel functions, with a bound on
+its truncation error.
 """
 
 from __future__ import annotations
@@ -137,20 +140,28 @@ def _gamma_real_ld(x: float) -> np.longdouble:
     return np.sqrt(2 * _PI_LD) * t ** (w + _LD(0.5)) * np.exp(-t) * acc
 
 
-def _series_cutoff(nu: float) -> float:
-    # Below the cutoff the ascending series (in long double) wins; above it
-    # the cosine/sine expansion reaches ~1e-12 with at most 20 corrections.
-    # Orders near -1 amplify the series' leading terms by 1/(1+nu), so the
-    # switch point must not drift higher than ~13.
-    return max(13.0, 1.8 * abs(nu))
+def _series_cutoff(nu: float, longdouble: bool) -> float:
+    """Switch point between the ascending series and the large-argument
+    expansion; every Bessel kernel picks its branch from this alone.
+
+    Each precision switches where the two branches' errors meet, measured
+    against mpmath for orders -0.7 to 3.3 relative to the envelope
+    sqrt(J_nu^2 + J_nu+1^2): about 5e-14 at 16 in long double, and about
+    5e-12 at 13 in double, whose series cancellation costs more.
+    The expansion's terms only shrink from k ~ |nu| on, hence 1.8|nu| for
+    large orders.
+    """
+    return max(16.0 if longdouble else 13.0, 1.8 * abs(nu))
 
 
 def _bessel_series(nu: float, x: np.ndarray, scaled: bool, longdouble: bool) -> np.ndarray:
     """Ascending power series; extended precision when ``longdouble``.
 
     ``scaled`` computes J_nu(x)/x^nu (finite at x=0) instead of J_nu(x).
-    Input must satisfy 0 <= x <= cutoff; cancellation loses ~ x/ln(10)
-    digits, which extended precision absorbs up to the cutoff.
+    Meant for 0 <= x <= _series_cutoff(nu, longdouble); cancellation loses
+    about x/ln(10) digits.  The denominator k (k + nu) is formed in the
+    series' precision: rounded to double, it would cost orders off the
+    half-integers up to 4e-12 of the envelope on [8, 16].
     """
     dt = _LD if longdouble else np.float64
     x = np.asarray(x, dtype=dt)
@@ -167,8 +178,9 @@ def _bessel_series(nu: float, x: np.ndarray, scaled: bool, longdouble: bool) -> 
     comp = np.zeros_like(acc)  # Neumaier compensation
     minus_q = -q
     abs_acc = np.abs(acc)
-    for k in range(1, 400):
-        t = t * minus_q / dt(k * (k + nu))
+    k = np.arange(1, 400, dtype=dt)
+    for den in k * (k + dt(nu)):
+        t = t * minus_q / den
         abs_t = np.abs(t)
         new = acc + t
         comp += np.where(abs_acc >= abs_t, (acc - new) + t, (t - new) + acc)
@@ -279,19 +291,14 @@ def hankel_scaled_grid(nu: float, z: np.ndarray, kind: int = 1):
     return np.sqrt(2.0 / (np.pi * z)) * rot * (p + 1j * sign * qs), bound
 
 
-def _bessel_grid(
-    nu: float, x: np.ndarray, longdouble: bool, scaled: bool, xlo=None, cutoff=None
-) -> np.ndarray:
+def _bessel_grid(nu: float, x: np.ndarray, longdouble: bool, scaled: bool, xlo=None) -> np.ndarray:
     """Vectorised J_nu (or J_nu(x)/x^nu if ``scaled``) on x >= 0."""
     dt = _LD if longdouble else np.float64
     x = np.asarray(x, dtype=dt)
     out = np.empty_like(x)
-    cut = _series_cutoff(nu) if cutoff is None else cutoff
+    cut = _series_cutoff(nu, longdouble)
     lo = x <= cut
     if np.any(lo):
-        # extended-precision callers get the extended series too: its
-        # leading-term cancellation grows like e^x and costs ~7 digits at
-        # the switch point, which plain double cannot spare
         ser = _bessel_series(nu, x[lo], scaled, longdouble=longdouble)
         out[lo] = ser.astype(dt)
     # the expansion's term count is set by the smallest argument present,
@@ -329,23 +336,18 @@ def bessel_j(nu: float, x):
     return np.asarray(out, dtype=np.float64)
 
 
-def bessel_j_grid(
-    nu: float, x: np.ndarray, longdouble: bool = False, xlo=None, cutoff=None
-) -> np.ndarray:
+def bessel_j_grid(nu: float, x: np.ndarray, longdouble: bool = False, xlo=None) -> np.ndarray:
     """Unchecked vectorised J_nu for quadrature kernels (x >= 0 assumed).
 
     ``xlo`` optionally supplies the exact low part of the argument (see
-    ``_bessel_asym``); ``cutoff`` overrides the series/expansion switch
-    point, which integrators tune for absolute rather than relative error.
+    ``_bessel_asym``).
     """
-    return _bessel_grid(float(nu), x, longdouble=longdouble, scaled=False, xlo=xlo, cutoff=cutoff)
+    return _bessel_grid(float(nu), x, longdouble=longdouble, scaled=False, xlo=xlo)
 
 
-def bessel_j_scaled_grid(
-    nu: float, x: np.ndarray, longdouble: bool = False, cutoff=None
-) -> np.ndarray:
+def bessel_j_scaled_grid(nu: float, x: np.ndarray, longdouble: bool = False) -> np.ndarray:
     """Vectorised J_nu(x)/x^nu, finite at x = 0 (value 2^-nu / Gamma(nu+1))."""
-    return _bessel_grid(float(nu), x, longdouble=longdouble, scaled=True, cutoff=cutoff)
+    return _bessel_grid(float(nu), x, longdouble=longdouble, scaled=True)
 
 
 def bessel_j_leading(nu: float, z):

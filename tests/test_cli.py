@@ -258,3 +258,7 @@ def test_bad_flag_value_exits_2(capsys, tmp_path):
     p.write_text(SONINE)
     assert main(["transform", "--profile", str(p), "--count", "0"]) == 2
     assert main(["transform", "--profile", str(p), "--r-min", "-5"]) == 2
+    # values the library itself rejects with DomainError
+    assert main(["transform", "--profile", str(p), "--tol", "2"]) == 2
+    assert main(["classify", "--profile", str(p), "--verify", "--r-min", "1", "--r-max", "100"]) == 2
+    assert main(["expand", "--profile", str(p), "--max-k", "-1"]) == 2

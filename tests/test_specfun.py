@@ -56,6 +56,16 @@ def test_bessel_accuracy_vs_reference(nu):
         assert abs(bessel_j(nu, float(x)) - ref) <= 1e-11 * abs(ref)
 
 
+@pytest.mark.parametrize("nu", [-0.9, -0.7, 0.0, 0.3, 1.7, 3.3])
+def test_bessel_series_band_vs_reference(nu):
+    """Within 1e-13 of the envelope sqrt(J_nu^2 + J_nu+1^2) on [8, 16], the
+    top of the ascending series' range, for orders off the half-integers."""
+    for x in np.linspace(8.0, 16.0, 161):
+        ref = mp_bessel_j(nu, float(x))
+        env = math.hypot(ref, mp_bessel_j(nu + 1.0, float(x)))
+        assert abs(bessel_j(nu, float(x)) - ref) <= 1e-13 * env
+
+
 def test_bessel_leading_form():
     z = 1000.0
     expect = math.sqrt(2.0 / (math.pi * z)) * math.cos(z - math.pi / 4.0)
