@@ -33,12 +33,11 @@ from .profiles import (
     BoundaryExpansion,
     OriginExpansion,
     RadialProfile,
+    _TOL,
     boundary_expansion,
     origin_expansion,
 )
 from .specfun import gamma, reciprocal_gamma
-
-_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,9 @@ from .errors import (
     NotApplicableError,
     RuleViolationError,
     ZeroLadderError,
+    check_radius,
 )
-from .profiles import RadialProfile, boundary_expansion, origin_expansion
+from .profiles import _TOL, RadialProfile, boundary_expansion, origin_expansion
 from .quadrature import QuadratureConfig, hankel_sweep
 
 INVERTIBLE = "Invertible"
@@ -226,7 +227,7 @@ def classify(profile: RadialProfile, max_k: int = 8, N: int = 8) -> Verdict:
 
     od = (mu + kk.k0 + 1.0).real
     bd = (lam0 + 1.5).real
-    if abs(od - bd) <= 1e-12:
+    if abs(od - bd) <= _TOL:  # the tie test of asymptotics.dominance
         trace.append(
             f"decays tie at r^-{od:g}: sample radii where the cosine factor vanishes"
         )
@@ -272,7 +273,10 @@ def slow_decrease_check(
     ``sampler`` maps an ndarray of radii to |q| values.  Fails windows are
     counted; the worst margin is the smallest ratio sup / threshold.
     """
-    r_min, r_max = float(r_range[0]), float(r_range[1])
+    r_min = check_radius(r_range[0], "slow_decrease_check")
+    r_max = check_radius(r_range[1], "slow_decrease_check")
+    if not (math.isfinite(grid_step) and grid_step > 0):
+        raise DomainError(f"grid_step must be finite and > 0, got {grid_step!r}")
     if r_min >= r_max:
         raise DomainError("empty r range")
     if r_min < params.B:

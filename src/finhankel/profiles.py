@@ -37,6 +37,8 @@ from .errors import (
     ZeroLadderError,
 )
 
+# tolerance of every exponent comparison: ladder offsets, merged boundary
+# exponents, and in asymptotics and invertibility the decay-rate ties
 _TOL = 1e-12
 
 

@@ -13,7 +13,7 @@ without ``vanishes_near_one``:
   [8/r, a], a = seam / r;
 * on [a, 1], J_nu = (H1 + H2)/2.  The H1 part moves onto a + it and 1 + it,
   the H2 part onto a - it and 1 - it (t >= 0), where the kernel decays like
-  e^(-r t).  Gauss-Laguerre rules in tau = r t integrate each contour, with
+  e^(-r t).  Gauss-Laguerre rules in tau = r t cover each contour, with
   weight tau^(rho - 1) at s = 1; a complex rho leaves tau^(i Im rho), which
   Legendre panels graded toward tau = 0 absorb instead.  The exponentially
   scaled Hankel functions come from the same large-argument expansion as
@@ -39,8 +39,14 @@ One builder, ``_TermIntegral.node_sets``, turns a term, a mesh and a node
 count into these pieces as node sets: nodes, weights with the profile
 factor folded in, and a kernel kind (J_nu(r s), or r^nu J_nu(x)/x^nu at the
 origin).  A closed-form end term is one more node.  Nothing in a node set
-depends on r, so the point evaluator sums them at one r, at two
-resolutions, and hankel_sweep sums the same sets over a whole grid of r.
+depends on r, so the point evaluator sums them at one r, and hankel_sweep
+sums the same sets over a whole grid of r.
+
+The point evaluator runs each path once at two resolutions, with no mesh
+refinement: 32 and 16 nodes per panel and, at the default 1e-10 target,
+18 and 10 Laguerre nodes per contour leg.  The fine sum is the value; its
+distance from the coarse sum, plus the floors and bounds of the pieces,
+is the error estimate.
 
 Panel sums cancel: large r makes the transform exponentially smaller than
 the absolute mass of the integrand (panel values alternate in sign), so
@@ -153,7 +159,7 @@ def _jacobi_eval(n: int, a: float, b: float, x: np.ndarray):
 
 @lru_cache(maxsize=512)
 def _gauss_jacobi(n: int, a: float, b: float):
-    """Jacobi nodes/weights for (1-x)^a (1+x)^b refined to long-double accuracy.
+    """Jacobi nodes/weights for (1-x)^a (1+x)^b polished to long-double accuracy.
 
     scipy's rule is off by up to 1e-10 relative in its moments when an
     exponent is near -1 (1e-13 elsewhere), which the origin and boundary
@@ -307,18 +313,18 @@ class _TermIntegral:
 
     # -- mesh -----------------------------------------------------------
 
-    def build_mesh(self, refine: float) -> np.ndarray:
-        """Edges of the oscillation panels; refine <= 1 scales every phase budget down.
+    def build_mesh(self) -> np.ndarray:
+        """Edges of the oscillation panels.
 
         The endpoint zones below edges[0] and above edges[-1] carry at most
-        ``_ENDPOINT_PHASE * refine`` of Bessel phase.  The panel budget is
-        honoured by widening the oscillation panels; accuracy loss then
-        shows up in the two-resolution error estimate, never as an error.
+        ``_ENDPOINT_PHASE`` of Bessel phase.  The panel budget is honoured
+        by widening the oscillation panels; accuracy loss then shows up in
+        the two-resolution error estimate, never as an error.
         """
         r = max(self.r, 1e-30)
-        lo = min(0.35, _ENDPOINT_PHASE * refine / r)
-        d_top = 0.0 if self.cutoff else min(0.3, _ENDPOINT_PHASE * refine / r)
-        osc = 2.0 * math.pi * refine / r
+        lo = min(0.35, _ENDPOINT_PHASE / r)
+        d_top = 0.0 if self.cutoff else min(0.3, _ENDPOINT_PHASE / r)
+        osc = 2.0 * math.pi / r
         span = self.upper - d_top - lo
         if span / osc > _MAX_PANELS - 60:
             osc = span / (_MAX_PANELS - 60)
@@ -573,56 +579,40 @@ class _TermIntegral:
                 rules += k
         return value, err, rules
 
-    def steepest_descent(self, cfg: QuadratureConfig, seam: float):
-        """Origin zone [0, a] on panels, [a, 1] on contours, a = seam / r.
-
-        [0, 8/r] keeps the origin rule of the panel path and Legendre panels
-        cover [8/r, a].  The estimate adds the two-resolution difference,
-        the floors and tail bounds the pieces report, the Hankel truncation
-        bound and a rounding floor from the absolute contour mass (the seam
-        legs cancel against the origin zone).  Returns (value, estimate,
-        panels).
-        """
-        r = self.r
-        a = seam / r
-        edges = _middle_edges(_ENDPOINT_PHASE / r, a, 2.0 * math.pi / r)
-        tol = cfg.target_rel_tol
-        nl = _laguerre_nodes(tol)
-        vals = []
-        for m, ml in ((_NODES, nl + 8), (_NODES // 2, nl)):
-            v, v_err, v_panels = self._real_axis(edges, m, tol, False)
-            c, c_err, rules = self._contours(a, ml, m, tol)
-            vals.append(complex(v) + c)
-            if m == _NODES:
-                err, panels = v_err + c_err, v_panels + rules
-        return vals[0], abs(vals[0] - vals[1]) + err, panels
-
     # -- driver ----------------------------------------------------------
 
-    def evaluate(self, cfg: QuadratureConfig, refine: float):
-        """Panels on the mesh at ``refine``: (value, estimate, panels)."""
-        edges = self.build_mesh(refine)
-        tol = cfg.target_rel_tol
-        fine, err, panels = self._real_axis(edges, _NODES, tol, not self.cutoff)
-        coarse = self._real_axis(edges, _NODES // 2, tol, not self.cutoff)[0]
-        return complex(fine), abs(complex(fine - coarse)) + err, panels
+    def evaluate(self, cfg: QuadratureConfig, seam: float | None = None):
+        """The term from one pass at two resolutions: (value, estimate, panels).
 
-    def integrate(self, cfg: QuadratureConfig):
-        best = None
-        prev_err = math.inf
-        for refine in (1.0, 0.5, 0.25):
-            approx_panels = self.r * 2 / (2.0 * math.pi * refine) + 60
-            if best is not None and approx_panels > _MAX_PANELS:
-                break
-            value, err, panels = self.evaluate(cfg, refine)
-            if best is None or err < best[1]:
-                best = (value, err, panels)
-            if err <= cfg.target_rel_tol * max(abs(value), 1e-300):
-                break
-            if err > 0.5 * prev_err:
-                break  # estimate is floor-dominated; more panels will not help
-            prev_err = err
-        return best
+        Without ``seam``, panels on ``build_mesh`` cover the whole support.
+        With it, they cover the origin zone [0, a], a = seam / r ([0, 8/r]
+        keeps the origin rule, Legendre panels cover [8/r, a]), and [a, 1]
+        moves onto the contours.  The value is the fine sum (32 nodes per
+        panel, nl + 8 Laguerre nodes per leg); the estimate adds its
+        difference from the coarse sum (16 and nl), with the real-axis part
+        taken in extended precision, to the floors and tail bounds the
+        pieces report, the Hankel truncation bound and a rounding floor
+        from the absolute contour mass (the seam legs cancel against the
+        origin zone).
+        """
+        tol = cfg.target_rel_tol
+        if seam is None:
+            edges = self.build_mesh()
+        else:
+            a = seam / self.r
+            edges = _middle_edges(_ENDPOINT_PHASE / self.r, a, 2.0 * math.pi / self.r)
+        to_edge = seam is None and not self.cutoff
+        fine, err, panels = self._real_axis(edges, _NODES, tol, to_edge)
+        coarse = self._real_axis(edges, _NODES // 2, tol, to_edge)[0]
+        value, diff = complex(fine), complex(fine - coarse)
+        if seam is not None:
+            nl = _laguerre_nodes(tol)
+            c, c_err, rules = self._contours(a, nl + 8, _NODES, tol)
+            value += c
+            diff += c - self._contours(a, nl, _NODES // 2, tol)[0]
+            err += c_err
+            panels += rules
+        return value, abs(diff) + err, panels
 
 
 # ---------------------------------------------------------------------------
@@ -630,18 +620,25 @@ class _TermIntegral:
 # ---------------------------------------------------------------------------
 
 
-def _term_transform(lam, rho, nu: float, r: float, cutoff: bool, cfg: QuadratureConfig):
-    """(value, estimate, panels) of one term s^lam (1-s^2)^(rho-1) J_nu(r s).
+def _transform(terms, nu: float, r: float, cutoff: bool, cfg: QuadratureConfig) -> QuadratureResult:
+    """Sum of c * (integral of s^lam (1-s^2)^(rho-1) J_nu(r s)) over (c, lam, rho).
 
     Steepest descent once r is at least twice the seam phase (a = seam/r
     at most 1/2); panels below that and for every cutoff profile, which is
     not analytic.
     """
-    ti = _TermIntegral(lam, rho, nu, r, cutoff)
     seam = None if cutoff else _seam_phase(float(nu), cfg.target_rel_tol)
-    if seam is not None and r >= 2.0 * seam:
-        return ti.steepest_descent(cfg, seam)
-    return ti.integrate(cfg)
+    if seam is not None and r < 2.0 * seam:
+        seam = None
+    total = 0j
+    err = 0.0
+    panels = 0
+    for c, lam, rho in terms:
+        v, e, p = _TermIntegral(lam, rho, nu, r, cutoff).evaluate(cfg, seam)
+        total += c * v
+        err += abs(c) * e
+        panels += p
+    return QuadratureResult(value=total, error_estimate=err, panels_used=panels)
 
 
 def finite_hankel(
@@ -649,21 +646,14 @@ def finite_hankel(
 ) -> QuadratureResult:
     """Integral of phi(s) J_nu(r s) over (0,1) for the profile's nu = n/2 - 1.
 
-    Returns the best value with an embedded error estimate; when the target
+    Returns the value with an embedded error estimate; when the target
     relative tolerance cannot be certified the estimate simply reports what
     was achieved (no exception).
     """
     cfg = cfg or _DEFAULT_CFG
     r = check_radius(r, "finite_hankel")
-    total = 0j
-    err = 0.0
-    panels = 0
-    for t in profile.terms:
-        v, e, p = _term_transform(t.lam, t.rho, profile.nu, r, profile.vanishes_near_one, cfg)
-        total += t.coeff * v
-        err += abs(t.coeff) * e
-        panels += p
-    return QuadratureResult(value=total, error_estimate=err, panels_used=panels)
+    terms = ((t.coeff, t.lam, t.rho) for t in profile.terms)
+    return _transform(terms, profile.nu, r, profile.vanishes_near_one, cfg)
 
 
 def radial_fourier(
@@ -708,17 +698,9 @@ def iterated_transform(
             f"derivative order {shift} exceeds the boundary smoothness budget {budget:g}"
         )
     nu = profile.nu
-    total = 0j
-    err = 0.0
-    panels = 0
-    for c, beta, gama in _derivative_power_terms(profile, shift):
-        lam = nu + shift + 1.0 + 2.0 * beta
-        rho = gama + 1.0
-        v, e, p = _term_transform(lam, rho, nu + shift, r, profile.vanishes_near_one, cfg)
-        total += c * v
-        err += abs(c) * e
-        panels += p
-    return QuadratureResult(value=total, error_estimate=err, panels_used=panels)
+    terms = ((c, nu + shift + 1.0 + 2.0 * beta, gama + 1.0)
+             for c, beta, gama in _derivative_power_terms(profile, shift))
+    return _transform(terms, nu + shift, r, profile.vanishes_near_one, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -752,7 +734,7 @@ def hankel_sweep(
     groups = {False: [], True: []}  # scaled kernel -> (nodes, weights) per node set
     for t in profile.terms:
         ti = _TermIntegral(t.lam, t.rho, nu, r_max, profile.vanishes_near_one)
-        sets, _ = ti.node_sets(ti.build_mesh(1.0), _SWEEP_NODES, cfg.target_rel_tol, not ti.cutoff)
+        sets, _ = ti.node_sets(ti.build_mesh(), _SWEEP_NODES, cfg.target_rel_tol, not ti.cutoff)
         for ns in sets:
             groups[ns.scaled].append((ns.s.ravel(), t.coeff * np.asarray(ns.w, dtype=np.complex128).ravel()))
     out = np.zeros(r.size, dtype=np.complex128)

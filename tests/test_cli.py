@@ -262,3 +262,5 @@ def test_bad_flag_value_exits_2(capsys, tmp_path):
     assert main(["transform", "--profile", str(p), "--tol", "2"]) == 2
     assert main(["classify", "--profile", str(p), "--verify", "--r-min", "1", "--r-max", "100"]) == 2
     assert main(["expand", "--profile", str(p), "--max-k", "-1"]) == 2
+    assert main(["slowdecrease", "--profile", str(p), "--r-min", "nan"]) == 2
+    assert main(["classify", "--profile", str(p), "--verify", "--r-max", "inf"]) == 2

@@ -149,6 +149,29 @@ class TestSlowDecreaseCheck:
                 0.5,
             )
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan])
+    def test_grid_step_must_be_positive(self, step):
+        """These used to raise ZeroDivisionError, IndexError and ValueError."""
+        with pytest.raises(DomainError):
+            slow_decrease_check(
+                lambda r: np.ones_like(r),
+                SlowDecreaseParams(A=1.0, B=1.0, C=0.5),
+                (50.0, 100.0),
+                step,
+            )
+        with pytest.raises(DomainError):
+            verify_profile_slow_decrease(single(1.0, 2.0), (50.0, 100.0), grid_step=step)
+
+    @pytest.mark.parametrize("r_range", [(math.nan, 100.0), (50.0, math.inf), (True, 100.0)])
+    def test_r_range_must_be_finite(self, r_range):
+        with pytest.raises(DomainError):
+            slow_decrease_check(
+                lambda r: np.ones_like(r),
+                SlowDecreaseParams(A=1.0, B=1.0, C=0.5),
+                r_range,
+                0.1,
+            )
+
     def test_window_floor_guard(self):
         with pytest.raises(DomainError):
             slow_decrease_check(
