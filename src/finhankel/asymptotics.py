@@ -44,14 +44,6 @@ from .specfun import gamma, reciprocal_gamma
 class KSet:
     members: tuple[int, ...]
     k0: int | None
-    max_k: int
-
-    def __contains__(self, k: int) -> bool:
-        return k in self.members
-
-    @property
-    def empty_within_range(self) -> bool:
-        return not self.members
 
 
 @dataclass(frozen=True)
@@ -100,32 +92,29 @@ class DominanceReport:
     boundary_decay: float | None
 
 
-def _is_nonneg_int(z: complex, tol: float = _TOL) -> bool:
-    return abs(z.imag) <= tol and z.real > -tol and abs(z.real - round(z.real)) <= tol
+def _excluded(e: complex, nu: float) -> bool:
+    """True when a power s^e of phi leaves no power term in the transform.
 
-
-def k_set(origin: OriginExpansion, nu: float, max_k: int | None = None) -> KSet:
-    """Indices k <= max_k with c_k != 0 whose power term survives.
-
-    Exclusion happens exactly when (mu+k-nu-1)/2 is a nonnegative integer
-    (within 1e-12 on the real part, imaginary part zero within 1e-12).
+    That happens exactly when (e-nu-1)/2 is a nonnegative integer (within
+    1e-12 on the real part, imaginary part zero within 1e-12), a pole of
+    the denominator Gamma.
     """
+    z = (e - nu - 1.0) / 2.0
+    return abs(z.imag) <= _TOL and z.real > -_TOL and abs(z.real - round(z.real)) <= _TOL
+
+
+def k_set(origin: OriginExpansion, nu: float) -> KSet:
+    """Indices k <= origin.max_k with c_k != 0 whose power term survives."""
     if not (origin.mu + nu).real > -1.0:
         raise HypothesisError(
             f"need Re(mu+nu) > -1, got {(origin.mu + nu).real}"
         )
-    top = origin.max_k if max_k is None else min(max_k, origin.max_k)
-    members = []
-    for k in range(top + 1):
-        if origin.coeffs[k] == 0:
-            continue
-        if not _is_nonneg_int((origin.mu + k - nu - 1.0) / 2.0):
-            members.append(k)
-    return KSet(
-        members=tuple(members),
-        k0=members[0] if members else None,
-        max_k=top,
+    members = tuple(
+        k
+        for k in range(origin.max_k + 1)
+        if origin.coeffs[k] != 0 and not _excluded(origin.mu + k, nu)
     )
+    return KSet(members=members, k0=members[0] if members else None)
 
 
 def origin_term(origin: OriginExpansion, nu: float, k: int) -> AsymptoticTerm:
@@ -164,9 +153,10 @@ def predict(
     profile: RadialProfile,
     n_origin_terms: int = 3,
     max_k: int = 8,
-    max_j: int = 8,
 ) -> Prediction:
     """Multi-term origin prediction plus the leading boundary term.
+
+    Both ladders are scanned to order max_k.
 
     The remainder order is the first omitted contribution: the next
     surviving origin index (or the scan bound when none is knowable), and
@@ -183,7 +173,7 @@ def predict(
     origin_terms = tuple(origin_term(origin, profile.nu, k) for k in retained)
     boundary_terms: tuple[AsymptoticTerm, ...] = ()
     if not profile.vanishes_near_one:
-        boundary = boundary_expansion(profile, max_j=max_j)
+        boundary = boundary_expansion(profile, max_j=max_k)
         boundary_terms = (boundary_term(boundary, profile.nu),)
     orders = []
     omitted = kk.members[n_origin_terms:]
@@ -209,9 +199,7 @@ def ladder_fully_excluded(profile: RadialProfile) -> bool:
     (lam_i - nu - 1)/2 is a nonnegative integer for every term, every
     possibly-nonzero coefficient is killed regardless of j.
     """
-    return all(
-        _is_nonneg_int((t.lam - profile.nu - 1.0) / 2.0) for t in profile.terms
-    )
+    return all(_excluded(t.lam, profile.nu) for t in profile.terms)
 
 
 def evaluate_prediction(pred: Prediction, r: float) -> complex:
@@ -221,6 +209,14 @@ def evaluate_prediction(pred: Prediction, r: float) -> complex:
         (t.evaluate(r) for t in pred.origin_terms + pred.boundary_terms),
         start=0j,
     )
+
+
+def compare_decays(origin_decay: float, boundary_decay: float) -> Dominance:
+    """The slower of the decays r^-origin_decay and r^-boundary_decay; a tie
+    within 1e-12 is Balanced."""
+    if abs(origin_decay - boundary_decay) <= _TOL:
+        return Dominance.BALANCED
+    return Dominance.ORIGIN if origin_decay < boundary_decay else Dominance.BOUNDARY
 
 
 def dominance(pred: Prediction) -> DominanceReport:
@@ -240,12 +236,8 @@ def dominance(pred: Prediction) -> DominanceReport:
         kind = Dominance.ORIGIN
     elif o is None:
         kind = Dominance.BOUNDARY
-    elif abs(od - bd) <= _TOL:
-        kind = Dominance.BALANCED
-    elif od < bd:
-        kind = Dominance.ORIGIN
     else:
-        kind = Dominance.BOUNDARY
+        kind = compare_decays(od, bd)
     return DominanceReport(kind=kind, origin_decay=od, boundary_decay=bd)
 
 

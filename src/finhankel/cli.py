@@ -1,12 +1,20 @@
 """Command-line front end.
 
-Subcommands::
+Subcommands, each with ``--profile`` and the flags listed under it::
 
     transform     transform values on an r grid        (CSV or JSON rows)
+                  --r-min --r-max --count --spacing --format --tol
     expand        origin/boundary ladders + terms      (JSON)
+                  --max-k --n-terms
     verify        quadrature vs prediction + slope     (CSV or JSON)
+                  --r-min --r-max --count --spacing --format --max-k
+                  --n-terms --tol
     classify      invertibility verdict                (JSON)
+                  --max-k --N --verify, and with --verify: --r-min --r-max --tol
     slowdecrease  window-supremum corroboration        (CSV or JSON)
+                  --r-min --r-max --format --tol
+
+A subcommand takes only the flags it reads: any other flag exits 2.
 
 Exit codes: 0 success, 2 malformed profile/arguments, 3 quadrature tolerance
 not certified (rows are still emitted), 4 hypothesis violation in the
@@ -222,33 +230,46 @@ def cmd_slowdecrease(args) -> int:
     return EXIT_OK
 
 
+# every flag of the CLI, as argparse keyword arguments
+_FLAGS = {
+    "--profile": dict(required=True, help="path to profile JSON"),
+    "--r-min": dict(type=float, default=50.0, dest="r_min"),
+    "--r-max": dict(type=float, default=2000.0, dest="r_max"),
+    "--count": dict(type=int, default=20),
+    "--spacing": dict(choices=("linear", "log"), default="log"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--max-k": dict(type=int, default=8, dest="max_k"),
+    "--n-terms": dict(type=int, default=3, dest="n_terms"),
+    "--N": dict(type=int, default=8),
+    "--tol": dict(type=float, default=1e-10),
+    "--verify": dict(action="store_true"),
+}
+
+# each subcommand takes exactly the flags its cmd_* reads
+_COMMANDS = (
+    ("transform", cmd_transform,
+     ("--profile", "--r-min", "--r-max", "--count", "--spacing", "--format", "--tol")),
+    ("expand", cmd_expand, ("--profile", "--max-k", "--n-terms")),
+    ("verify", cmd_verify,
+     ("--profile", "--r-min", "--r-max", "--count", "--spacing", "--format",
+      "--max-k", "--n-terms", "--tol")),
+    ("classify", cmd_classify,
+     ("--profile", "--r-min", "--r-max", "--max-k", "--N", "--tol", "--verify")),
+    ("slowdecrease", cmd_slowdecrease, ("--profile", "--r-min", "--r-max", "--format", "--tol")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="finhankel",
         description="finite Hankel transforms: quadrature, asymptotics, invertibility",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("transform", cmd_transform),
-        ("expand", cmd_expand),
-        ("verify", cmd_verify),
-        ("classify", cmd_classify),
-        ("slowdecrease", cmd_slowdecrease),
-    ):
+    for name, fn, flags in _COMMANDS:
         sp = sub.add_parser(name)
         sp.set_defaults(func=fn)
-        sp.add_argument("--profile", required=True, help="path to profile JSON")
-        sp.add_argument("--r-min", type=float, default=50.0, dest="r_min")
-        sp.add_argument("--r-max", type=float, default=2000.0, dest="r_max")
-        sp.add_argument("--count", type=int, default=20)
-        sp.add_argument("--spacing", choices=("linear", "log"), default="log")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--max-k", type=int, default=8, dest="max_k")
-        sp.add_argument("--n-terms", type=int, default=3, dest="n_terms")
-        sp.add_argument("--N", type=int, default=8)
-        sp.add_argument("--tol", type=float, default=1e-10)
-        if name == "classify":
-            sp.add_argument("--verify", action="store_true")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return ap
 
 

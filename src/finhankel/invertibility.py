@@ -41,7 +41,7 @@ from .errors import (
     ZeroLadderError,
     check_radius,
 )
-from .profiles import _TOL, RadialProfile, boundary_expansion, origin_expansion
+from .profiles import RadialProfile, boundary_expansion, origin_expansion
 from .quadrature import QuadratureConfig, hankel_sweep
 
 INVERTIBLE = "Invertible"
@@ -227,11 +227,12 @@ def classify(profile: RadialProfile, max_k: int = 8, N: int = 8) -> Verdict:
 
     od = (mu + kk.k0 + 1.0).real
     bd = (lam0 + 1.5).real
-    if abs(od - bd) <= _TOL:  # the tie test of asymptotics.dominance
+    kind = asym.compare_decays(od, bd)
+    if kind is asym.Dominance.BALANCED:
         trace.append(
             f"decays tie at r^-{od:g}: sample radii where the cosine factor vanishes"
         )
-    elif od < bd:
+    elif kind is asym.Dominance.ORIGIN:
         trace.append(f"origin decay r^-{od:g} dominates edge decay r^-{bd:g}")
     else:
         trace.append(f"edge decay r^-{bd:g} dominates origin decay r^-{od:g}")
@@ -321,7 +322,7 @@ def slow_decrease_check(
     )
 
 
-def derive_params(profile: RadialProfile, max_k: int = 8) -> tuple[SlowDecreaseParams, tuple[str, ...]]:
+def derive_params(profile: RadialProfile) -> tuple[SlowDecreaseParams, tuple[str, ...]]:
     """Window parameters from the predicted dominant term.
 
     A is the dominant decay exponent of the weighted transform plus one unit
@@ -333,7 +334,7 @@ def derive_params(profile: RadialProfile, max_k: int = 8) -> tuple[SlowDecreaseP
     nu = profile.nu
     notes: list[str] = []
     try:
-        pred = asym.predict(profile, n_origin_terms=1, max_k=max_k)
+        pred = asym.predict(profile, n_origin_terms=1)
         rep = asym.dominance(pred)
         if rep.kind is asym.Dominance.BOUNDARY:
             dom = pred.boundary_terms[0]
@@ -352,30 +353,29 @@ def derive_params(profile: RadialProfile, max_k: int = 8) -> tuple[SlowDecreaseP
     return SlowDecreaseParams(A=max(A, 0.1), B=2.0 * math.pi, C=C, alpha=nu), tuple(notes)
 
 
+_GRID_STEP = math.pi / 16.0  # grid step of verify_profile_slow_decrease
+
+
 def verify_profile_slow_decrease(
     profile: RadialProfile,
     r_range: tuple[float, float] = (50.0, 2000.0),
     cfg: QuadratureConfig | None = None,
-    grid_step: float = math.pi / 16.0,
-    params: SlowDecreaseParams | None = None,
 ) -> CheckReport:
     """Empirical check that q(r) = r^nu |transform(r)| beats C x^-A in windows.
 
-    Corroboration only: the verdict comes from the classifier's symbolic
-    hypotheses, this confirms the numbers behave accordingly.
+    The window parameters come from :func:`derive_params` and the grid step
+    is pi/16; :func:`slow_decrease_check` takes any others.  Corroboration
+    only: the verdict comes from the classifier's symbolic hypotheses, this
+    confirms the numbers behave accordingly.
     """
-    notes: tuple[str, ...] = ()
-    if params is None:
-        params, notes = derive_params(profile)
+    params, notes = derive_params(profile)
     nu = profile.nu
 
     def sampler(rr: np.ndarray) -> np.ndarray:
         return np.abs(hankel_sweep(profile, rr, cfg)) * rr ** nu
 
-    report = slow_decrease_check(sampler, params, r_range, grid_step)
-    if notes:
-        report = dataclasses.replace(report, notes=notes + report.notes)
-    return report
+    report = slow_decrease_check(sampler, params, r_range, _GRID_STEP)
+    return dataclasses.replace(report, notes=notes + report.notes)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +406,8 @@ class Certificate:
         return out
 
 
-def profile_certificate(profile: RadialProfile, max_k: int = 8, N: int = 8) -> Certificate:
-    return Certificate(kind="RadialProfileCert", verdict=classify(profile, max_k, N))
+def profile_certificate(profile: RadialProfile) -> Certificate:
+    return Certificate(kind="RadialProfileCert", verdict=classify(profile))
 
 
 def point_mass_certificate() -> Certificate:

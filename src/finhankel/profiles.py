@@ -30,7 +30,6 @@ import numpy as np
 from .errors import (
     DomainError,
     ExponentCollisionError,
-    HypothesisError,
     IncompatibleLadderError,
     NotApplicableError,
     ProfileFormatError,
@@ -38,7 +37,7 @@ from .errors import (
 )
 
 # tolerance of every exponent comparison: ladder offsets, merged boundary
-# exponents, and in asymptotics and invertibility the decay-rate ties
+# exponents, and in asymptotics the excluded powers and the decay-rate ties
 _TOL = 1e-12
 
 
@@ -233,9 +232,7 @@ def differentiate_power_terms(
     return tuple(out)
 
 
-def boundary_expansion(
-    profile: RadialProfile, max_j: int = 8, N: int | None = None
-) -> BoundaryExpansion:
+def boundary_expansion(profile: RadialProfile, max_j: int = 8) -> BoundaryExpansion:
     """Collect the (1-t)-power ladder of phi_b at t = 1.
 
     Expanding t^beta = sum_j (-1)^j binom(beta, j) (1-t)^j puts each term's
@@ -249,8 +246,8 @@ def boundary_expansion(
         raise NotApplicableError(
             "profile vanishes near s = 1; no boundary expansion exists"
         )
-    if max_j < 0 or (N is not None and N < 0):
-        raise DomainError("max_j and N must be >= 0")
+    if max_j < 0:
+        raise DomainError("max_j must be >= 0")
     power_terms = boundary_power_terms(profile)
 
     def collect(j_top: int) -> list[list]:
@@ -293,12 +290,7 @@ def boundary_expansion(
     kept = [(e, a) for e, a in filtered if e.real < cap.real - _TOL]
     if not kept:
         raise ZeroLadderError("all boundary coefficients vanish; no leading term")
-    if N is None:
-        N = max(0, min(8, math.floor(cap.real + _TOL)))
-    elif N > cap.real + _TOL:
-        raise HypothesisError(
-            f"smoothness budget N={N} exceeds the remainder order Re(Lambda)={cap.real}"
-        )
+    N = max(0, min(8, math.floor(cap.real + _TOL)))
     return BoundaryExpansion(terms=tuple(kept), Lambda=cap, N=N)
 
 

@@ -86,7 +86,6 @@ _LD = np.longdouble
 _CLD = np.clongdouble
 _ENDPOINT_PHASE = 8.0  # Bessel phase allowed inside each endpoint panel
 _CUT_LO, _CUT_HI = 1.0 / 3.0, 2.0 / 3.0
-_SPLIT = _LD(2**32 + 1)  # Dekker split point for the 64-bit mantissa
 _SEAM_PHASE = 30.0  # smallest r*a at which [a, 1] is deformed onto contours
 _NODES = 32  # nodes per panel of the point evaluator; half as many for its check
 _MAX_PANELS = 20000  # oscillation panels per mesh before they are widened
@@ -103,19 +102,6 @@ _CONTOUR_ROUNDING = 4e-15
 # (1.8e-15 at -0.98, 7.4e-14 at -0.999); charged as this / min(1, 1 + e)
 _JACOBI_ROUNDING = 5e-16
 _HALF_PI_LD = 2 * np.arctan(_LD(1))
-
-
-def _two_prod_ld(a, b):
-    """Product a*b in long double together with its exact rounding error."""
-    p = a * b
-    ac = a * _SPLIT
-    ahi = ac - (ac - a)
-    alo = a - ahi
-    bc = b * _SPLIT
-    bhi = bc - (bc - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + bhi * alo) + alo * blo
-    return p, err
 
 
 @dataclass(frozen=True)
@@ -476,8 +462,7 @@ class _TermIntegral:
                 rnu = np.exp(_LD(self.nu) * np.log(_LD(self.r)))
                 k = rnu * bessel_j_scaled_grid(self.nu, self.r * ns.s, longdouble=True)
             else:
-                arg, arg_lo = _two_prod_ld(_LD(self.r), ns.s)
-                k = bessel_j_grid(self.nu, arg, longdouble=True, xlo=arg_lo)
+                k = bessel_j_grid(self.nu, _LD(self.r) * ns.s, longdouble=True)
             t = ns.w * k
             value = value + np.sum(t)
             mass = np.abs(t)

@@ -264,3 +264,20 @@ def test_bad_flag_value_exits_2(capsys, tmp_path):
     assert main(["expand", "--profile", str(p), "--max-k", "-1"]) == 2
     assert main(["slowdecrease", "--profile", str(p), "--r-min", "nan"]) == 2
     assert main(["classify", "--profile", str(p), "--verify", "--r-max", "inf"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("transform", "--N", "3"),
+        ("expand", "--tol", "1e-8"),
+        ("verify", "--N", "3"),
+        ("classify", "--count", "5"),
+        ("slowdecrease", "--spacing", "log"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_flag_the_subcommand_does_not_read_exits_2(capsys, sonine_path, argv):
+    command, *flag = argv
+    assert main([command, "--profile", sonine_path, *flag]) == 2
+    assert capsys.readouterr().out == ""
