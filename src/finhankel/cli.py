@@ -14,7 +14,8 @@ Subcommands, each with ``--profile`` and the flags listed under it::
     slowdecrease  window-supremum corroboration        (CSV or JSON)
                   --r-min --r-max --format --tol
 
-A subcommand takes only the flags it reads: any other flag exits 2.
+A subcommand takes only the flags it reads: any other flag exits 2, and so
+do classify's --r-min, --r-max and --tol without --verify.
 
 Exit codes: 0 success, 2 malformed profile/arguments, 3 quadrature tolerance
 not certified (rows are still emitted), 4 hypothesis violation in the
@@ -202,13 +203,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    given = [flag for flag in _VERIFY_FLAGS if _FLAGS[flag]["dest"] in vars(args)]
+    if given and not args.verify:
+        raise ProfileFormatError(f"classify reads {' '.join(given)} only with --verify")
     profile = _load_profile(args.profile)
     verdict = classify(profile, max_k=args.max_k, N=args.N)
     doc = verdict.to_dict()
     if args.verify:
-        report = verify_profile_slow_decrease(
-            profile, (args.r_min, args.r_max), QuadratureConfig(target_rel_tol=args.tol)
+        r_min, r_max, tol = (
+            getattr(args, _FLAGS[flag]["dest"], _FLAGS[flag]["default"]) for flag in _VERIFY_FLAGS
         )
+        report = verify_profile_slow_decrease(profile, (r_min, r_max), QuadratureConfig(target_rel_tol=tol))
         doc["slow_decrease"] = report.to_dict()
     sys.stdout.write(json.dumps(doc) + "\n")
     return EXIT_OK
@@ -241,9 +246,12 @@ _FLAGS = {
     "--max-k": dict(type=int, default=8, dest="max_k"),
     "--n-terms": dict(type=int, default=3, dest="n_terms"),
     "--N": dict(type=int, default=8),
-    "--tol": dict(type=float, default=1e-10),
+    "--tol": dict(type=float, default=1e-10, dest="tol"),
     "--verify": dict(action="store_true"),
 }
+
+# classify reads these only under --verify, so it records them only when given
+_VERIFY_FLAGS = ("--r-min", "--r-max", "--tol")
 
 # each subcommand takes exactly the flags its cmd_* reads
 _COMMANDS = (
@@ -269,7 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.set_defaults(func=fn)
         for flag in flags:
-            sp.add_argument(flag, **_FLAGS[flag])
+            spec = _FLAGS[flag]
+            if name == "classify" and flag in _VERIFY_FLAGS:
+                spec = dict(spec, default=argparse.SUPPRESS)
+            sp.add_argument(flag, **spec)
     return ap
 
 

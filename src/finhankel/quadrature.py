@@ -20,6 +20,9 @@ without ``vanishes_near_one``:
   the Bessel kernel (specfun.hankel_scaled_grid).  Nothing cancels on the
   contours, so they run in double precision, and no part of the cost grows
   with r.
+* in z = r s, [0, a] and the legs from a are one path at every radius, so
+  its nodes and kernel values are built once and carried to other radii by
+  a factor per node (``_TermIntegral.steepest_descent``).
 
 Panels, below the seam and for cutoff profiles at every r:
 
@@ -39,8 +42,8 @@ One builder, ``_TermIntegral.node_sets``, turns a term, a mesh and a node
 count into these pieces as node sets: nodes, weights with the profile
 factor folded in, and a kernel kind (J_nu(r s), or r^nu J_nu(x)/x^nu at the
 origin).  A closed-form end term is one more node.  Nothing in a node set
-depends on r, so the point evaluator sums them at one r, and hankel_sweep
-sums the same sets over a whole grid of r.
+depends on r, so the point evaluator sums them at one r, and hankel_sweep's
+panel path sums the same sets over a whole grid of r.
 
 The point evaluator runs each path once at two resolutions, with no mesh
 refinement: 32 and 16 nodes per panel and, at the default 1e-10 target,
@@ -54,10 +57,18 @@ every node value, weight and partial sum of a panel is kept in 80-bit
 extended precision; in double the cancellation noise floor alone would
 exceed the 1e-10 default tolerance by r ~ 500.  Extended precision thus
 serves the panel path and the origin zone [0, a] of the steepest-descent
-path, which cancels against the contours from a.  The batch sweep trades
-accuracy for speed: it casts the node sets, built once for the largest r
-with 12 nodes per panel, to double precision and returns no per-point
-error estimate.
+path, which cancels against the contours from a.
+
+The batch sweep, hankel_sweep, takes each radius down the point
+evaluator's path and returns no per-point error estimate.  From twice the
+seam phase on, it runs the steepest-descent path of the point evaluator,
+at its fine rules only, over all those radii at once: the origin zone and
+seam legs are built once, at the smallest of them, with their extended-
+precision sum there, and only the per-node factor's step from 1 and the
+edge legs are evaluated per radius, in double precision.  Its cost per
+radius is flat in r.  Below that, and for cutoff profiles, it trades accuracy for
+speed: it casts the panel node sets, built once for the largest r with 12
+nodes per panel, to double precision.
 
 Profiles flagged ``vanishes_near_one`` are materialised with a fixed smooth
 cutoff equal to 1 below s = 1/3 and 0 above s = 2/3, which realises "the
@@ -89,10 +100,15 @@ _CUT_LO, _CUT_HI = 1.0 / 3.0, 2.0 / 3.0
 _SEAM_PHASE = 30.0  # smallest r*a at which [a, 1] is deformed onto contours
 _NODES = 32  # nodes per panel of the point evaluator; half as many for its check
 _MAX_PANELS = 20000  # oscillation panels per mesh before they are widened
-_SWEEP_NODES = 12  # nodes per panel of hankel_sweep
-# radii per kernel matrix of hankel_sweep: each of the kernel's temporaries
-# then holds 192 x 7.7k doubles at r = 2000, about 12 MB
+_SWEEP_NODES = 12  # nodes per panel of the panel sweep
+# radii per kernel matrix of the panel sweep: each of the kernel's
+# temporaries then holds 192 x 7.7k doubles at r = 2000, about 12 MB
 _SWEEP_CHUNK = 192
+# (radius, node) pairs per chunk of steepest_descent over many radii: its
+# largest temporaries, complex, then hold at most 8 MB, under the panel
+# sweep's.  A real-exponent term has 160 origin-zone nodes at the default
+# target, so a C7 sweep's 9.9k contour radii take 4 chunks
+_SWEEP_ELEMS = 1 << 19
 # relative accuracy of a double-precision contour sum: the Laguerre rules'
 # low moments are good to about 4e-15 when alpha = rho - 1 is near -1
 _CONTOUR_ROUNDING = 4e-15
@@ -211,10 +227,37 @@ def _graded_ratio(n: int) -> float:
     return 0.25 if n >= 16 else 0.5
 
 
-def _cexp_ld(re, im) -> complex:
-    """exp(re + i*im) for long-double exponent parts, rounded to complex."""
-    mag = np.exp(_LD(re))
-    return complex(float(mag * np.cos(_LD(im))), float(mag * np.sin(_LD(im))))
+def _cexp_ld(re, im):
+    """exp(re + i*im) for long-double exponent parts, rounded to complex
+    double; elementwise over arrays."""
+    mag = np.exp(np.asarray(re, dtype=_LD))
+    im = np.asarray(im, dtype=_LD)
+    return (mag * np.cos(im)).astype(np.float64) + 1j * (mag * np.sin(im)).astype(np.float64)
+
+
+def _matvec(m: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """m @ t for a complex vector t.  A real m meets the real and imaginary
+    parts of t as two real columns: a product with a complex vector would
+    first copy m to complex."""
+    if np.iscomplexobj(m):
+        return m @ t
+    k = m @ np.stack([t.real, t.imag], axis=1)
+    return k[:, 0] + 1j * k[:, 1]
+
+
+def _kernel_floor(phase) -> np.ndarray:
+    """Bound on the Bessel-evaluator error per unit of a node's absolute mass.
+
+    The long-double evaluator switches branches at the phase
+    ``specfun._series_cutoff`` gives (16 for orders up to about 9); the
+    large-argument expansion bottoms out around 1e-14 right above the
+    switch, decays fast, and the extended-precision series sits near
+    1e-15.  This smooth component is invisible to the two-resolution
+    estimate, so each node's absolute mass |w k| is charged by its own
+    phase r s, the one that picked its branch.
+    """
+    phase = np.asarray(phase, dtype=np.float64)
+    return np.where((phase >= 14.0) & (phase <= 22.0), 2e-14, np.where(phase > 22.0, 1e-16, 2e-15))
 
 
 # ---------------------------------------------------------------------------
@@ -353,24 +396,6 @@ class _TermIntegral:
             f = f * _smooth_cutoff_ld(s)
         return f
 
-    def _kernel_floor(self, s, mass) -> float:
-        """Bound on the Bessel-evaluator error folded through the nodes.
-
-        The long-double evaluator switches branches at the phase
-        ``specfun._series_cutoff`` gives (16 for orders up to about 9); the
-        large-argument expansion bottoms out around 1e-14 right above the
-        switch, decays fast, and the extended-precision series sits near
-        1e-15.  This smooth component is invisible to the two-resolution
-        estimate, so each node's absolute mass |w k| is charged by its own
-        phase r s, the one that picked its branch.
-        """
-        phase = self.r * np.asarray(s, dtype=np.float64)
-        mass = np.asarray(mass, dtype=np.float64)
-        seam = float(np.sum(mass[(phase >= 14.0) & (phase <= 22.0)]))
-        high = float(np.sum(mass[phase > 22.0]))
-        low = float(np.sum(mass[phase < 14.0]))
-        return 2e-14 * seam + 1e-16 * high + 2e-15 * low
-
     def _legendre(self, edges: np.ndarray, n: int, from_u: bool = False) -> _NodeSet:
         """Legendre panels between ascending ``edges`` in s, or with ``from_u``
         in u = 1 - s, where 1 - s stays exact next to s = 1."""
@@ -452,40 +477,43 @@ class _TermIntegral:
         slope = 2.0 ** max(p1 - 1.0, 0.0) * (self.r + abs(self.lam) + abs(self.rho - 1.0))
         return [self._legendre(u_edges, n, from_u=True), lead], 2.0 * slope * delta ** (p1 + 1.0) / (p1 + 1.0)
 
-    def _real_axis(self, edges: np.ndarray, n: int, tol: float, to_edge: bool):
-        """The node sets summed at r in extended precision: (value, kernel
-        floors, rule rounding and tail bounds, panels)."""
-        sets, err = self.node_sets(edges, n, tol, to_edge)
+    def _kernel_terms(self, ns: _NodeSet) -> np.ndarray:
+        """w times the kernel at this term's r, per node, in extended precision."""
+        if ns.scaled:
+            rnu = np.exp(_LD(self.nu) * np.log(_LD(self.r)))
+            return ns.w * (rnu * bessel_j_scaled_grid(self.nu, self.r * ns.s, longdouble=True))
+        return ns.w * bessel_j_grid(self.nu, _LD(self.r) * ns.s, longdouble=True)
+
+    def _real_axis(self, edges: np.ndarray, n: int, tol: float):
+        """The panel path's node sets summed at r in extended precision:
+        (value, kernel floors, rule rounding and tail bounds, panels)."""
+        sets, err = self.node_sets(edges, n, tol, not self.cutoff)
         value = _LD(0.0)
         for ns in sets:
-            if ns.scaled:
-                rnu = np.exp(_LD(self.nu) * np.log(_LD(self.r)))
-                k = rnu * bessel_j_scaled_grid(self.nu, self.r * ns.s, longdouble=True)
-            else:
-                k = bessel_j_grid(self.nu, _LD(self.r) * ns.s, longdouble=True)
-            t = ns.w * k
+            t = self._kernel_terms(ns)
             value = value + np.sum(t)
-            mass = np.abs(t)
-            err += self._kernel_floor(ns.s, mass) + ns.rounding * float(np.sum(mass))
+            err += float(np.sum((_kernel_floor(self.r * ns.s) + ns.rounding) * np.abs(t)))
         return value, err, sum(ns.s.shape[0] for ns in sets)
 
     # -- steepest-descent contours ------------------------------------------
 
-    def _leg_seam(self, a: float, nl: int, sigma: float):
+    def _leg_seam(self, a: float, x: np.ndarray, w: np.ndarray, sigma: float):
         """sigma (i/2) int_0^inf f(a + i sigma t) H(r (a + i sigma t)) dt.
 
         H is H1 for sigma = +1 and H2 for sigma = -1, so the kernel decays
-        like e^(-r t); tau = r t carries the Laguerre weight e^(-tau).
-        Returns (value, absolute mass, kernel truncation bound, rules).
+        like e^(-r t); tau = r t carries the Laguerre rule (x, w).  Returns
+        the nodes as z = r s, the term of each node, whose sum is the leg,
+        and each term's error per unit of its modulus: the Hankel
+        truncation bound and the contour rounding floor.
         """
         r = self.r
-        x, w = _gauss_laguerre(nl, 0.0)
         d = 1j * sigma * x / r  # s - a
         g = np.exp(
             self.lam * np.log1p(d / a)
             + (self.rho - 1.0) * np.log1p(-d * (2.0 * a + d) / (1.0 - a * a))
         )
-        h, kbound = hankel_scaled_grid(self.nu, r * a + 1j * sigma * x, 1 if sigma > 0 else 2)
+        z = r * a + 1j * sigma * x
+        h, kbound = hankel_scaled_grid(self.nu, z, 1 if sigma > 0 else 2)
         # f(a) e^(i sigma r a) in extended precision: this leg cancels
         # against the origin zone, and exp of a large exponent loses digits
         la, l1 = np.log(_LD(a)), np.log1p(-_LD(a) * _LD(a))
@@ -493,111 +521,170 @@ class _TermIntegral:
             self.lam.real * la + (self.rho.real - 1.0) * l1,
             self.lam.imag * la + self.rho.imag * l1 + sigma * _LD(r) * _LD(a),
         )
-        terms = w * g * h
-        mass = 0.5 / r * abs(pre) * float(np.sum(np.abs(terms)))
-        return sigma * 0.5j / r * pre * complex(np.sum(terms)), mass, kbound * mass, 1
+        return z, sigma * 0.5j / r * pre * (w * g * h), np.full(x.size, kbound + _CONTOUR_ROUNDING)
 
-    def _leg_edge(self, nl: int, n: int, sigma: float, tol: float):
-        """-sigma (i/2) int_0^inf f(1 + i sigma t) H(r (1 + i sigma t)) dt.
+    def _seam_zone(self, seam: float, n: int, nl: int, tol: float):
+        """The origin zone [0, a], a = seam / r, and the two seam legs from a,
+        at this term's r, as nodes z = r s (complex on the legs).
+
+        [0, 8/r] keeps the origin rule and Legendre panels cover [8/r, a].
+        Returns ([real axis, legs], bound on the discarded origin piece,
+        panels), each part as (z, term of each node, error per unit of each
+        term's modulus).  The real-axis terms stay in extended precision:
+        their sum cancels against the legs.
+        """
+        r = self.r
+        a = seam / r
+        sets, tail = self.node_sets(_middle_edges(_ENDPOINT_PHASE / r, a, 2.0 * math.pi / r), n, tol, False)
+        z = r * np.concatenate([np.asarray(ns.s, dtype=np.float64).ravel() for ns in sets])
+        t = np.concatenate([self._kernel_terms(ns).ravel() for ns in sets])
+        rounding = np.concatenate([np.full(ns.s.size, ns.rounding) for ns in sets])
+        x, w = _gauss_laguerre(nl, 0.0)
+        legs = [self._leg_seam(a, x, w, sigma) for sigma in (1.0, -1.0)]
+        parts = [(z, t, _kernel_floor(z) + rounding), tuple(map(np.concatenate, zip(*legs)))]
+        return parts, tail, sum(ns.s.shape[0] for ns in sets) + 2
+
+    def _edge_rule(self, nl: int, n: int, tol: float):
+        """Nodes and weights in tau = r t of both edge legs, with the weight
+        tau^(rho-1) e^(-tau) folded in: (x, w, delta, top, rules).
+
+        A generalised Laguerre rule absorbs tau^(rho-1) for real rho; for
+        complex rho, tau^(i Im rho) oscillates in log tau, so Legendre panels
+        graded toward tau = 0 down to delta and doubling up to top cover it,
+        and node 0 at tau = 0 carries the leading term of [0, delta] in
+        closed form (delta and top are None for real rho).
+        """
+        rho = self.rho
+        alpha = rho.real - 1.0
+        if rho.imag == 0.0:
+            x, w = _gauss_laguerre(nl, alpha)
+            return x, w, None, None, 1
+        ratio = _graded_ratio(n)
+        depth = max(4, math.ceil(math.log(tol * 1e-3) / ((alpha + 2.0) * math.log(ratio))))
+        top = 2.0 ** math.ceil(math.log2(48.0 + 4.0 * max(alpha, 0.0)))
+        e = np.concatenate([ratio ** np.arange(depth, 0, -1.0), 2.0 ** np.arange(0.0, math.log2(top) + 1)])
+        xl, wl = _gauss_jacobi(n, 0.0, 0.0)
+        mid = (e[1:] + e[:-1]) / 2
+        half = (e[1:] - e[:-1]) / 2
+        x = (mid[:, None] + half[:, None] * np.asarray(xl, dtype=np.float64)[None, :]).ravel()
+        w = (half[:, None] * np.asarray(wl, dtype=np.float64)[None, :]).ravel()
+        w = w * np.exp((rho - 1.0) * np.log(x) - x)
+        delta = float(e[0])
+        # node 0 carries the leading term of [0, delta]: g(0) = 1
+        x = np.concatenate([[0.0], x])
+        w = np.concatenate([[np.exp(rho * math.log(delta)) / rho], w])
+        return x, w, delta, top, len(e) - 1
+
+    def _leg_edge(self, r: np.ndarray, rule, sigma: float):
+        """-sigma (i/2) int_0^inf f(1 + i sigma t) H(r (1 + i sigma t)) dt at
+        every radius of ``r``.
 
         With tau = r t, f = tau^(rho-1) C g(tau), C = (2/r)^(rho-1)
         e^(-i sigma pi (rho-1)/2) and g = (1 + i sigma tau/r)^lam
-        (1 + i sigma tau/(2r))^(rho-1).  A generalised Laguerre rule absorbs
-        tau^(rho-1) for real rho; for complex rho, tau^(i Im rho) oscillates
-        in log tau, so Legendre panels graded by 1/4 toward tau = 0 and
-        doubling up to T cover it, the leading term of [0, delta] is added in
-        closed form and both discarded tails are bounded.
-        Returns (value, absolute mass, kernel truncation and tail bound, rules).
+        (1 + i sigma tau/(2r))^(rho-1); ``rule`` comes from ``_edge_rule``,
+        and for complex rho both tails it discards are bounded.
+        Returns (values, absolute masses, kernel truncation and tail bounds).
         """
-        r, lam, rho = self.r, self.lam, self.rho
+        lam, rho = self.lam, self.rho
+        x, w, delta, top, _ = rule
         alpha = rho.real - 1.0
-        lr = np.log(_LD(2.0) / _LD(r))
+        r_ld = r.astype(_LD)
+        lr = np.log(_LD(2.0) / r_ld)
         pre = _cexp_ld(
             alpha * lr + sigma * _HALF_PI_LD * rho.imag,
-            rho.imag * lr - sigma * _HALF_PI_LD * alpha + sigma * _LD(r),
+            rho.imag * lr - sigma * _HALF_PI_LD * alpha + sigma * r_ld,
         )
-        tail = 0.0
-        if rho.imag == 0.0:
-            x, w = _gauss_laguerre(nl, alpha)
-            rules = 1
-        else:
-            ratio = _graded_ratio(n)
-            depth = max(4, math.ceil(math.log(tol * 1e-3) / ((alpha + 2.0) * math.log(ratio))))
-            top = 2.0 ** math.ceil(math.log2(48.0 + 4.0 * max(alpha, 0.0)))
-            e = np.concatenate([ratio ** np.arange(depth, 0, -1.0), 2.0 ** np.arange(0.0, math.log2(top) + 1)])
-            xl, wl = _gauss_jacobi(n, 0.0, 0.0)
-            mid = (e[1:] + e[:-1]) / 2
-            half = (e[1:] - e[:-1]) / 2
-            x = (mid[:, None] + half[:, None] * np.asarray(xl, dtype=np.float64)[None, :]).ravel()
-            w = (half[:, None] * np.asarray(wl, dtype=np.float64)[None, :]).ravel()
-            w = w * np.exp((rho - 1.0) * np.log(x) - x)
-            delta = float(e[0])
-            # node 0 carries the leading term of [0, delta]: g(0) = 1
-            x = np.concatenate([[0.0], x])
-            w = np.concatenate([[np.exp(rho * math.log(delta)) / rho], w])
-            rules = len(e) - 1
-        d = 1j * sigma * x / r
+        rc = r[:, None]
+        d = 1j * sigma * x / rc
         g = np.exp(lam * np.log1p(d) + (rho - 1.0) * np.log1p(d / 2.0))
-        h, kbound = hankel_scaled_grid(self.nu, r + 1j * sigma * x, 1 if sigma > 0 else 2)
+        h, kbound = hankel_scaled_grid(self.nu, rc + 1j * sigma * x, 1 if sigma > 0 else 2)
         terms = w * g * h
-        scale = 0.5 / r * abs(pre)
-        mass = scale * float(np.sum(np.abs(terms)))
-        if rho.imag != 0.0:
-            h0 = scale * abs(h[0])
+        scale = 0.5 / r * np.abs(pre)
+        mass = scale * np.sum(np.abs(terms), axis=1)
+        bound = kbound * mass
+        if delta is not None:
+            h0 = scale * np.abs(h[:, 0])
             slope = 1.0 + (abs(lam) + abs(rho - 1.0) + 1.0) / r
-            tail = 2.0 * h0 * slope * delta ** (alpha + 2.0) / (alpha + 2.0)
             growth = (1.0 + top / r) ** (abs(lam.real) + abs(alpha)) * math.exp(
                 0.5 * math.pi * (abs(lam.imag) + abs(rho.imag))
             )
-            tail += 2.0 * h0 * growth * top**alpha * math.exp(-top)
-        value = -sigma * 0.5j / r * pre * complex(np.sum(terms))
-        return value, mass, kbound * mass + tail, rules
+            bound = bound + 2.0 * h0 * (
+                slope * delta ** (alpha + 2.0) / (alpha + 2.0) + growth * top**alpha * math.exp(-top)
+            )
+        return -sigma * 0.5j / r * pre * np.sum(terms, axis=1), mass, bound
 
-    def _contours(self, a: float, nl: int, n: int, tol: float):
-        """[a, 1] with J_nu = (H1 + H2)/2, H1 moved to a + it and 1 + it, H2
-        to a - it and 1 - it.  Returns (value, error bound, rules)."""
-        value, err, rules = 0j, 0.0, 0
-        for sigma in (1.0, -1.0):
-            for v, mass, bound, k in (self._leg_seam(a, nl, sigma), self._leg_edge(nl, n, sigma, tol)):
-                value += v
-                err += bound + _CONTOUR_ROUNDING * mass
-                rules += k
-        return value, err, rules
+    def steepest_descent(self, radii: np.ndarray, seam: float, n: int, nl: int, tol: float):
+        """The term at every radius of ``radii``, each at least this term's
+        r, which is at least 2 seam: (values, error bounds, panels).
+
+        On [a, 1], J_nu = (H1 + H2)/2, H1 moves to a + it and 1 + it and H2
+        to a - it and 1 - it.  In z = r s the origin zone [0, a] and the
+        seam legs from a = seam / r are one path at every radius, and the
+        term there is r^-(lam+1) times the integral of
+        z^lam (1 - z^2/r^2)^(rho-1) J_nu(z) (H on the legs) along it.  So
+        they are built once, at this term's r = r0, with n nodes per panel
+        and nl per leg, and carried to each radius by the factor
+        ((1 - z^2/r^2) / (1 - z^2/r0^2))^(rho-1) per node, taken as the sum
+        at r0 plus the terms times the factor minus 1, and by
+        (r0/r)^(lam+1) overall.  The origin tail bound scales by
+        (r0/r)^(Re lam+1), which over-covers its |rho - 1| part.  Only the
+        edge legs are evaluated per radius.  The bounds add the pieces'
+        floors, truncation bounds and tails and a rounding floor from the
+        absolute contour mass (the seam legs cancel against the origin zone).
+        """
+        parts, tail, panels = self._seam_zone(seam, n, nl, tol)
+        # a real exponent keeps the real-axis factors real
+        rho1 = self.rho.real - 1.0 if self.rho.imag == 0.0 else self.rho - 1.0
+        paths = []
+        for z, t, per_mass in parts:
+            t128 = np.asarray(t, dtype=np.complex128)
+            paths.append((complex(np.sum(t)), z, np.log1p(-((z / self.r) ** 2)), t128, per_mass * np.abs(t128)))
+        rule = self._edge_rule(nl, n, tol)
+        values = np.empty(radii.size, dtype=np.complex128)
+        bounds = np.empty(radii.size)
+        rows = max(1, _SWEEP_ELEMS // max(parts[0][0].size, parts[1][0].size, rule[0].size))
+        for i0 in range(0, radii.size, rows):
+            r = radii[i0 : i0 + rows]
+            v, e = 0j, tail
+            for total, z, base, t, charged in paths:
+                step = np.expm1(rho1 * (np.log1p(-((z / r[:, None]) ** 2)) - base))
+                v = v + (total + _matvec(step, t))
+                e = e + np.abs(1.0 + step) @ charged
+            lr = np.log(r / self.r)
+            v = v * np.exp(-(self.lam + 1.0) * lr)
+            e = e * np.exp(-(self.lam.real + 1.0) * lr)
+            for sigma in (1.0, -1.0):
+                ev, mass, bound = self._leg_edge(r, rule, sigma)
+                v += ev
+                e += bound + _CONTOUR_ROUNDING * mass
+            values[i0 : i0 + rows] = v
+            bounds[i0 : i0 + rows] = e
+        return values, bounds, panels + 2 * rule[4]
 
     # -- driver ----------------------------------------------------------
 
     def evaluate(self, cfg: QuadratureConfig, seam: float | None = None):
-        """The term from one pass at two resolutions: (value, estimate, panels).
+        """The term at this r from one pass at two resolutions: (value,
+        estimate, panels).
 
-        Without ``seam``, panels on ``build_mesh`` cover the whole support.
-        With it, they cover the origin zone [0, a], a = seam / r ([0, 8/r]
-        keeps the origin rule, Legendre panels cover [8/r, a]), and [a, 1]
-        moves onto the contours.  The value is the fine sum (32 nodes per
+        Without ``seam``, panels on ``build_mesh`` cover the whole support
+        and are summed in extended precision.  With it, ``steepest_descent``
+        runs at this one radius.  The value is the fine sum (32 nodes per
         panel, nl + 8 Laguerre nodes per leg); the estimate adds its
-        difference from the coarse sum (16 and nl), with the real-axis part
-        taken in extended precision, to the floors and tail bounds the
-        pieces report, the Hankel truncation bound and a rounding floor
-        from the absolute contour mass (the seam legs cancel against the
-        origin zone).
+        difference from the coarse sum (16 and nl) to the floors and bounds
+        the pieces report.
         """
         tol = cfg.target_rel_tol
         if seam is None:
             edges = self.build_mesh()
-        else:
-            a = seam / self.r
-            edges = _middle_edges(_ENDPOINT_PHASE / self.r, a, 2.0 * math.pi / self.r)
-        to_edge = seam is None and not self.cutoff
-        fine, err, panels = self._real_axis(edges, _NODES, tol, to_edge)
-        coarse = self._real_axis(edges, _NODES // 2, tol, to_edge)[0]
-        value, diff = complex(fine), complex(fine - coarse)
-        if seam is not None:
-            nl = _laguerre_nodes(tol)
-            c, c_err, rules = self._contours(a, nl + 8, _NODES, tol)
-            value += c
-            diff += c - self._contours(a, nl, _NODES // 2, tol)[0]
-            err += c_err
-            panels += rules
-        return value, abs(diff) + err, panels
+            fine, err, panels = self._real_axis(edges, _NODES, tol)
+            coarse = self._real_axis(edges, _NODES // 2, tol)[0]
+            return complex(fine), abs(complex(fine - coarse)) + err, panels
+        r = np.array([self.r])
+        nl = _laguerre_nodes(tol)
+        fine, err, panels = self.steepest_descent(r, seam, _NODES, nl + 8, tol)
+        coarse = self.steepest_descent(r, seam, _NODES // 2, nl, tol)[0]
+        return complex(fine[0]), float(abs(fine[0] - coarse[0]) + err[0]), panels
 
 
 # ---------------------------------------------------------------------------
@@ -605,14 +692,20 @@ class _TermIntegral:
 # ---------------------------------------------------------------------------
 
 
+def _contour_seam(nu: float, cutoff: bool, cfg: QuadratureConfig) -> float | None:
+    """The seam phase of the steepest-descent path, which every radius
+    r >= 2 seam takes (a = seam/r at most 1/2), or None where no radius
+    does: cutoff profiles are not analytic, and some orders have no seam."""
+    return None if cutoff else _seam_phase(float(nu), cfg.target_rel_tol)
+
+
 def _transform(terms, nu: float, r: float, cutoff: bool, cfg: QuadratureConfig) -> QuadratureResult:
     """Sum of c * (integral of s^lam (1-s^2)^(rho-1) J_nu(r s)) over (c, lam, rho).
 
-    Steepest descent once r is at least twice the seam phase (a = seam/r
-    at most 1/2); panels below that and for every cutoff profile, which is
-    not analytic.
+    Steepest descent from twice the seam phase on; panels below it and
+    where there is no seam.
     """
-    seam = None if cutoff else _seam_phase(float(nu), cfg.target_rel_tol)
+    seam = _contour_seam(nu, cutoff, cfg)
     if seam is not None and r < 2.0 * seam:
         seam = None
     total = 0j
@@ -689,37 +782,64 @@ def iterated_transform(
 
 
 # ---------------------------------------------------------------------------
-# batch sweep (double precision, the point evaluator's node sets)
+# batch sweep (the point evaluator's paths, over a grid of r)
 # ---------------------------------------------------------------------------
 
 
 def hankel_sweep(
     profile: RadialProfile, r_values, cfg: QuadratureConfig | None = None
 ) -> np.ndarray:
-    """finite_hankel evaluated on a whole grid of r at once (double precision).
+    """finite_hankel evaluated on a whole grid of r at once, with no error
+    estimates; intended for slow-decrease sweeps.
 
-    Each term's node sets come from the same builder as finite_hankel's
-    panel path, built once for max(r_values) with 12 nodes per panel and
-    reused at every r: the profile factor is evaluated once and only the
-    Bessel kernel is recomputed per r, one matrix product per kernel kind.
-    Complex exponents get the same graded end zones and closed-form end
-    terms as the point evaluator, with depths set by ``cfg``'s target.
-    Intended for slow-decrease sweeps, with no error estimates: the values
-    agree with the closed form to about 1e-12 relative, with an absolute
-    floor of a few 1e-16 (the double-precision Bessel series near r s ~ 10)
-    that dominates where the transform is below about 1e-4.
+    Each radius takes the point evaluator's path.  From twice the seam
+    phase on, every term runs ``_TermIntegral.steepest_descent`` once over
+    all those radii, built at the smallest of them, with the point
+    evaluator's fine rules (32 nodes per panel, nl + 8 per contour leg).
+    These values agree with finite_hankel to within its estimate and with
+    the closed form to about 1e-12 relative, with no absolute floor.
+    Below that, and for cutoff profiles at every r, ``_panel_sweep`` runs
+    on node sets built for the grid's largest radius, in double precision:
+    about 1e-12 relative, with an absolute floor of a few 1e-16 (the
+    double-precision Bessel series near r s ~ 10) that dominates where the
+    transform is below about 1e-4.
     """
     cfg = cfg or _DEFAULT_CFG
     r = np.asarray(r_values)
     if r.ndim != 1 or r.size == 0:
         raise DomainError("hankel_sweep requires a 1-d grid of positive r")
     r = np.array([check_radius(x, "hankel_sweep") for x in r.tolist()])
+    tol = cfg.target_rel_tol
+    seam = _contour_seam(profile.nu, profile.vanishes_near_one, cfg)
+    on = np.zeros(r.size, dtype=bool) if seam is None else r >= 2.0 * seam
+    out = np.zeros(r.size, dtype=np.complex128)
+    if on.any():
+        rc = r[on]
+        r0 = float(np.min(rc))
+        nl = _laguerre_nodes(tol) + 8
+        for t in profile.terms:
+            ti = _TermIntegral(t.lam, t.rho, profile.nu, r0, False)
+            out[on] += t.coeff * ti.steepest_descent(rc, seam, _NODES, nl, tol)[0]
+    if not on.all():
+        out[~on] = _panel_sweep(profile, r[~on], float(np.max(r)), tol)
+    return out
+
+
+def _panel_sweep(profile: RadialProfile, r: np.ndarray, r_max: float, tol: float) -> np.ndarray:
+    """The panel path over a grid of r, at most ``r_max``, in double precision.
+
+    Each term's node sets come from the same builder as finite_hankel's
+    panel path, built once for r_max with 12 nodes per panel and reused at
+    every r: the profile factor is evaluated once and only the Bessel
+    kernel is recomputed per r, one matrix product per kernel kind.
+    Complex exponents get the same graded end zones and closed-form end
+    terms as the point evaluator, with depths set by ``tol``.
+    """
     nu = profile.nu
-    r_max = float(np.max(r))
     groups = {False: [], True: []}  # scaled kernel -> (nodes, weights) per node set
     for t in profile.terms:
         ti = _TermIntegral(t.lam, t.rho, nu, r_max, profile.vanishes_near_one)
-        sets, _ = ti.node_sets(ti.build_mesh(), _SWEEP_NODES, cfg.target_rel_tol, not ti.cutoff)
+        sets, _ = ti.node_sets(ti.build_mesh(), _SWEEP_NODES, tol, not ti.cutoff)
         for ns in sets:
             groups[ns.scaled].append((ns.s.ravel(), t.coeff * np.asarray(ns.w, dtype=np.complex128).ravel()))
     out = np.zeros(r.size, dtype=np.complex128)
@@ -731,15 +851,11 @@ def hankel_sweep(
         # the rounding of s to double, carried as the argument's low part,
         # would otherwise shift the phase by up to r * 5e-17
         s_lo = (s_ld - s).astype(np.float64)
-        # real and imaginary weights as two real columns: a product with a
-        # complex vector would first copy the kernel matrix to complex
         w = np.concatenate([w for _, w in group])
-        w = np.stack([w.real, w.imag], axis=1)
         for i0 in range(0, r.size, _SWEEP_CHUNK):
             rc = r[i0 : i0 + _SWEEP_CHUNK, None]
             if scaled:
-                k = (bessel_j_scaled_grid(nu, rc * s) @ w) * rc ** nu
+                out[i0 : i0 + _SWEEP_CHUNK] += _matvec(bessel_j_scaled_grid(nu, rc * s), w) * rc[:, 0] ** nu
             else:
-                k = bessel_j_grid(nu, rc * s, xlo=rc * s_lo) @ w
-            out[i0 : i0 + _SWEEP_CHUNK] += k[:, 0] + 1j * k[:, 1]
+                out[i0 : i0 + _SWEEP_CHUNK] += _matvec(bessel_j_grid(nu, rc * s, xlo=rc * s_lo), w)
     return out

@@ -274,6 +274,9 @@ def test_bad_flag_value_exits_2(capsys, tmp_path):
         ("verify", "--N", "3"),
         ("classify", "--count", "5"),
         ("slowdecrease", "--spacing", "log"),
+        # classify reads its window flags only under --verify
+        pytest.param(("classify", "--r-min", "5", "--tol", "0.5"), id="classify_window_without_verify"),
+        pytest.param(("classify", "--r-max", "150"), id="classify_r_max_without_verify"),
     ],
     ids=lambda argv: argv[0],
 )

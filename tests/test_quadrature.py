@@ -269,6 +269,29 @@ class TestSweep:
                 ref = sum(t.coeff * mp_term_transform(t.lam, t.rho, n / 2.0 - 1.0, r) for t in terms)
                 assert abs(value - ref) <= max(1e-12 * abs(ref), 1e-17), (terms, r)
 
+    def test_no_absolute_floor_on_contours(self):
+        """Above the seam the sweep takes the contours, with no absolute
+        floor: on panels these radii were off by 9e-10, 1.5e-10 and 4e-8
+        relative, an absolute floor near 1e-19 against |F| ~ 6e-12 at
+        r = 1999.  One call, so two radii are reached from the first."""
+        rs = np.array([648.0, 1500.0, 1999.0])
+        for value, r in zip(hankel_sweep(single(2.5, 3.0), rs), rs):
+            ref = mp_term_transform(2.5, 3.0, 0.0, r)
+            assert abs(value - ref) <= 1e-11 * abs(ref), r
+
+    def test_dispatch_and_scatter(self):
+        """An unsorted grid across 2 seam = 60: every radius takes
+        finite_hankel's path and lands in its own slot."""
+        grid = np.array([75.0, 41.0, 59.9, 60.0, 60.1, 1800.0, 44.0])
+        mixed = RadialProfile(3, (
+            ProfileTerm(coeff=1.0, lam=0.5, rho=2.5),
+            ProfileTerm(coeff=complex(-0.4, 0.3), lam=1.5, rho=complex(1.5, 0.4)),
+        ))
+        for p in (mixed, single(0.0, 1.0, vanishes_near_one=True)):
+            for value, r in zip(hankel_sweep(p, grid), grid):
+                res = finite_hankel(p, float(r))
+                assert abs(value - res.value) <= res.error_estimate + 1e-12 * abs(res.value), (p, r)
+
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
             hankel_sweep(single(1.0, 1.0), np.array([1.0, -2.0]))
@@ -325,6 +348,8 @@ class TestSteepestDescent:
             value, estimate, _ = ti.evaluate(cfg, seam if contour else None)
             res = finite_hankel(single(1.0, 3.5, vanishes_near_one=cutoff), r)
             assert (res.value, res.error_estimate) == (value, estimate)
+            # plain Python numbers on either path, as QuadratureResult declares
+            assert (type(res.value), type(res.error_estimate)) == (complex, float)
 
     @given(
         st.floats(0.05, 4.0),
