@@ -66,9 +66,9 @@ at its fine rules only, over all those radii at once: the origin zone and
 seam legs are built once, at the smallest of them, with their extended-
 precision sum there, and only the per-node factor's step from 1 and the
 edge legs are evaluated per radius, in double precision.  Its cost per
-radius is flat in r.  Below that, and for cutoff profiles, it trades accuracy for
-speed: it casts the panel node sets, built once for the largest r with 12
-nodes per panel, to double precision.
+radius is flat in r.  Below that, and for cutoff profiles, it trades
+accuracy for speed: it casts the panel node sets, built once for the
+grid's largest r with 12 nodes per panel, to double precision.
 
 Profiles flagged ``vanishes_near_one`` are materialised with a fixed smooth
 cutoff equal to 1 below s = 1/3 and 0 above s = 2/3, which realises "the
@@ -638,7 +638,8 @@ class _TermIntegral:
         paths = []
         for z, t, per_mass in parts:
             t128 = np.asarray(t, dtype=np.complex128)
-            paths.append((complex(np.sum(t)), z, np.log1p(-((z / self.r) ** 2)), t128, per_mass * np.abs(t128)))
+            base = np.log1p(-((z / self.r) ** 2))
+            paths.append((complex(np.sum(t)), z, base, t128, per_mass * np.abs(t128)))
         rule = self._edge_rule(nl, n, tol)
         values = np.empty(radii.size, dtype=np.complex128)
         bounds = np.empty(radii.size)
@@ -796,8 +797,9 @@ def hankel_sweep(
     phase on, every term runs ``_TermIntegral.steepest_descent`` once over
     all those radii, built at the smallest of them, with the point
     evaluator's fine rules (32 nodes per panel, nl + 8 per contour leg).
-    These values agree with finite_hankel to within its estimate and with
-    the closed form to about 1e-12 relative, with no absolute floor.
+    These values agree with finite_hankel to within its estimate, so with
+    the closed form to about 1e-12 relative wherever that estimate is
+    certified; the panel sweep's absolute floor is gone.
     Below that, and for cutoff profiles at every r, ``_panel_sweep`` runs
     on node sets built for the grid's largest radius, in double precision:
     about 1e-12 relative, with an absolute floor of a few 1e-16 (the
