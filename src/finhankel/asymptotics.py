@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyPredictionError, HypothesisError, check_radius
+from .errors import DomainError, EmptyPredictionError, HypothesisError, check_radius
 from .profiles import (
     BoundaryExpansion,
     OriginExpansion,
@@ -166,7 +166,7 @@ def predict(
     the remainder order is infinite.
     """
     if n_origin_terms < 0:
-        raise HypothesisError("n_origin_terms must be >= 0")
+        raise DomainError("n_origin_terms must be >= 0")
     origin = origin_expansion(profile, max_k=max_k)
     kk = k_set(origin, profile.nu)
     retained = kk.members[:n_origin_terms]

@@ -144,8 +144,11 @@ def classify(profile: RadialProfile, max_k: int = 8, N: int = 8) -> Verdict:
     """Route a profile through the classification rules.
 
     Hypotheses of the selected rule are re-checked explicitly and logged;
-    failures land in an Inconclusive trace instead of raising.
+    failures land in an Inconclusive trace instead of raising.  A negative
+    flatness order N raises DomainError.
     """
+    if N < 0:
+        raise DomainError("N must be >= 0")
     trace: list[str] = []
     nu = profile.nu
     trace.append(f"dimension n={profile.dimension}, nu={nu:g}, terms={len(profile.terms)}")

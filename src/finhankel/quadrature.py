@@ -60,15 +60,18 @@ serves the panel path and the origin zone [0, a] of the steepest-descent
 path, which cancels against the contours from a.
 
 The batch sweep, hankel_sweep, takes each radius down the point
-evaluator's path and returns no per-point error estimate.  From twice the
-seam phase on, it runs the steepest-descent path of the point evaluator,
-at its fine rules only, over all those radii at once: the origin zone and
-seam legs are built once, at the smallest of them, with their extended-
-precision sum there, and only the per-node factor's step from 1 and the
-edge legs are evaluated per radius, in double precision.  Its cost per
-radius is flat in r.  Below that, and for cutoff profiles, it trades
-accuracy for speed: it casts the panel node sets, built once for the
-grid's largest r with 12 nodes per panel, to double precision.
+evaluator's path and returns no per-point error estimate.  It runs term
+by term, each term over all its radii at once.  From twice the seam phase
+on, it runs the steepest-descent path of the point evaluator, at its fine
+rules only: the origin zone and seam legs are built once, at the smallest
+of those radii, with their extended-precision sum there, and only the
+per-node factor's step from 1 and the edge legs are evaluated per radius,
+in double precision.  Its cost per radius is flat in r.  Below that, and
+for cutoff profiles, it trades accuracy for speed: the panel node sets
+are built once, for the grid's largest r with 12 nodes per panel, and
+each is summed as one double-precision kernel matrix per chunk of radii,
+the chunks of every node set held to one budget of (radius, node) pairs.
+The phase r s is one long-double product rounded once to double.
 
 Profiles flagged ``vanishes_near_one`` are materialised with a fixed smooth
 cutoff equal to 1 below s = 1/3 and 0 above s = 2/3, which realises "the
@@ -101,13 +104,14 @@ _SEAM_PHASE = 30.0  # smallest r*a at which [a, 1] is deformed onto contours
 _NODES = 32  # nodes per panel of the point evaluator; half as many for its check
 _MAX_PANELS = 20000  # oscillation panels per mesh before they are widened
 _SWEEP_NODES = 12  # nodes per panel of the panel sweep
-# radii per kernel matrix of the panel sweep: each of the kernel's
-# temporaries then holds 192 x 7.7k doubles at r = 2000, about 12 MB
-_SWEEP_CHUNK = 192
-# (radius, node) pairs per chunk of steepest_descent over many radii: its
-# largest temporaries, complex, then hold at most 8 MB, under the panel
-# sweep's.  A real-exponent term has 160 origin-zone nodes at the default
-# target, so a C7 sweep's 9.9k contour radii take 4 chunks
+# (radius, node) pairs per chunk of either sweep over many radii, so their
+# largest temporaries hold at most 8 MB.  steepest_descent's widest part, a
+# real-exponent term's 160 origin-zone nodes at the default target, takes a
+# C7 sweep's 9.9k contour radii in 4 chunks.  panel_sweep chunks each node
+# set by its own size: at r_max ~ 2006 with 12 nodes per panel a term has
+# 3,840 nodes for lam = 0.5, rho = 6 and 2,568 for the cutoff lam = 1,
+# rho = 3.5, nearly all of them Legendre panels, which a C7 cutoff sweep
+# then takes 205 radii at a time
 _SWEEP_ELEMS = 1 << 19
 # relative accuracy of a double-precision contour sum: the Laguerre rules'
 # low moments are good to about 4e-15 when alpha = rho - 1 is near -1
@@ -662,6 +666,36 @@ class _TermIntegral:
             bounds[i0 : i0 + rows] = e
         return values, bounds, panels + 2 * rule[4]
 
+    # -- panel sweep -----------------------------------------------------
+
+    def panel_sweep(self, radii: np.ndarray, n: int, tol: float) -> np.ndarray:
+        """The term at every radius of ``radii``, each at most this term's r,
+        on the panel path in double precision.
+
+        The node sets come from ``node_sets`` on this term's ``build_mesh``
+        with n nodes per panel and serve every radius: the profile factor
+        is evaluated once and only the kernel is recomputed per radius.
+        Complex exponents get the same graded end zones and closed-form end
+        terms as the point evaluator, with depths set by ``tol``.
+        Each node set is summed as one kernel matrix per chunk of
+        ``_SWEEP_ELEMS`` // nodes radii, with the phase r s formed as one
+        long-double product rounded once to double.
+        """
+        sets, _ = self.node_sets(self.build_mesh(), n, tol, not self.cutoff)
+        values = np.zeros(radii.size, dtype=np.complex128)
+        for ns in sets:
+            s = ns.s.ravel()
+            w = np.asarray(ns.w, dtype=np.complex128).ravel()
+            rows = max(1, _SWEEP_ELEMS // s.size)
+            for i0 in range(0, radii.size, rows):
+                r = radii[i0 : i0 + rows]
+                x = (r.astype(_LD)[:, None] * s).astype(np.float64)
+                if ns.scaled:
+                    values[i0 : i0 + rows] += _matvec(bessel_j_scaled_grid(self.nu, x), w) * r**self.nu
+                else:
+                    values[i0 : i0 + rows] += _matvec(bessel_j_grid(self.nu, x), w)
+        return values
+
     # -- driver ----------------------------------------------------------
 
     def evaluate(self, cfg: QuadratureConfig, seam: float | None = None):
@@ -793,15 +827,20 @@ def hankel_sweep(
     """finite_hankel evaluated on a whole grid of r at once, with no error
     estimates; intended for slow-decrease sweeps.
 
-    Each radius takes the point evaluator's path.  From twice the seam
-    phase on, every term runs ``_TermIntegral.steepest_descent`` once over
-    all those radii, built at the smallest of them, with the point
-    evaluator's fine rules (32 nodes per panel, nl + 8 per contour leg).
-    These values agree with finite_hankel to within its estimate, so with
-    the closed form to about 1e-12 relative wherever that estimate is
-    certified; the panel sweep's absolute floor is gone.
-    Below that, and for cutoff profiles at every r, ``_panel_sweep`` runs
-    on node sets built for the grid's largest radius, in double precision:
+    Each radius takes the point evaluator's path, one term at a time.
+    From twice the seam phase on, a term runs
+    ``_TermIntegral.steepest_descent`` once over all those radii, built at
+    the smallest of them, with the point evaluator's fine rules (32 nodes
+    per panel, nl + 8 per contour leg).  These values agree with
+    finite_hankel to within its estimate, so with the closed form to about
+    1e-12 relative wherever that estimate is certified; the panel sweep's
+    absolute floor is gone.
+    Below that, and for cutoff profiles at every r, the term runs
+    ``_TermIntegral.panel_sweep`` on node sets built for the grid's
+    largest radius with 12 nodes per panel (3,840 nodes for lam = 0.5,
+    rho = 6 at r_max ~ 2006), each summed in double precision as one
+    kernel matrix per chunk of ``_SWEEP_ELEMS`` // nodes radii, with r s
+    formed as one long-double product rounded once to double.  That is
     about 1e-12 relative, with an absolute floor of a few 1e-16 (the
     double-precision Bessel series near r s ~ 10) that dominates where the
     transform is below about 1e-4.
@@ -814,50 +853,13 @@ def hankel_sweep(
     tol = cfg.target_rel_tol
     seam = _contour_seam(profile.nu, profile.vanishes_near_one, cfg)
     on = np.zeros(r.size, dtype=bool) if seam is None else r >= 2.0 * seam
+    r_on, r_off = r[on], r[~on]
     out = np.zeros(r.size, dtype=np.complex128)
-    if on.any():
-        rc = r[on]
-        r0 = float(np.min(rc))
-        nl = _laguerre_nodes(tol) + 8
-        for t in profile.terms:
-            ti = _TermIntegral(t.lam, t.rho, profile.nu, r0, False)
-            out[on] += t.coeff * ti.steepest_descent(rc, seam, _NODES, nl, tol)[0]
-    if not on.all():
-        out[~on] = _panel_sweep(profile, r[~on], float(np.max(r)), tol)
-    return out
-
-
-def _panel_sweep(profile: RadialProfile, r: np.ndarray, r_max: float, tol: float) -> np.ndarray:
-    """The panel path over a grid of r, at most ``r_max``, in double precision.
-
-    Each term's node sets come from the same builder as finite_hankel's
-    panel path, built once for r_max with 12 nodes per panel and reused at
-    every r: the profile factor is evaluated once and only the Bessel
-    kernel is recomputed per r, one matrix product per kernel kind.
-    Complex exponents get the same graded end zones and closed-form end
-    terms as the point evaluator, with depths set by ``tol``.
-    """
-    nu = profile.nu
-    groups = {False: [], True: []}  # scaled kernel -> (nodes, weights) per node set
     for t in profile.terms:
-        ti = _TermIntegral(t.lam, t.rho, nu, r_max, profile.vanishes_near_one)
-        sets, _ = ti.node_sets(ti.build_mesh(), _SWEEP_NODES, tol, not ti.cutoff)
-        for ns in sets:
-            groups[ns.scaled].append((ns.s.ravel(), t.coeff * np.asarray(ns.w, dtype=np.complex128).ravel()))
-    out = np.zeros(r.size, dtype=np.complex128)
-    for scaled, group in groups.items():
-        if not group:
-            continue
-        s_ld = np.concatenate([s for s, _ in group])
-        s = s_ld.astype(np.float64)
-        # the rounding of s to double, carried as the argument's low part,
-        # would otherwise shift the phase by up to r * 5e-17
-        s_lo = (s_ld - s).astype(np.float64)
-        w = np.concatenate([w for _, w in group])
-        for i0 in range(0, r.size, _SWEEP_CHUNK):
-            rc = r[i0 : i0 + _SWEEP_CHUNK, None]
-            if scaled:
-                out[i0 : i0 + _SWEEP_CHUNK] += _matvec(bessel_j_scaled_grid(nu, rc * s), w) * rc[:, 0] ** nu
-            else:
-                out[i0 : i0 + _SWEEP_CHUNK] += _matvec(bessel_j_grid(nu, rc * s, xlo=rc * s_lo), w)
+        if r_on.size:
+            ti = _TermIntegral(t.lam, t.rho, profile.nu, float(np.min(r_on)), False)
+            out[on] += t.coeff * ti.steepest_descent(r_on, seam, _NODES, _laguerre_nodes(tol) + 8, tol)[0]
+        if r_off.size:
+            ti = _TermIntegral(t.lam, t.rho, profile.nu, float(np.max(r)), profile.vanishes_near_one)
+            out[~on] += t.coeff * ti.panel_sweep(r_off, _SWEEP_NODES, tol)
     return out

@@ -237,15 +237,8 @@ def _asym_pq(nu: float, inv_z: np.ndarray, count: int, dt):
     return p, qs
 
 
-def _bessel_asym(nu: float, x: np.ndarray, longdouble: bool, xlo=None) -> np.ndarray:
-    """Large-argument cosine/sine expansion (valid for x above the cutoff).
-
-    ``xlo`` is an optional exact low part of the argument (x_true = x + xlo).
-    The phase is corrected to first order in it, which matters when x is a
-    rounded product r*s inside an oscillatory integral: half an ulp of
-    pseudo-random phase noise per node is exactly what the cancellation in
-    such integrals amplifies.
-    """
+def _bessel_asym(nu: float, x: np.ndarray, longdouble: bool) -> np.ndarray:
+    """Large-argument cosine/sine expansion (valid for x above the cutoff)."""
     dt = _LD if longdouble else np.float64
     pi = _PI_LD if longdouble else np.pi
     x = np.asarray(x, dtype=dt)
@@ -253,11 +246,9 @@ def _bessel_asym(nu: float, x: np.ndarray, longdouble: bool, xlo=None) -> np.nda
     p, qs = _asym_pq(nu, 1.0 / x, count, dt)
     shift = (dt(0.5 * nu) + dt(0.25)) * pi
     omega = x - shift
-    # two-sum residue of the subtraction joins the supplied low part
+    # two-sum residue of the subtraction, applied to the phase to first order
     bb = omega - x
     low = (x - (omega - bb)) + (-shift - bb)
-    if xlo is not None:
-        low = low + np.asarray(xlo, dtype=dt)
     env = np.sqrt(dt(2.0) / (pi * x))
     cw = np.cos(omega)
     sw = np.sin(omega)
@@ -291,7 +282,7 @@ def hankel_scaled_grid(nu: float, z: np.ndarray, kind: int = 1):
     return np.sqrt(2.0 / (np.pi * z)) * rot * (p + 1j * sign * qs), bound
 
 
-def _bessel_grid(nu: float, x: np.ndarray, longdouble: bool, scaled: bool, xlo=None) -> np.ndarray:
+def _bessel_grid(nu: float, x: np.ndarray, longdouble: bool, scaled: bool) -> np.ndarray:
     """Vectorised J_nu (or J_nu(x)/x^nu if ``scaled``) on x >= 0."""
     dt = _LD if longdouble else np.float64
     x = np.asarray(x, dtype=dt)
@@ -307,7 +298,7 @@ def _bessel_grid(nu: float, x: np.ndarray, longdouble: bool, scaled: bool, xlo=N
         band = (x > lo_edge) & (x <= hi_edge)
         if not np.any(band):
             continue
-        val = _bessel_asym(nu, x[band], longdouble, None if xlo is None else xlo[band])
+        val = _bessel_asym(nu, x[band], longdouble)
         if scaled:
             val = val * x[band] ** dt(-nu)
         out[band] = val
@@ -336,13 +327,9 @@ def bessel_j(nu: float, x):
     return np.asarray(out, dtype=np.float64)
 
 
-def bessel_j_grid(nu: float, x: np.ndarray, longdouble: bool = False, xlo=None) -> np.ndarray:
-    """Unchecked vectorised J_nu for quadrature kernels (x >= 0 assumed).
-
-    ``xlo`` optionally supplies the exact low part of the argument (see
-    ``_bessel_asym``).
-    """
-    return _bessel_grid(float(nu), x, longdouble=longdouble, scaled=False, xlo=xlo)
+def bessel_j_grid(nu: float, x: np.ndarray, longdouble: bool = False) -> np.ndarray:
+    """Unchecked vectorised J_nu for quadrature kernels (x >= 0 assumed)."""
+    return _bessel_grid(float(nu), x, longdouble=longdouble, scaled=False)
 
 
 def bessel_j_scaled_grid(nu: float, x: np.ndarray, longdouble: bool = False) -> np.ndarray:

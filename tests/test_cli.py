@@ -264,6 +264,9 @@ def test_bad_flag_value_exits_2(capsys, tmp_path):
     assert main(["expand", "--profile", str(p), "--max-k", "-1"]) == 2
     assert main(["slowdecrease", "--profile", str(p), "--r-min", "nan"]) == 2
     assert main(["classify", "--profile", str(p), "--verify", "--r-max", "inf"]) == 2
+    assert main(["expand", "--profile", str(p), "--n-terms", "-1"]) == 2
+    assert main(["verify", "--profile", str(p), "--n-terms", "-1"]) == 2
+    assert main(["classify", "--profile", str(p), "--N", "-1"]) == 2
 
 
 @pytest.mark.parametrize(

@@ -63,6 +63,11 @@ class TestClassify:
         assert v.status == INVERTIBLE
         assert v.rule == "Thm-smooth2"
 
+    def test_negative_flatness_order_raises(self):
+        """A negative N used to send lam = 0.5, rho = 6 down the flat-edge rule."""
+        with pytest.raises(DomainError):
+            classify(single(0.5, 6.0), N=-1)
+
     def test_incompatible_ladder_goes_inconclusive(self):
         p = RadialProfile(2, (ProfileTerm(coeff=1, lam=0.0, rho=1.0), ProfileTerm(coeff=1, lam=0.5, rho=1.0)))
         v = classify(p)
