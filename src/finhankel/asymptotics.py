@@ -276,6 +276,6 @@ def fit_loglog_slope(x, y) -> float:
     x = np.asarray(x, dtype=np.float64)
     y = np.abs(np.asarray(y))
     keep = (x > 0) & (y > 0) & np.isfinite(y)
-    if np.count_nonzero(keep) < 2:
-        raise HypothesisError("slope fit needs at least two usable points")
+    if np.unique(x[keep]).size < 2:
+        raise HypothesisError("slope fit needs usable points at two distinct x at least")
     return float(np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)[0])

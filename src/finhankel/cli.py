@@ -154,6 +154,8 @@ def _term_dict(t: asym.AsymptoticTerm) -> dict:
 
 
 def cmd_verify(args) -> int:
+    if args.count < 2 or not args.r_max > args.r_min:
+        raise ProfileFormatError("verify fits a slope: need count >= 2 and r-max > r-min")
     profile = _load_profile(args.profile)
     cfg = QuadratureConfig(target_rel_tol=args.tol)
     pred = asym.predict(profile, n_origin_terms=args.n_terms, max_k=args.max_k)

@@ -9,19 +9,27 @@ Steepest descent, once r is at least twice the seam phase (30 at the
 default target for orders nu up to about 9, so r >= 60), for every profile
 without ``vanishes_near_one``:
 
-* [0, 8/r] by the origin rule of the panel path, Legendre panels on
-  [8/r, a], a = seam / r;
+* the origin zone [0, a], a = seam / r, in x = r s, where it is [0, seam]
+  at every radius: the origin rule of the panel path on [0, 8] (graded
+  panels down to a fixed depth for complex lam) and Legendre panels on
+  fixed edges {8, 12.8, 19.08, 25.37, 30} for a seam of 30.  Their nodes
+  do not depend on r, so the Bessel values there are tables, built lazily
+  in extended precision once per order: per (nu, seam, n) for the panels,
+  per (nu, Re lam + nu, n) for the origin rule.  Per radius only the
+  profile factor at s = x / r and r^-(lam+1) are evaluated;
 * on [a, 1], J_nu = (H1 + H2)/2.  The H1 part moves onto a + it and 1 + it,
   the H2 part onto a - it and 1 - it (t >= 0), where the kernel decays like
   e^(-r t).  Gauss-Laguerre rules in tau = r t cover each contour, with
   weight tau^(rho - 1) at s = 1; a complex rho leaves tau^(i Im rho), which
   Legendre panels graded toward tau = 0 absorb instead.  The exponentially
   scaled Hankel functions come from the same large-argument expansion as
-  the Bessel kernel (specfun.hankel_scaled_grid).  Nothing cancels on the
-  contours, so they run in double precision, and no part of the cost grows
-  with r.
+  the Bessel kernel (specfun.hankel_scaled_grid).  The seam legs' Hankel
+  argument, seam +- i tau, is the same at every radius, so their values
+  are a table per (nu, seam, nodes) too.  Nothing cancels on the contours,
+  so they run in double precision, and no part of the cost grows with r.
+  Once an order's tables are built, this path calls no Bessel kernel.
 * in z = r s, [0, a] and the legs from a are one path at every radius, so
-  its nodes and kernel values are built once and carried to other radii by
+  a sweep over many radii builds it once and carries it to the others by
   a factor per node (``_TermIntegral.steepest_descent``).
 
 Panels, below the seam and for cutoff profiles at every r:
@@ -41,9 +49,11 @@ closed form and an explicit bound on the rest.
 One builder, ``_TermIntegral.node_sets``, turns a term, a mesh and a node
 count into these pieces as node sets: nodes, weights with the profile
 factor folded in, and a kernel kind (J_nu(r s), or r^nu J_nu(x)/x^nu at the
-origin).  A closed-form end term is one more node.  Nothing in a node set
-depends on r, so the point evaluator sums them at one r, and hankel_sweep's
-panel path sums the same sets over a whole grid of r.
+origin).  A closed-form end term is one more node.  On the panel path
+nothing in a node set depends on r, so the point evaluator sums them at one
+r, and hankel_sweep's panel path sums the same sets over a whole grid of r.
+The same builder makes the steepest-descent origin zone's sets in x = r s,
+where the kernel values come from the tables above.
 
 The point evaluator runs each path once at two resolutions, with no mesh
 refinement: 32 and 16 nodes per panel and, at the default 1e-10 target,
@@ -269,12 +279,13 @@ def _kernel_floor(phase) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _middle_edges(lo: float, hi: float, osc_width: float, forced=()) -> np.ndarray:
-    """Breakpoints on [lo, hi]: oscillation-limited width, graded at both ends."""
+def _middle_edges(lo: float, hi: float, osc_width: float, forced=(), unit: float = 1.0) -> np.ndarray:
+    """Breakpoints on [lo, hi] in v = unit * s: oscillation-limited width,
+    graded at both ends."""
     edges = [lo]
     s = lo
     while s < hi:
-        w = min(osc_width, 0.6 * s, 0.5 * (1.0 - s), 0.18)
+        w = min(osc_width, 0.6 * s, 0.5 * (unit - s), 0.18 * unit)
         w = max(w, 1e-12)
         s = min(s + w, hi)
         edges.append(s)
@@ -282,6 +293,68 @@ def _middle_edges(lo: float, hi: float, osc_width: float, forced=()) -> np.ndarr
     if forced:
         pts = np.union1d(pts, [f for f in forced if lo < f < hi])
     return pts
+
+
+def _phase_edges(seam: float) -> tuple:
+    """Edges of the steepest-descent origin zone's Legendre panels on
+    [8, seam] in x = r s.  Below x = seam the caps of ``_middle_edges`` at
+    the edge s = 1 reach no further than 0.5 (r - x) >= seam / 2 and
+    0.18 r >= 0.36 seam, both above 2 pi once r >= 2 seam, so these are the
+    edges at every radius of the path: {8, 12.8, 19.08, 25.37, 30} for a
+    seam of 30."""
+    return tuple(_middle_edges(_ENDPOINT_PHASE, seam, 2.0 * math.pi, unit=2.0 * seam).tolist())
+
+
+def _panel_nodes(edges, n: int):
+    """n-point Legendre panels between ascending ``edges``, in extended
+    precision: (midpoints, half-width times rule node, half-width times
+    rule weight), a row per panel."""
+    x, w = _gauss_jacobi(n, 0.0, 0.0)
+    e = np.asarray(edges).astype(_LD)
+    mid = ((e[1:] + e[:-1]) / 2)[:, None]
+    half = ((e[1:] - e[:-1]) / 2)[:, None]
+    return mid, half * x[None, :], half * w[None, :]
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+# Kernel tables of the steepest-descent origin zone and seam legs.  In
+# x = r s their nodes are the same at every radius, so each table is built
+# once, lazily, in extended precision through this module's Bessel names,
+# and every radius of every term of that order reads it.
+
+
+@lru_cache(maxsize=64)
+def _phase_panels(nu: float, edges: tuple, n: int):
+    """Legendre panels between ``edges`` in x: (nodes, half-width times
+    rule weight, J_nu at the nodes), a row per panel, read-only."""
+    mid, hx, hw = _panel_nodes(edges, n)
+    x = mid + hx
+    return _frozen(x, hw, bessel_j_grid(nu, x, longdouble=True))
+
+
+@lru_cache(maxsize=256)
+def _phase_origin(nu: float, b: float, x_a: float, n: int):
+    """The origin rule on [0, x_a] in x with weight x^b: (nodes, weights
+    with (x_a / 2)^(b+1), J_nu(x)/x^nu at the nodes), one row, read-only."""
+    t, w = _gauss_jacobi(n, 0.0, b)
+    h = _LD(x_a) / 2
+    x = (h * (1 + t))[None, :]
+    return _frozen(x, (w * h ** _LD(b + 1.0))[None, :], bessel_j_scaled_grid(nu, x, longdouble=True))
+
+
+@lru_cache(maxsize=64)
+def _seam_hankel(nu: float, seam: float, nl: int, kind: int):
+    """``hankel_scaled_grid`` of this kind on its seam leg, at
+    z = seam +- i tau for the nl Laguerre nodes tau: (h, truncation bound)."""
+    tau, _ = _gauss_laguerre(nl, 0.0)
+    h, bound = hankel_scaled_grid(nu, seam + (1j if kind == 1 else -1j) * tau, kind)
+    h.setflags(write=False)
+    return h, bound
 
 
 def _smooth_cutoff_ld(s: np.ndarray) -> np.ndarray:
@@ -314,11 +387,14 @@ def _phi_factor(s, dist1, lam, rho, from_u: bool = False):
 
 @dataclass(frozen=True)
 class _NodeSet:
-    """Nodes of one real-axis piece of a term, valid at every r.
+    """Nodes of one real-axis piece of a term.
 
     Rows of ``s`` and ``w`` are panels.  ``w`` holds the profile factor,
     the rule weight and the panel half-width.  The kernel is
-    J_nu(r s), or r^nu J_nu(x)/x^nu at x = r s when ``scaled``.
+    J_nu(r s), or r^nu J_nu(x)/x^nu at x = r s when ``scaled``; such a set
+    is valid at every r.  A set built in x = r s instead carries its
+    kernel values, J_nu(x) or J_nu(x)/x^nu, from a per-order table in
+    ``kernel``, and its weights hold this term's r^-(lam+1).
     ``rounding`` is the rule's own error per unit of absolute mass.
     """
 
@@ -326,11 +402,12 @@ class _NodeSet:
     w: np.ndarray
     scaled: bool = False
     rounding: float = 0.0
+    kernel: np.ndarray | None = None
 
 
-def _single_node(s: float, w: complex, scaled: bool) -> _NodeSet:
+def _single_node(s: float, w: complex, scaled: bool, kernel=None) -> _NodeSet:
     """A closed-form piece as one node: its weight times the kernel at s."""
-    return _NodeSet(np.full((1, 1), s, dtype=_LD), np.full((1, 1), w, dtype=_CLD), scaled)
+    return _NodeSet(np.full((1, 1), s, dtype=_LD), np.full((1, 1), w, dtype=_CLD), scaled, 0.0, kernel)
 
 
 class _TermIntegral:
@@ -366,7 +443,7 @@ class _TermIntegral:
 
     # -- node sets -------------------------------------------------------
 
-    def node_sets(self, edges: np.ndarray, n: int, tol: float, to_edge: bool):
+    def node_sets(self, edges, n: int, tol: float, to_edge: bool, in_phase: bool = False):
         """The term on [0, edges[-1]], and on [edges[-1], 1] when ``to_edge``,
         as n-point node sets: Legendre panels between the edges, and an
         endpoint zone each side.  A real exponent there is absorbed by a
@@ -375,14 +452,20 @@ class _TermIntegral:
         zone, a single node carries the leading term of the discarded end
         piece in closed form, and the rest is bounded.  Returns (sets, bound
         on the discarded end pieces).
+
+        With ``in_phase`` the edges are in x = r s and the nodes are fixed
+        in x, so their kernel values come from the per-order tables
+        ``_phase_panels`` and ``_phase_origin``; only the profile factor at
+        s = x / r is evaluated.  This serves the origin zone of the
+        steepest-descent path, which has no edge zone.
         """
-        sets = [self._legendre(edges, n)]
+        sets = [self._legendre(edges, n, in_phase=in_phase)]
         s_a = float(edges[0])
         if self.lam.imag == 0.0:
-            sets.append(self._origin_jacobi(s_a, n))
+            sets.append(self._origin_jacobi(s_a, n, in_phase))
             tail = 0.0
         else:
-            graded, tail = self._origin_graded(s_a, n, tol)
+            graded, tail = self._origin_graded(s_a, n, tol, in_phase)
             sets += graded
         if to_edge:
             d_top = 1.0 - float(edges[-1])
@@ -400,32 +483,42 @@ class _TermIntegral:
             f = f * _smooth_cutoff_ld(s)
         return f
 
-    def _legendre(self, edges: np.ndarray, n: int, from_u: bool = False) -> _NodeSet:
+    def _legendre(self, edges, n: int, from_u: bool = False, in_phase: bool = False) -> _NodeSet:
         """Legendre panels between ascending ``edges`` in s, or with ``from_u``
-        in u = 1 - s, where 1 - s stays exact next to s = 1."""
-        x, w = _gauss_jacobi(n, 0.0, 0.0)
-        e = np.asarray(edges).astype(_LD)
-        mid = (e[1:] + e[:-1]) / 2
-        half = (e[1:] - e[:-1]) / 2
-        t = mid[:, None] + half[:, None] * x[None, :]
+        in u = 1 - s, where 1 - s stays exact next to s = 1, or with
+        ``in_phase`` in x = r s, with J_nu from the order's table."""
+        if in_phase:
+            x, hw, kernel = _phase_panels(self.nu, tuple(edges), n)
+            r = _LD(self.r)
+            s = x / r
+            return _NodeSet(s, self._factor(s, 1 - s) * (hw / r), kernel=kernel)
+        mid, hx, hw = _panel_nodes(edges, n)
+        t = mid + hx
         if from_u:
             s, dist1 = 1 - t, t
         else:
-            s, dist1 = t, (1 - mid)[:, None] - half[:, None] * x[None, :]
-        return _NodeSet(s, self._factor(s, dist1, from_u) * (half[:, None] * w[None, :]))
+            s, dist1 = t, (1 - mid) - hx
+        return _NodeSet(s, self._factor(s, dist1, from_u) * hw)
 
-    def _origin_jacobi(self, s_a: float, n: int) -> _NodeSet:
-        """[0, s_a] with weight s^(lam+nu) after peeling J_nu(x)/x^nu."""
+    def _origin_jacobi(self, s_a: float, n: int, in_phase: bool = False) -> _NodeSet:
+        """[0, s_a] with weight s^(lam+nu) after peeling J_nu(x)/x^nu; with
+        ``in_phase`` [0, x_a = s_a] in x = r s, with the nodes, weights and
+        kernel from the table of (nu, lam + nu, n) and r^-(lam+1) overall."""
         b = self.lam.real + self.nu
-        x, w = _gauss_jacobi(n, 0.0, b)
-        h = _LD(s_a) / 2
-        s = h * (1 + x)
+        if in_phase:
+            x, w, kernel = _phase_origin(self.nu, b, s_a, n)
+            s = x / _LD(self.r)
+            scale = np.exp(-_LD(self.lam.real + 1.0) * np.log(_LD(self.r)))
+        else:
+            x, w = _gauss_jacobi(n, 0.0, b)
+            h = _LD(s_a) / 2
+            s = (h * (1 + x))[None, :]
+            w, scale, kernel = w[None, :], h ** _LD(b + 1.0), None
         f = np.exp(_LD(self.rho.real - 1.0) * np.log1p(-s * s)) if self.rho.imag == 0.0 \
             else np.exp((complex(self.rho) - 1.0) * np.log1p(-(s * s).astype(_CLD)))
         if self.cutoff:
             f = f * _smooth_cutoff_ld(s)
-        w = w * f * h ** _LD(b + 1.0)
-        return _NodeSet(s[None, :], w[None, :], True, _JACOBI_ROUNDING / min(1.0, 1.0 + b))
+        return _NodeSet(s, w * f * scale, True, _JACOBI_ROUNDING / min(1.0, 1.0 + b), kernel)
 
     def _boundary_jacobi(self, d_b: float, n: int) -> _NodeSet:
         """[1 - d_b, 1] with weight (1-s)^(rho-1)."""
@@ -438,7 +531,7 @@ class _TermIntegral:
         w = w * f * np.exp(_LD(a) * np.log(2 - u)) * h ** _LD(a + 1.0)
         return _NodeSet((1 - u)[None, :], w[None, :], False, _JACOBI_ROUNDING / min(1.0, 1.0 + a))
 
-    def _origin_graded(self, s_top: float, n: int, tol: float):
+    def _origin_graded(self, s_top: float, n: int, tol: float, in_phase: bool = False):
         """Fallback for complex lam: geometric panels down to delta, then [0, delta].
 
         There the integrand is (r/2)^nu s^(lam+nu) / Gamma(nu+1) times 1 + E(s),
@@ -447,19 +540,30 @@ class _TermIntegral:
         delta^p / p, p = lam+nu+1, and the E part is bounded.  Next to a
         transform of size r^-(lam+1), that bound is about (r delta)^(p1+2), so
         the depth brings r*delta (at least 2*delta) down to
-        (tol/100)^(1/(p1+2)).  Returns (node sets, bound).
+        (tol/100)^(1/(p1+2)).  With ``in_phase``, s_top and the edges are in
+        x = r s: the depth is the same at every r, and the node at 0 takes
+        J_nu(x)/x^nu = 2^-nu / Gamma(nu+1) in closed form, as the Bessel
+        series gives it.  Returns (node sets, bound).
         """
         p1 = self.lam.real + self.nu + 1.0
         ratio = _graded_ratio(n)
         k = (self.r / 2) ** 2 / (self.nu + 1.0) + abs(self.rho - 1.0)
-        reach = math.log(max(tol, 1e-30) * 1e-2) / (p1 + 2.0) - math.log(max(self.r, 2.0) * s_top)
+        top = s_top if in_phase else max(self.r, 2.0) * s_top
+        reach = math.log(max(tol, 1e-30) * 1e-2) / (p1 + 2.0) - math.log(top)
         depth = min(220, max(4, math.ceil(reach / math.log(ratio))))
         edges = np.sort(s_top * ratio ** np.arange(depth + 1, dtype=np.float64))
         delta = float(edges[0])
         p = self.lam + self.nu + 1.0
-        lead = _single_node(0.0, np.exp(p * math.log(delta)) / p, True)
+        if in_phase:
+            w = np.exp(p * math.log(delta) - (self.lam + 1.0) * math.log(self.r)) / p
+            k0 = _LD(2.0) ** _LD(-self.nu) / _gamma_real_ld(self.nu + 1.0)
+            lead = _single_node(0.0, w, True, np.full((1, 1), k0))
+            delta /= self.r
+        else:
+            lead = _single_node(0.0, np.exp(p * math.log(delta)) / p, True)
         scale = (self.r / 2) ** self.nu / float(_gamma_real_ld(self.nu + 1.0))
-        return [self._legendre(edges, n), lead], 2.0 * scale * k * delta ** (p1 + 2.0) / (p1 + 2.0)
+        sets = [self._legendre(edges, n, in_phase=in_phase), lead]
+        return sets, 2.0 * scale * k * delta ** (p1 + 2.0) / (p1 + 2.0)
 
     def _boundary_graded(self, d_top: float, n: int, tol: float):
         """Fallback for complex rho: geometric panels in u = 1 - s down to delta.
@@ -483,6 +587,8 @@ class _TermIntegral:
 
     def _kernel_terms(self, ns: _NodeSet) -> np.ndarray:
         """w times the kernel at this term's r, per node, in extended precision."""
+        if ns.kernel is not None:
+            return ns.w * ns.kernel
         if ns.scaled:
             rnu = np.exp(_LD(self.nu) * np.log(_LD(self.r)))
             return ns.w * (rnu * bessel_j_scaled_grid(self.nu, self.r * ns.s, longdouble=True))
@@ -501,50 +607,59 @@ class _TermIntegral:
 
     # -- steepest-descent contours ------------------------------------------
 
-    def _leg_seam(self, a: float, x: np.ndarray, w: np.ndarray, sigma: float):
-        """sigma (i/2) int_0^inf f(a + i sigma t) H(r (a + i sigma t)) dt.
+    def _leg_seam(self, seam: float, nl: int, sigma: float):
+        """sigma (i/2) int_0^inf f(a + i sigma t) H(r (a + i sigma t)) dt,
+        a = seam / r.
 
         H is H1 for sigma = +1 and H2 for sigma = -1, so the kernel decays
-        like e^(-r t); tau = r t carries the Laguerre rule (x, w).  Returns
-        the nodes as z = r s, the term of each node, whose sum is the leg,
-        and each term's error per unit of its modulus: the Hankel
-        truncation bound and the contour rounding floor.
+        like e^(-r t); tau = r t carries the nl-node Laguerre rule, and
+        H's argument seam + i sigma tau is the same at every r, so H comes
+        from the table ``_seam_hankel``.  Returns the nodes as z = r s, the
+        term of each node, whose sum is the leg, and each term's error per
+        unit of its modulus: the Hankel truncation bound and the contour
+        rounding floor.
         """
         r = self.r
+        a = seam / r
+        x, w = _gauss_laguerre(nl, 0.0)
         d = 1j * sigma * x / r  # s - a
         g = np.exp(
             self.lam * np.log1p(d / a)
             + (self.rho - 1.0) * np.log1p(-d * (2.0 * a + d) / (1.0 - a * a))
         )
-        z = r * a + 1j * sigma * x
-        h, kbound = hankel_scaled_grid(self.nu, z, 1 if sigma > 0 else 2)
-        # f(a) e^(i sigma r a) in extended precision: this leg cancels
+        h, kbound = _seam_hankel(self.nu, seam, nl, 1 if sigma > 0 else 2)
+        # f(a) e^(i sigma seam) in extended precision: this leg cancels
         # against the origin zone, and exp of a large exponent loses digits
         la, l1 = np.log(_LD(a)), np.log1p(-_LD(a) * _LD(a))
         pre = _cexp_ld(
             self.lam.real * la + (self.rho.real - 1.0) * l1,
-            self.lam.imag * la + self.rho.imag * l1 + sigma * _LD(r) * _LD(a),
+            self.lam.imag * la + self.rho.imag * l1 + sigma * _LD(seam),
         )
+        z = seam + 1j * sigma * x
         return z, sigma * 0.5j / r * pre * (w * g * h), np.full(x.size, kbound + _CONTOUR_ROUNDING)
 
     def _seam_zone(self, seam: float, n: int, nl: int, tol: float):
         """The origin zone [0, a], a = seam / r, and the two seam legs from a,
         at this term's r, as nodes z = r s (complex on the legs).
 
-        [0, 8/r] keeps the origin rule and Legendre panels cover [8/r, a].
+        Both are built in x = r s, where their nodes are the same at every
+        radius: the origin rule on [0, 8] and Legendre panels on the fixed
+        edges ``_phase_edges(seam)`` up to the seam, with the kernel values
+        read from tables built once per order and per (nu, Re lam + nu, n)
+        (``node_sets`` with ``in_phase``), and the seam legs' Hankel values
+        from ``_seam_hankel``.  Per radius only the profile factor at
+        s = x / r, r^-(lam+1) and the bounds are evaluated.
         Returns ([real axis, legs], bound on the discarded origin piece,
         panels), each part as (z, term of each node, error per unit of each
         term's modulus).  The real-axis terms stay in extended precision:
         their sum cancels against the legs.
         """
         r = self.r
-        a = seam / r
-        sets, tail = self.node_sets(_middle_edges(_ENDPOINT_PHASE / r, a, 2.0 * math.pi / r), n, tol, False)
+        sets, tail = self.node_sets(_phase_edges(seam), n, tol, False, in_phase=True)
         z = r * np.concatenate([np.asarray(ns.s, dtype=np.float64).ravel() for ns in sets])
         t = np.concatenate([self._kernel_terms(ns).ravel() for ns in sets])
         rounding = np.concatenate([np.full(ns.s.size, ns.rounding) for ns in sets])
-        x, w = _gauss_laguerre(nl, 0.0)
-        legs = [self._leg_seam(a, x, w, sigma) for sigma in (1.0, -1.0)]
+        legs = [self._leg_seam(seam, nl, sigma) for sigma in (1.0, -1.0)]
         parts = [(z, t, _kernel_floor(z) + rounding), tuple(map(np.concatenate, zip(*legs)))]
         return parts, tail, sum(ns.s.shape[0] for ns in sets) + 2
 
@@ -626,8 +741,10 @@ class _TermIntegral:
         seam legs from a = seam / r are one path at every radius, and the
         term there is r^-(lam+1) times the integral of
         z^lam (1 - z^2/r^2)^(rho-1) J_nu(z) (H on the legs) along it.  So
-        they are built once, at this term's r = r0, with n nodes per panel
-        and nl per leg, and carried to each radius by the factor
+        ``_seam_zone`` builds them in z, with their kernel values from the
+        order's tables and only the profile factor evaluated at r, once, at
+        this term's r = r0, with n nodes per panel and nl per leg, and they
+        are carried to each radius by the factor
         ((1 - z^2/r^2) / (1 - z^2/r0^2))^(rho-1) per node, taken as the sum
         at r0 plus the terms times the factor minus 1, and by
         (r0/r)^(lam+1) overall.  The origin tail bound scales by

@@ -255,3 +255,9 @@ class TestOracleAgreement:
 def test_slope_fit_guard():
     with pytest.raises(HypothesisError):
         fit_loglog_slope([1.0], [1.0])
+
+
+def test_slope_fit_guard_coincident_x():
+    """Two points at one x leave no slope to fit."""
+    with pytest.raises(HypothesisError):
+        fit_loglog_slope([100.0, 100.0], [1e-3, 2e-3])

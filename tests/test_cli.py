@@ -267,6 +267,9 @@ def test_bad_flag_value_exits_2(capsys, tmp_path):
     assert main(["expand", "--profile", str(p), "--n-terms", "-1"]) == 2
     assert main(["verify", "--profile", str(p), "--n-terms", "-1"]) == 2
     assert main(["classify", "--profile", str(p), "--N", "-1"]) == 2
+    # verify fits a slope, which takes two distinct radii
+    assert main(["verify", "--profile", str(p), "--count", "1"]) == 2
+    assert main(["verify", "--profile", str(p), "--count", "2", "--r-min", "100", "--r-max", "100"]) == 2
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from finhankel.asymptotics import evaluate_prediction, predict
 from finhankel.errors import DomainError, SmoothnessBudgetError
+from finhankel import quadrature
 from finhankel.profiles import ProfileTerm, RadialProfile
 from finhankel.quadrature import (
     QuadratureConfig,
@@ -306,10 +307,30 @@ class TestConfig:
             QuadratureConfig(target_rel_tol=2.0)
 
     def test_determinism(self):
+        """Bitwise the same results whatever the contour path's kernel tables
+        hold: nothing, this profile's tables from another radius, or those
+        of another profile of the same order."""
         p = single(0.5, 6.0)
-        a = finite_hankel(p, 321.0)
-        b = finite_hankel(p, 321.0)
-        assert a == b
+        tables = (quadrature._phase_panels, quadrature._phase_origin, quadrature._seam_hankel)
+
+        def evaluate():
+            return finite_hankel(p, 321.0), iterated_transform(p, 1, 321.0)
+
+        for table in tables:
+            table.cache_clear()
+        cold = evaluate()
+        assert evaluate() == cold
+        warmers = (
+            lambda: (finite_hankel(p, 1234.5), iterated_transform(p, 1, 77.7)),
+            # the same Re lam + nu, so the same origin-rule tables
+            lambda: (finite_hankel(single(0.5, 2.0), 4000.0), iterated_transform(single(0.5, 3.0), 1, 650.0)),
+            lambda: (finite_hankel(single(complex(-0.4, 0.3), 2.5), 500.0), finite_hankel(single(1.5, 6.0), 900.0)),
+        )
+        for warm in warmers:
+            for table in tables:
+                table.cache_clear()
+            warm()
+            assert evaluate() == cold
 
 
 class TestGradedTails:
@@ -340,6 +361,25 @@ class TestGradedTails:
 
 
 class TestSteepestDescent:
+    def test_warm_call_evaluates_no_kernel(self, monkeypatch):
+        """The origin zone is built in x = r s from per-order tables, so once
+        a profile has been evaluated on the contour path, another radius
+        there calls no Bessel kernel."""
+        calls = []
+        for name in ("bessel_j_grid", "bessel_j_scaled_grid"):
+            kernel = getattr(quadrature, name)
+
+            def counted(*args, kernel=kernel, **kwargs):
+                calls.append(args[0])
+                return kernel(*args, **kwargs)
+
+            monkeypatch.setattr(quadrature, name, counted)
+        p = single(0.5, 6.0)
+        finite_hankel(p, 500.0)
+        calls.clear()
+        finite_hankel(p, 2000.0)
+        assert calls == []
+
     def test_path_follows_seam(self):
         """Contours from r = 2 * seam on, panels below it and for cutoff
         profiles at every r."""
