@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finhankel import quadrature
 from finhankel.asymptotics import evaluate_prediction, predict
 from finhankel.errors import DomainError, SmoothnessBudgetError
-from finhankel import quadrature
 from finhankel.profiles import ProfileTerm, RadialProfile
 from finhankel.quadrature import (
     QuadratureConfig,
