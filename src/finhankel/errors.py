@@ -3,6 +3,8 @@
 import math
 import numbers
 
+import numpy as np
+
 
 class FinHankelError(Exception):
     """Base class for all package-specific errors."""
@@ -61,3 +63,16 @@ def check_radius(r, who: str) -> float:
     if isinstance(r, bool) or not isinstance(r, numbers.Real) or not math.isfinite(r) or r <= 0:
         raise DomainError(f"{who} requires a finite real r > 0, got {r!r}")
     return float(r)
+
+
+def check_radii(r, who: str) -> np.ndarray:
+    """A 1-d array of radii as float64, under check_radius's rules.  A real
+    integer or float array is checked all at once; any other dtype (bool,
+    complex, string, object) element by element."""
+    a = np.asarray(r)
+    if a.dtype.kind not in "iuf":
+        return np.array([check_radius(x, who) for x in a.tolist()], dtype=np.float64)
+    bad = ~(np.isfinite(a) & (a > 0))
+    if bad.any():
+        check_radius(a[bad][0].item(), who)
+    return a.astype(np.float64)

@@ -82,6 +82,16 @@ are built once, for the grid's largest r with 12 nodes per panel, and
 each is summed as one double-precision kernel matrix per chunk of radii,
 the chunks of every node set held to one budget of (radius, node) pairs.
 The phase r s is one long-double product rounded once to double.
+A dense grid is not swept radius by radius.  r^-nu F is entire of
+exponential type u, the top of the support (1, or 2/3 for cutoff
+profiles), so each path's radii are cut into windows at most 128 wide,
+and a window of half-width h holding more radii than m = ceil(u h) + 40
+is swept at its m Chebyshev points only and interpolated onto its radii
+in barycentric form (Berrut & Trefethen, SIAM Rev. 46 (2004)).  The
+weights and the differences r - x_j come from the points as rounded when
+sampled; with textbook weights against the unrounded points the
+interpolant drifts from the sweep by about 1e-13 of the envelope at
+r ~ 1500.
 
 Profiles flagged ``vanishes_near_one`` are materialised with a fixed smooth
 cutoff equal to 1 below s = 1/3 and 0 above s = 2/3, which realises "the
@@ -98,7 +108,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_jacobi
 
-from .errors import DomainError, SmoothnessBudgetError, check_radius
+from .errors import DomainError, SmoothnessBudgetError, check_radii, check_radius
 from .profiles import (
     RadialProfile,
     boundary_power_terms,
@@ -114,14 +124,19 @@ _SEAM_PHASE = 30.0  # smallest r*a at which [a, 1] is deformed onto contours
 _NODES = 32  # nodes per panel of the point evaluator; half as many for its check
 _MAX_PANELS = 20000  # oscillation panels per mesh before they are widened
 _SWEEP_NODES = 12  # nodes per panel of the panel sweep
+# hankel_sweep's windows of r: at most _WINDOW wide, and sampled at
+# ceil(u h) + _WINDOW_MARGIN Chebyshev points for half-width h and support [0, u]
+_WINDOW = 128.0
+_WINDOW_MARGIN = 40
 # (radius, node) pairs per chunk of either sweep over many radii, so their
 # largest temporaries hold at most 8 MB.  steepest_descent's widest part, a
-# real-exponent term's 160 origin-zone nodes at the default target, takes a
-# C7 sweep's 9.9k contour radii in 4 chunks.  panel_sweep chunks each node
-# set by its own size: at r_max ~ 2006 with 12 nodes per panel a term has
-# 3,840 nodes for lam = 0.5, rho = 6 and 2,568 for the cutoff lam = 1,
-# rho = 3.5, nearly all of them Legendre panels, which a C7 cutoff sweep
-# then takes 205 radii at a time
+# real-exponent term's 160 origin-zone nodes at the default target, takes
+# the 1,616 Chebyshev points of a C7 sweep's contour windows in 1 chunk.
+# panel_sweep chunks each node set by its own size: at r_max ~ 2006 with
+# 12 nodes per panel a term has 3,840 nodes for lam = 0.5, rho = 6 and
+# 2,568 for the cutoff lam = 1, rho = 3.5, nearly all of them Legendre
+# panels, which a C7 cutoff sweep's 1,296 Chebyshev points then take 205
+# radii at a time, in 7 chunks
 _SWEEP_ELEMS = 1 << 19
 # relative accuracy of a double-precision contour sum: the Laguerre rules'
 # low moments are good to about 4e-15 when alpha = rho - 1 is near -1
@@ -938,6 +953,72 @@ def iterated_transform(
 # ---------------------------------------------------------------------------
 
 
+def _chebyshev_window(lo: float, hi: float, m: int):
+    """The m Chebyshev points of the first kind on [lo, hi], ascending, as
+    the doubles that get sampled, and barycentric weights computed from
+    those rounded points: 1 / prod_k (x_j - x_k) with every factor scaled by
+    4 / (hi - lo), which keeps the products near 1."""
+    x = (lo + hi) / 2 - (hi - lo) / 2 * np.cos((2 * np.arange(m) + 1) * (math.pi / (2 * m)))
+    d = (x[:, None] - x[None, :]) * (4.0 / (hi - lo))
+    np.fill_diagonal(d, 1.0)
+    return x, 1.0 / np.prod(d, axis=1)
+
+
+def _barycentric(x: np.ndarray, w: np.ndarray, f: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The interpolant through (x, f), x ascending, with barycentric weights
+    w, at t, in the second (true) barycentric form; t - x_j is taken in
+    absolute coordinates, against the points actually sampled.  A t equal
+    to some x_j takes f_j."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = w / (t[:, None] - x[None, :])
+        p = _matvec(q, f) / np.sum(q, axis=1)
+    hit = ~np.isfinite(p)
+    p[hit] = f[np.searchsorted(x, t[hit])]
+    return p
+
+
+def _windowed(r: np.ndarray, upper: float, nu: float, sweep) -> np.ndarray:
+    """``sweep`` at every radius of r, with r on one path of the sweep.
+
+    The span of r is cut into equal windows at most ``_WINDOW`` wide.  On a
+    window of half-width h, r^-nu F is entire of exponential type
+    ``upper``, so a window holding more radii than
+    m = ceil(upper h) + ``_WINDOW_MARGIN`` is sampled at its m Chebyshev
+    points only, and (r / c)^-nu F there, c the window's centre, is
+    interpolated onto its radii.  The other windows' radii, in their order
+    in r, go to ``sweep`` as they are, in the same call as the points.
+    """
+    lo, hi = float(np.min(r)), float(np.max(r))
+    k = math.ceil((hi - lo) / _WINDOW)
+    if k == 0:
+        return sweep(r)
+    width = (hi - lo) / k
+    which = np.minimum(np.floor((r - lo) / width), k - 1)
+    direct = np.ones(r.size, dtype=bool)
+    windows = []
+    js, counts = np.unique(which, return_counts=True)
+    full = counts > _WINDOW_MARGIN  # every m exceeds the margin
+    for j, count in zip(js[full], counts[full]):
+        a, b = lo + j * width, hi if j == k - 1 else lo + (j + 1) * width
+        m = math.ceil(upper * (b - a) / 2) + _WINDOW_MARGIN
+        if count > m and b - a > 1e-8 * b:
+            inside = which == j
+            direct &= ~inside
+            windows.append((inside, (a + b) / 2, *_chebyshev_window(a, b, m)))
+    if not windows:
+        return sweep(r)
+    values = sweep(np.concatenate([r[direct], *(x for _, _, x, _ in windows)]))
+    out = np.empty(r.size, dtype=np.complex128)
+    at = np.count_nonzero(direct)
+    out[direct] = values[:at]
+    for inside, c, x, w in windows:
+        f = values[at : at + x.size] * (x / c) ** -nu
+        t = r[inside]
+        out[inside] = _barycentric(x, w, f, t) * (t / c) ** nu
+        at += x.size
+    return out
+
+
 def hankel_sweep(
     profile: RadialProfile, r_values, cfg: QuadratureConfig | None = None
 ) -> np.ndarray:
@@ -961,22 +1042,48 @@ def hankel_sweep(
     about 1e-12 relative, with an absolute floor of a few 1e-16 (the
     double-precision Bessel series near r s ~ 10) that dominates where the
     transform is below about 1e-4.
+
+    Dense grids are not swept radius by radius.  The radii of each path are
+    cut into windows at most ``_WINDOW`` = 128 wide, so none straddles
+    twice the seam, and a window that holds more radii than
+    ceil(u h) + 40 Chebyshev points (half-width h, support [0, u]) is swept
+    at those points only and interpolated onto its radii (``_windowed``).
+    A C7 grid of 9,997 radii on [43.7, 2006] becomes 1,665 swept radii for
+    a regular profile and 1,296 for a cutoff one.  On the contour path the
+    interpolant agrees with the direct sweep to about 1.2e-14 of the local
+    envelope of |F|, the Chebyshev series' truncation at 40 points of
+    margin; on panels it resamples the panel sweep's absolute floor,
+    amplified by at most the Lebesgue constant, about 4.  Every other
+    window, and so every grid sparser than that, is swept exactly as its
+    radii are given.
     """
     cfg = cfg or _DEFAULT_CFG
     r = np.asarray(r_values)
     if r.ndim != 1 or r.size == 0:
         raise DomainError("hankel_sweep requires a 1-d grid of positive r")
-    r = np.array([check_radius(x, "hankel_sweep") for x in r.tolist()])
+    r = check_radii(r, "hankel_sweep")
     tol = cfg.target_rel_tol
-    seam = _contour_seam(profile.nu, profile.vanishes_near_one, cfg)
+    nu, cutoff = profile.nu, profile.vanishes_near_one
+    seam = _contour_seam(nu, cutoff, cfg)
     on = np.zeros(r.size, dtype=bool) if seam is None else r >= 2.0 * seam
-    r_on, r_off = r[on], r[~on]
+    r_max = float(np.max(r))
+
+    def contours(radii):
+        out = np.zeros(radii.size, dtype=np.complex128)
+        for t in profile.terms:
+            ti = _TermIntegral(t.lam, t.rho, nu, float(np.min(radii)), False)
+            out += t.coeff * ti.steepest_descent(radii, seam, _NODES, _laguerre_nodes(tol) + 8, tol)[0]
+        return out
+
+    def panels(radii):
+        out = np.zeros(radii.size, dtype=np.complex128)
+        for t in profile.terms:
+            out += t.coeff * _TermIntegral(t.lam, t.rho, nu, r_max, cutoff).panel_sweep(radii, _SWEEP_NODES, tol)
+        return out
+
     out = np.zeros(r.size, dtype=np.complex128)
-    for t in profile.terms:
-        if r_on.size:
-            ti = _TermIntegral(t.lam, t.rho, profile.nu, float(np.min(r_on)), False)
-            out[on] += t.coeff * ti.steepest_descent(r_on, seam, _NODES, _laguerre_nodes(tol) + 8, tol)[0]
-        if r_off.size:
-            ti = _TermIntegral(t.lam, t.rho, profile.nu, float(np.max(r)), profile.vanishes_near_one)
-            out[~on] += t.coeff * ti.panel_sweep(r_off, _SWEEP_NODES, tol)
+    upper = _CUT_HI if cutoff else 1.0
+    for part, sweep in ((on, contours), (~on, panels)):
+        if part.any():
+            out[part] = _windowed(r[part], upper, nu, sweep)
     return out

@@ -1,6 +1,7 @@
 """Quadrature oracle: closed-form identities, frozen references, estimates."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from finhankel import quadrature
 from finhankel.asymptotics import evaluate_prediction, predict
-from finhankel.errors import DomainError, SmoothnessBudgetError
+from finhankel.errors import DomainError, SmoothnessBudgetError, check_radii, check_radius
 from finhankel.profiles import ProfileTerm, RadialProfile
 from finhankel.quadrature import (
     QuadratureConfig,
@@ -299,6 +300,111 @@ class TestSweep:
     def test_rejects_bad_grid(self):
         with pytest.raises(DomainError):
             hankel_sweep(single(1.0, 1.0), np.array([1.0, -2.0]))
+
+    @pytest.mark.parametrize("grid", [
+        np.array([3.0, 0.5, 2e3]), np.array([3.0, -2.0, math.nan]), np.array([1.5, math.inf]),
+        np.array([7, 0, -1]), np.array([9, 4], dtype=np.uint8), np.array([2.5, 0.0], dtype=np.float32),
+        np.array([2.0, True], dtype=object), np.array([True, False]), np.array([2.0, 3j]),
+    ])
+    def test_grid_check_matches_the_per_element_loop(self, grid):
+        """check_radii gives the per-element check_radius's values, or its
+        error and message for the first radius it rejects."""
+        try:
+            expect = np.array([check_radius(x, "hankel_sweep") for x in grid.tolist()])
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                check_radii(grid, "hankel_sweep")
+        else:
+            got = check_radii(grid, "hankel_sweep")
+            assert got.dtype == np.float64 and (got == expect).all()
+
+    # a two-term profile with a complex coefficient and a complex exponent
+    MIXED = RadialProfile(3, (
+        ProfileTerm(coeff=1.0, lam=0.5, rho=2.5),
+        ProfileTerm(coeff=complex(-0.4, 0.3), lam=1.5, rho=complex(1.5, 0.4)),
+    ))
+
+    @staticmethod
+    def envelope(values, i):
+        """Largest |F| within 16 steps of pi/16 (about pi) either side of i."""
+        return float(np.max(np.abs(values[max(0, i - 16) : i + 17])))
+
+    @staticmethod
+    def swept(monkeypatch):
+        """Record the number of radii each direct per-term sweep is given."""
+        sizes = []
+        for name in ("steepest_descent", "panel_sweep"):
+            method = getattr(_TermIntegral, name)
+
+            def counted(self, radii, *args, method=method):
+                sizes.append(radii.size)
+                return method(self, radii, *args)
+
+            monkeypatch.setattr(_TermIntegral, name, counted)
+        return sizes
+
+    @pytest.mark.parametrize("profile,lo,hi", [
+        (single(0.0, 1.0, n=3), 40.0, 200.0),  # windows either side of 2 seam = 60
+        # r^-nu F is interpolated: F itself has a branch point at r = 0
+        (single(0.0, 1.0, n=5), math.pi / 16, 30.0),
+        (single(0.0, 1.0, vanishes_near_one=True), 50.0, 400.0),
+        (single(1.0, complex(1.5, 0.4)), 300.0, 500.0),
+        (MIXED, 1000.0, 1300.0),
+    ], ids=["across_seam", "near_origin", "cutoff", "complex_rho", "two_terms"])
+    def test_dense_grid_is_interpolated(self, profile, lo, hi, monkeypatch):
+        """On a grid of step pi/16 each window is swept at its Chebyshev
+        points only, and the interpolant agrees with finite_hankel and with
+        the closed form.  On the panel path (r < 60 and cutoff profiles) this
+        bound sits near the double-precision panel sweep's own floor, which
+        it holds for these profiles."""
+        sizes = self.swept(monkeypatch)
+        grid = np.arange(lo, hi, math.pi / 16)
+        sw = hankel_sweep(profile, grid)
+        assert sum(sizes) < len(profile.terms) * grid.size / 2
+        for i in range(3, grid.size, 37):
+            res = finite_hankel(profile, float(grid[i]))
+            assert abs(sw[i] - res.value) <= res.error_estimate + 1e-12 * abs(res.value), grid[i]
+        if profile.vanishes_near_one:
+            return  # no closed form for the smooth cutoff
+        for start in (grid.size // 6, grid.size // 2, 5 * grid.size // 6):
+            i = start + int(np.argmax(np.abs(sw[start : start + 32])))
+            r = float(grid[i])
+            ref = sum(t.coeff * mp_term_transform(t.lam, t.rho, profile.nu, r) for t in profile.terms)
+            assert abs(sw[i] - ref) <= 1e-12 * abs(ref), r
+
+    def test_interpolant_uses_the_sampled_points(self):
+        """The barycentric weights and differences r - x_j come from the
+        Chebyshev points as rounded when they were sampled.  Textbook weights
+        (-1)^j sin((2j+1) pi / 2m) against the unrounded points drift from
+        the sweep by an amount that grows with r, to 1.2e-13 of the local
+        envelope here; the sampled points give about 1.2e-14 at every r."""
+        p = single(1.0, 0.5)
+        grid = np.arange(1500.0, 2000.0, math.pi / 16)
+        sw = hankel_sweep(p, grid)
+        for i in range(5, grid.size, 41):
+            ref = finite_hankel(p, float(grid[i])).value
+            assert abs(sw[i] - ref) <= 3e-14 * self.envelope(sw, i), grid[i]
+
+    def test_sparse_grid_is_swept_directly(self):
+        """A grid with fewer radii per window than Chebyshev points gives
+        bitwise what the direct per-term sweeps give on its radii: the
+        contour sweep built at the smallest radius from 2 seam = 60 on, the
+        panel sweep on node sets for the largest radius below it."""
+        grid = np.random.default_rng(3).permutation(np.arange(41.0, 2000.0, 4.0))
+        cfg = QuadratureConfig()
+        tol = cfg.target_rel_tol
+        for p in (self.MIXED, single(0.0, 1.0, vanishes_near_one=True)):
+            seam = quadrature._contour_seam(p.nu, p.vanishes_near_one, cfg)
+            on = np.zeros(grid.size, dtype=bool) if seam is None else grid >= 2.0 * seam
+            expect = np.zeros(grid.size, dtype=np.complex128)
+            for t in p.terms:
+                if on.any():
+                    ti = _TermIntegral(t.lam, t.rho, p.nu, float(np.min(grid[on])), False)
+                    nl = quadrature._laguerre_nodes(tol) + 8
+                    expect[on] += t.coeff * ti.steepest_descent(grid[on], seam, quadrature._NODES, nl, tol)[0]
+                ti = _TermIntegral(t.lam, t.rho, p.nu, float(np.max(grid)), p.vanishes_near_one)
+                expect[~on] += t.coeff * ti.panel_sweep(grid[~on], quadrature._SWEEP_NODES, tol)
+            assert (hankel_sweep(p, grid) == expect).all()
 
 
 class TestConfig:
