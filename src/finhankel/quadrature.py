@@ -82,16 +82,17 @@ are built once, for the grid's largest r with 12 nodes per panel, and
 each is summed as one double-precision kernel matrix per chunk of radii,
 the chunks of every node set held to one budget of (radius, node) pairs.
 The phase r s is one long-double product rounded once to double.
-A dense grid is not swept radius by radius.  r^-nu F is entire of
-exponential type u, the top of the support (1, or 2/3 for cutoff
-profiles), so each path's radii are cut into windows at most 128 wide,
-and a window of half-width h holding more radii than m = ceil(u h) + 40
-is swept at its m Chebyshev points only and interpolated onto its radii
-in barycentric form (Berrut & Trefethen, SIAM Rev. 46 (2004)).  The
-weights and the differences r - x_j come from the points as rounded when
-sampled; with textbook weights against the unrounded points the
-interpolant drifts from the sweep by about 1e-13 of the envelope at
-r ~ 1500.
+A dense grid is not swept radius by radius.  F is of exponential type u,
+the top of the support (1, or 2/3 for cutoff profiles), so each path's
+radii are cut into windows at most 128 wide, and narrower where
+r^-(nu + 2) would change by more than 16 across one (near r = 0, and for
+large orders), and a window of half-width h holding more radii than
+m = ceil(u h) + 40 is swept at its m Chebyshev points only and
+interpolated onto its radii in barycentric form (Berrut & Trefethen,
+SIAM Rev. 46 (2004)).  The weights and the differences r - x_j come from
+the points as rounded when sampled; with textbook weights against the
+unrounded points the interpolant drifts from the sweep by about 1e-13 of
+the envelope at r ~ 1500.
 
 Profiles flagged ``vanishes_near_one`` are materialised with a fixed smooth
 cutoff equal to 1 below s = 1/3 and 0 above s = 2/3, which realises "the
@@ -128,8 +129,18 @@ _SWEEP_NODES = 12  # nodes per panel of the panel sweep
 # ceil(u h) + _WINDOW_MARGIN Chebyshev points for half-width h and support [0, u]
 _WINDOW = 128.0
 _WINDOW_MARGIN = 40
-# (radius, node) pairs per chunk of either sweep over many radii, so their
-# largest temporaries hold at most 8 MB.  steepest_descent's widest part, a
+# A window is also cut geometrically until r^-(nu + 2) changes by at most
+# _WINDOW_RANGE across it.  The interpolant errs by a fixed fraction of |F|'s
+# largest value in its window, and |F| rises like r^nu up to r ~ nu and
+# then falls off roughly like r^-2, so this bounds that error relative to
+# the local size of F.  Windows only _WINDOW wide let n = 30 (nu = 14) on
+# [pi/16, 200) drift from the direct sweep by 9.5e-4 of the local envelope
+# near r = 0, against 3.5e-9 with the cut, which is the direct panel
+# sweep's own error at that order
+_WINDOW_RANGE = 16.0
+# (radius, node) pairs per chunk of either sweep over many radii, and
+# (radius, point) pairs per chunk of the interpolant, so their largest
+# temporaries hold at most 8 MB.  steepest_descent's widest part, a
 # real-exponent term's 160 origin-zone nodes at the default target, takes
 # the 1,616 Chebyshev points of a C7 sweep's contour windows in 1 chunk.
 # panel_sweep chunks each node set by its own size: at r_max ~ 2006 with
@@ -968,53 +979,63 @@ def _barycentric(x: np.ndarray, w: np.ndarray, f: np.ndarray, t: np.ndarray) -> 
     """The interpolant through (x, f), x ascending, with barycentric weights
     w, at t, in the second (true) barycentric form; t - x_j is taken in
     absolute coordinates, against the points actually sampled.  A t equal
-    to some x_j takes f_j."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = w / (t[:, None] - x[None, :])
-        p = _matvec(q, f) / np.sum(q, axis=1)
-    hit = ~np.isfinite(p)
-    p[hit] = f[np.searchsorted(x, t[hit])]
+    to some x_j takes f_j.  t is taken ``_SWEEP_ELEMS`` // x.size at a
+    time, like the sweeps' chunks."""
+    p = np.empty(t.size, dtype=np.complex128)
+    rows = max(1, _SWEEP_ELEMS // x.size)
+    for i0 in range(0, t.size, rows):
+        ti = t[i0 : i0 + rows]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = w / (ti[:, None] - x[None, :])
+            p[i0 : i0 + rows] = _matvec(q, f) / np.sum(q, axis=1)
+    j = np.minimum(np.searchsorted(x, t), x.size - 1)
+    hit = x[j] == t
+    p[hit] = f[j[hit]]
     return p
 
 
 def _windowed(r: np.ndarray, upper: float, nu: float, sweep) -> np.ndarray:
     """``sweep`` at every radius of r, with r on one path of the sweep.
 
-    The span of r is cut into equal windows at most ``_WINDOW`` wide.  On a
-    window of half-width h, r^-nu F is entire of exponential type
-    ``upper``, so a window holding more radii than
-    m = ceil(upper h) + ``_WINDOW_MARGIN`` is sampled at its m Chebyshev
-    points only, and (r / c)^-nu F there, c the window's centre, is
-    interpolated onto its radii.  The other windows' radii, in their order
-    in r, go to ``sweep`` as they are, in the same call as the points.
+    The span of r is cut into equal windows at most ``_WINDOW`` wide, and
+    each of those geometrically into as few as keep the ratio b / a of its
+    ends within ``_WINDOW_RANGE`` ** (1 / (nu + 2)).  F is of exponential
+    type ``upper`` and, for a non-integer order, has a branch point at
+    r = 0, which at b / a <= 4 lies well outside the region where the
+    interpolant converges.  So a window of half-width h holding more radii
+    than m = ceil(upper h) + ``_WINDOW_MARGIN`` is sampled at its m
+    Chebyshev points only, and F there is interpolated onto its radii.  The
+    other windows' radii, in their order in r, go to ``sweep`` as they are,
+    in the same call as the points.
     """
     lo, hi = float(np.min(r)), float(np.max(r))
     k = math.ceil((hi - lo) / _WINDOW)
     if k == 0:
         return sweep(r)
-    width = (hi - lo) / k
-    which = np.minimum(np.floor((r - lo) / width), k - 1)
+    edges = lo + (hi - lo) / k * np.arange(k + 1)
+    edges[-1] = hi
+    edges = np.append(np.concatenate([
+        np.geomspace(a, b, math.ceil((nu + 2) * math.log(b / a) / math.log(_WINDOW_RANGE)) + 1)[:-1]
+        for a, b in zip(edges[:-1], edges[1:])
+    ]), hi)
+    which = np.minimum(np.searchsorted(edges, r, side="right") - 1, edges.size - 2)
     direct = np.ones(r.size, dtype=bool)
     windows = []
-    js, counts = np.unique(which, return_counts=True)
-    full = counts > _WINDOW_MARGIN  # every m exceeds the margin
-    for j, count in zip(js[full], counts[full]):
-        a, b = lo + j * width, hi if j == k - 1 else lo + (j + 1) * width
+    for j, count in zip(*np.unique(which, return_counts=True)):
+        a, b = edges[j], edges[j + 1]
         m = math.ceil(upper * (b - a) / 2) + _WINDOW_MARGIN
         if count > m and b - a > 1e-8 * b:
             inside = which == j
             direct &= ~inside
-            windows.append((inside, (a + b) / 2, *_chebyshev_window(a, b, m)))
+            windows.append((inside, *_chebyshev_window(a, b, m)))
     if not windows:
         return sweep(r)
-    values = sweep(np.concatenate([r[direct], *(x for _, _, x, _ in windows)]))
+    values = sweep(np.concatenate([r[direct], *(x for _, x, _ in windows)]))
     out = np.empty(r.size, dtype=np.complex128)
     at = np.count_nonzero(direct)
     out[direct] = values[:at]
-    for inside, c, x, w in windows:
-        f = values[at : at + x.size] * (x / c) ** -nu
-        t = r[inside]
-        out[inside] = _barycentric(x, w, f, t) * (t / c) ** nu
+    for inside, x, w in windows:
+        out[inside] = _barycentric(x, w, values[at : at + x.size], r[inside])
         at += x.size
     return out
 
@@ -1045,9 +1066,12 @@ def hankel_sweep(
 
     Dense grids are not swept radius by radius.  The radii of each path are
     cut into windows at most ``_WINDOW`` = 128 wide, so none straddles
-    twice the seam, and a window that holds more radii than
-    ceil(u h) + 40 Chebyshev points (half-width h, support [0, u]) is swept
-    at those points only and interpolated onto its radii (``_windowed``).
+    twice the seam, and further until r^-(nu + 2) changes by at most
+    ``_WINDOW_RANGE`` = 16 across each, which splits windows near r = 0
+    and, for large orders, over the first few hundred.  A window that holds
+    more radii than ceil(u h) + 40 Chebyshev points (half-width h, support
+    [0, u]) is swept at those points only and interpolated onto its radii
+    (``_windowed``).
     A C7 grid of 9,997 radii on [43.7, 2006] becomes 1,665 swept radii for
     a regular profile and 1,296 for a cutoff one.  On the contour path the
     interpolant agrees with the direct sweep to about 1.2e-14 of the local

@@ -343,24 +343,30 @@ class TestSweep:
             monkeypatch.setattr(_TermIntegral, name, counted)
         return sizes
 
-    @pytest.mark.parametrize("profile,lo,hi", [
-        (single(0.0, 1.0, n=3), 40.0, 200.0),  # windows either side of 2 seam = 60
-        # r^-nu F is interpolated: F itself has a branch point at r = 0
-        (single(0.0, 1.0, n=5), math.pi / 16, 30.0),
-        (single(0.0, 1.0, vanishes_near_one=True), 50.0, 400.0),
-        (single(1.0, complex(1.5, 0.4)), 300.0, 500.0),
-        (MIXED, 1000.0, 1300.0),
-    ], ids=["across_seam", "near_origin", "cutoff", "complex_rho", "two_terms"])
-    def test_dense_grid_is_interpolated(self, profile, lo, hi, monkeypatch):
-        """On a grid of step pi/16 each window is swept at its Chebyshev
-        points only, and the interpolant agrees with finite_hankel and with
-        the closed form.  On the panel path (r < 60 and cutoff profiles) this
-        bound sits near the double-precision panel sweep's own floor, which
-        it holds for these profiles."""
+    @pytest.mark.parametrize("profile,lo,hi,share", [
+        (single(0.0, 1.0, n=3), 40.0, 200.0, 0.5),  # windows either side of 2 seam = 60
+        # near r = 0 windows are narrowed until r^-(nu + 2) changes by at
+        # most 16 across each, and most of them hold too few radii to sample
+        (single(0.0, 1.0, n=5), math.pi / 16, 30.0, 1.0),
+        (single(0.0, 1.0, vanishes_near_one=True), 50.0, 400.0, 0.5),
+        (single(1.0, complex(1.5, 0.4)), 300.0, 500.0, 0.5),
+        (MIXED, 1000.0, 1300.0, 0.5),
+        # r^nu changes by a factor of 9e9 across [pi/16, 60) at n = 10
+        (single(1.0, 1.5, n=10), math.pi / 16, 200.0, 0.5),
+        (single(1.0, 1.5, n=10), 43.7, 300.0, 0.5),
+    ], ids=["across_seam", "near_origin", "cutoff", "complex_rho", "two_terms",
+            "n10_near_origin", "n10"])
+    def test_dense_grid_is_interpolated(self, profile, lo, hi, share, monkeypatch):
+        """On a grid of step pi/16 the windows are swept at their Chebyshev
+        points, and the interpolant agrees with finite_hankel and with the
+        closed form; the per-term sweeps are given under share of the grid's
+        radii.  On the panel path (r < 60 and cutoff profiles) this bound
+        sits near the double-precision panel sweep's own floor, which it
+        holds for these profiles."""
         sizes = self.swept(monkeypatch)
         grid = np.arange(lo, hi, math.pi / 16)
         sw = hankel_sweep(profile, grid)
-        assert sum(sizes) < len(profile.terms) * grid.size / 2
+        assert sum(sizes) < len(profile.terms) * grid.size * share
         for i in range(3, grid.size, 37):
             res = finite_hankel(profile, float(grid[i]))
             assert abs(sw[i] - res.value) <= res.error_estimate + 1e-12 * abs(res.value), grid[i]
@@ -371,6 +377,66 @@ class TestSweep:
             r = float(grid[i])
             ref = sum(t.coeff * mp_term_transform(t.lam, t.rho, profile.nu, r) for t in profile.terms)
             assert abs(sw[i] - ref) <= 1e-12 * abs(ref), r
+
+    @pytest.mark.parametrize("n", [10, 20])
+    @pytest.mark.parametrize("lo,hi", [(math.pi / 16, 200.0), (43.7, 300.0)], ids=["near_origin", "from_43"])
+    def test_high_order_interpolant_tracks_the_direct_sweep(self, n, lo, hi, monkeypatch):
+        """|F| rises like r^nu below r ~ nu, so across a window 128 wide it
+        can span many orders of magnitude at these orders (r^nu changes by
+        1e4 at n = 20 across [60, 173) and by 9e9 at n = 10 across
+        [pi/16, 60)), and the interpolant errs by a fixed fraction of |F|'s
+        largest value in its window.  Windows are narrowed until
+        r^-(nu + 2) changes by at most _WINDOW_RANGE across each.  So at
+        every radius the interpolant stays within 3e-12 of the direct
+        sweep's local envelope, and at three local maxima within 1e-12 of
+        the closed form.  (At n = 20 below r = 60 the direct panel sweep
+        itself is off from finite_hankel by about 1e-12 relative.)"""
+        p = single(1.0, 1.5, n=n)
+        grid = np.arange(lo, hi, math.pi / 16)
+        sw = hankel_sweep(p, grid)
+        monkeypatch.setattr(quadrature, "_WINDOW_MARGIN", 10**9)  # no window is sampled
+        direct = hankel_sweep(p, grid)
+        for i in range(grid.size):
+            assert abs(sw[i] - direct[i]) <= 3e-12 * self.envelope(direct, i), grid[i]
+        for start in (grid.size // 6, grid.size // 2, 5 * grid.size // 6):
+            i = start + int(np.argmax(np.abs(sw[start : start + 32])))
+            ref = mp_term_transform(1.0, 1.5, p.nu, float(grid[i]))
+            assert abs(sw[i] - ref) <= 1e-12 * abs(ref), grid[i]
+
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_windows_bound_the_power_of_r(self, n, monkeypatch):
+        """Each sampled window [a, b] keeps (b / a)^(nu + 2) within
+        _WINDOW_RANGE, on the contour and the panel path alike."""
+        spans = []
+        window = quadrature._chebyshev_window
+
+        def recorded(lo, hi, m):
+            spans.append((lo, hi))
+            return window(lo, hi, m)
+
+        monkeypatch.setattr(quadrature, "_chebyshev_window", recorded)
+        p = single(1.0, 1.5, n=n)
+        hankel_sweep(p, np.arange(math.pi / 16, 400.0, math.pi / 16))
+        assert spans
+        for lo, hi in spans:
+            assert (hi / lo) ** (p.nu + 2) <= quadrature._WINDOW_RANGE * (1 + 1e-12), (lo, hi)
+
+    def test_barycentric_node_hits_and_chunks(self, monkeypatch):
+        """A radius equal to a sampled point takes that sample, the last
+        point included; a non-finite sample spreads to the other radii
+        instead of being read as a hit; radii taken a few rows at a time
+        give the same values."""
+        x, w = quadrature._chebyshev_window(10.0, 20.0, 30)
+        f = np.cos(x) + 1j * np.sin(0.5 * x)
+        t = np.concatenate([x[[0, 7, 29]], np.linspace(10.0, 20.0, 41)])
+        p = quadrature._barycentric(x, w, f, t)
+        assert (p[:3] == f[[0, 7, 29]]).all()
+        assert np.allclose(p[3:], np.cos(t[3:]) + 1j * np.sin(0.5 * t[3:]), rtol=0, atol=1e-12)
+        monkeypatch.setattr(quadrature, "_SWEEP_ELEMS", 4 * x.size)
+        assert np.allclose(quadrature._barycentric(x, w, f, t), p, rtol=1e-14, atol=0)
+        f[4] = math.nan
+        q = quadrature._barycentric(x, w, f, t)
+        assert (q[:3] == f[[0, 7, 29]]).all() and np.isnan(q[3:]).all()
 
     def test_interpolant_uses_the_sampled_points(self):
         """The barycentric weights and differences r - x_j come from the
