@@ -125,6 +125,12 @@ _SEAM_PHASE = 30.0  # smallest r*a at which [a, 1] is deformed onto contours
 _NODES = 32  # nodes per panel of the point evaluator; half as many for its check
 _MAX_PANELS = 20000  # oscillation panels per mesh before they are widened
 _SWEEP_NODES = 12  # nodes per panel of the panel sweep
+# smallest radius a cutoff profile's panel-sweep mesh is built for: below it
+# 12 nodes per panel do not resolve the smooth cutoff's ramp on [1/3, 2/3].
+# For the cutoff (0, 1) on r in [43.7, 75], against finite_hankel, a mesh
+# built for r = 75 is off by 4e-10 relative, one for 171 by 6e-14, and one
+# for 250 to 2006 by 3e-15
+_CUTOFF_MESH_R = 300.0
 # hankel_sweep's windows of r: at most _WINDOW wide, and sampled at
 # ceil(u h) + _WINDOW_MARGIN Chebyshev points for half-width h and support [0, u]
 _WINDOW = 128.0
@@ -1006,35 +1012,47 @@ def _windowed(r: np.ndarray, upper: float, nu: float, sweep) -> np.ndarray:
     than m = ceil(upper h) + ``_WINDOW_MARGIN`` is sampled at its m
     Chebyshev points only, and F there is interpolated onto its radii.  The
     other windows' radii, in their order in r, go to ``sweep`` as they are,
-    in the same call as the points.
+    in the same call as the points, with the index of each one's window.
+    Only windows that hold a radius are formed, so an outlying radius costs
+    no more than any other.
     """
     lo, hi = float(np.min(r)), float(np.max(r))
     k = math.ceil((hi - lo) / _WINDOW)
     if k == 0:
-        return sweep(r)
-    edges = lo + (hi - lo) / k * np.arange(k + 1)
-    edges[-1] = hi
-    edges = np.append(np.concatenate([
-        np.geomspace(a, b, math.ceil((nu + 2) * math.log(b / a) / math.log(_WINDOW_RANGE)) + 1)[:-1]
-        for a, b in zip(edges[:-1], edges[1:])
-    ]), hi)
-    which = np.minimum(np.searchsorted(edges, r, side="right") - 1, edges.size - 2)
+        return sweep(r, np.zeros(r.size, dtype=np.intp))
+
+    def edge(j):  # the left edge of equal window j, and hi for j = k
+        return np.where(j == k, hi, lo + (hi - lo) / k * j)
+
+    # the equal window of each radius, from its edges as rounded
+    coarse = np.minimum(((r - lo) / ((hi - lo) / k)).astype(np.intp), k - 1)
+    coarse -= r < edge(coarse)
+    coarse += (coarse < k - 1) & (r >= edge(coarse + 1))
+    which = np.empty(r.size, dtype=np.intp)
+    sub_edges = []
+    for j in np.unique(coarse):
+        a, b = float(edge(j)), float(edge(j + 1))
+        g = np.geomspace(a, b, math.ceil((nu + 2) * math.log(b / a) / math.log(_WINDOW_RANGE)) + 1)
+        inside = coarse == j
+        which[inside] = len(sub_edges) + np.minimum(np.searchsorted(g, r[inside], side="right") - 1, g.size - 2)
+        sub_edges += zip(g[:-1], g[1:])
     direct = np.ones(r.size, dtype=bool)
     windows = []
     for j, count in zip(*np.unique(which, return_counts=True)):
-        a, b = edges[j], edges[j + 1]
+        a, b = sub_edges[j]
         m = math.ceil(upper * (b - a) / 2) + _WINDOW_MARGIN
         if count > m and b - a > 1e-8 * b:
             inside = which == j
             direct &= ~inside
-            windows.append((inside, *_chebyshev_window(a, b, m)))
+            windows.append((inside, j, *_chebyshev_window(a, b, m)))
     if not windows:
-        return sweep(r)
-    values = sweep(np.concatenate([r[direct], *(x for _, x, _ in windows)]))
+        return sweep(r, which)
+    values = sweep(np.concatenate([r[direct], *(x for _, _, x, _ in windows)]),
+                   np.concatenate([which[direct], *(np.full(x.size, j) for _, j, x, _ in windows)]))
     out = np.empty(r.size, dtype=np.complex128)
     at = np.count_nonzero(direct)
     out[direct] = values[:at]
-    for inside, x, w in windows:
+    for inside, _, x, w in windows:
         out[inside] = _barycentric(x, w, values[at : at + x.size], r[inside])
         at += x.size
     return out
@@ -1090,19 +1108,22 @@ def hankel_sweep(
     nu, cutoff = profile.nu, profile.vanishes_near_one
     seam = _contour_seam(nu, cutoff, cfg)
     on = np.zeros(r.size, dtype=bool) if seam is None else r >= 2.0 * seam
-    r_max = float(np.max(r))
 
-    def contours(radii):
+    def contours(radii, _):
         out = np.zeros(radii.size, dtype=np.complex128)
         for t in profile.terms:
             ti = _TermIntegral(t.lam, t.rho, nu, float(np.min(radii)), False)
             out += t.coeff * ti.steepest_descent(radii, seam, _NODES, _laguerre_nodes(tol) + 8, tol)[0]
         return out
 
-    def panels(radii):
+    def panels(radii, window):
         out = np.zeros(radii.size, dtype=np.complex128)
-        for t in profile.terms:
-            out += t.coeff * _TermIntegral(t.lam, t.rho, nu, r_max, cutoff).panel_sweep(radii, _SWEEP_NODES, tol)
+        for j in np.unique(window):
+            part = window == j
+            mesh_r = max(float(np.max(radii[part])), _CUTOFF_MESH_R if cutoff else 0.0)
+            for t in profile.terms:
+                ti = _TermIntegral(t.lam, t.rho, nu, mesh_r, cutoff)
+                out[part] += t.coeff * ti.panel_sweep(radii[part], _SWEEP_NODES, tol)
         return out
 
     out = np.zeros(r.size, dtype=np.complex128)

@@ -13,11 +13,17 @@ test suite against an independent high-precision oracle:
 * ``reciprocal_gamma`` entire, with *exact* zeros at 0, -1, -2, ...
 
 The Bessel evaluators expose vectorised variants used by the quadrature
-module, in 80-bit extended or in double precision.  Below a switch point
-(``_series_cutoff``) the ascending series runs, in the caller's precision;
-its alternating-sum cancellation grows like e^x, so the switch sits at 16
-in extended precision and at 13 in double (or at 1.8|nu| if that is
-larger), and the large-argument expansion takes over above it.
+module, in 80-bit extended or in double precision.  In extended precision
+the ascending series runs below a switch point (``_series_cutoff``, 16 or
+1.8|nu| if that is larger), where its alternating-sum cancellation meets
+the large-argument expansion's error, and the expansion above it.  In
+double precision the series would lose about 5e-12 of the envelope near
+such a switch, so it runs only up to x = 2, where its terms stay below 1.
+From there Miller's backward recurrence, normalised by the Neumann sum
+for (x/2)^nu (Gautschi, SIAM Rev. 9 (1967); DLMF 10.74(iv)), runs up to
+the point where the expansion's first omitted term is below double
+rounding (``_expansion_start``: about 24 for nu = 0, 38 for nu = 14, 256
+for nu = 29), and the expansion takes over above it.
 ``hankel_scaled_grid`` sums the same large-argument expansion at complex
 argument for the exponentially scaled Hankel functions, with a bound on
 its truncation error.
@@ -27,6 +33,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -140,28 +148,32 @@ def _gamma_real_ld(x: float) -> np.longdouble:
     return np.sqrt(2 * _PI_LD) * t ** (w + _LD(0.5)) * np.exp(-t) * acc
 
 
-def _series_cutoff(nu: float, longdouble: bool) -> float:
+def _series_cutoff(nu: float) -> float:
     """Switch point between the ascending series and the large-argument
-    expansion; every Bessel kernel picks its branch from this alone.
+    expansion of the extended-precision kernel.
 
-    Each precision switches where the two branches' errors meet, measured
-    against mpmath for orders -0.7 to 3.3 relative to the envelope
-    sqrt(J_nu^2 + J_nu+1^2): about 5e-14 at 16 in long double, and about
-    5e-12 at 13 in double, whose series cancellation costs more.
-    The expansion's terms only shrink from k ~ |nu| on, hence 1.8|nu| for
-    large orders.
+    It switches where the two branches' errors meet, measured against
+    mpmath for orders -0.7 to 3.3 relative to the envelope
+    sqrt(J_nu^2 + J_nu+1^2): about 5e-14 at 16.  The expansion's terms
+    only shrink from k ~ |nu| on, hence 1.8|nu| for large orders.
     """
-    return max(16.0 if longdouble else 13.0, 1.8 * abs(nu))
+    return max(16.0, 1.8 * abs(nu))
+
+
+# the double-precision kernel's ascending series runs up to here, where no
+# term exceeds 1 and so it cannot cancel
+_SERIES_TOP = 2.0
 
 
 def _bessel_series(nu: float, x: np.ndarray, scaled: bool, longdouble: bool) -> np.ndarray:
     """Ascending power series; extended precision when ``longdouble``.
 
     ``scaled`` computes J_nu(x)/x^nu (finite at x=0) instead of J_nu(x).
-    Meant for 0 <= x <= _series_cutoff(nu, longdouble); cancellation loses
-    about x/ln(10) digits.  The denominator k (k + nu) is formed in the
-    series' precision: rounded to double, it would cost orders off the
-    half-integers up to 4e-12 of the envelope on [8, 16].
+    Meant for 0 <= x <= _series_cutoff(nu) in extended precision and
+    x <= _SERIES_TOP in double; cancellation loses about x/ln(10) digits.
+    The denominator k (k + nu) is formed in the series' precision: rounded
+    to double, it would cost orders off the half-integers up to 4e-12 of
+    the envelope on [8, 16].
     """
     dt = _LD if longdouble else np.float64
     x = np.asarray(x, dtype=dt)
@@ -237,12 +249,13 @@ def _asym_pq(nu: float, inv_z: np.ndarray, count: int, dt):
     return p, qs
 
 
-def _bessel_asym(nu: float, x: np.ndarray, longdouble: bool) -> np.ndarray:
-    """Large-argument cosine/sine expansion (valid for x above the cutoff)."""
+def _bessel_asym(nu: float, x: np.ndarray, longdouble: bool, zmin: float) -> np.ndarray:
+    """Large-argument cosine/sine expansion at x >= zmin, with the terms
+    ``_asym_terms`` takes at zmin."""
     dt = _LD if longdouble else np.float64
     pi = _PI_LD if longdouble else np.pi
     x = np.asarray(x, dtype=dt)
-    count, _ = _asym_terms(nu, float(np.min(x)))
+    count, _ = _asym_terms(nu, zmin)
     p, qs = _asym_pq(nu, 1.0 / x, count, dt)
     shift = (dt(0.5 * nu) + dt(0.25)) * pi
     omega = x - shift
@@ -282,25 +295,133 @@ def hankel_scaled_grid(nu: float, z: np.ndarray, kind: int = 1):
     return np.sqrt(2.0 / (np.pi * z)) * rot * (p + 1j * sign * qs), bound
 
 
+@lru_cache(maxsize=256)
+def _expansion_start(nu: float) -> float:
+    """Where the double-precision kernel leaves Miller's recurrence for the
+    large-argument expansion: the smallest x = _SERIES_TOP * 2^(j/16) at
+    which the expansion's first omitted term, as ``_asym_terms`` gives it,
+    is below 1e-17, none of the terms it sums exceeds 8 and x >= nu.  Then
+    rounding those terms costs a few ulps of J_nu's envelope at most; below
+    x = nu the envelope falls under the terms' size.  About 23.6 for
+    nu = 0, 38 for nu = 14 and 256 for nu = 29.  At nu = 1/2 and 3/2 the
+    expansion terminates and holds from _SERIES_TOP on.
+    """
+    fournu2 = 4.0 * nu * nu
+    x = _SERIES_TOP
+    while True:
+        count, omitted = _asym_terms(nu, x)
+        ratios = (abs(fournu2 - (2 * k - 1) ** 2) / (8 * k * x) for k in range(1, count + 1))
+        peak = max(accumulate(ratios, lambda a, b: a * b), default=1.0)
+        if omitted <= 1e-17 and peak <= 8.0 and x >= nu:
+            return x
+        x *= 2.0 ** (1.0 / 16.0)
+
+
+@lru_cache(maxsize=256)
+def _miller_bands(nu: float) -> tuple:
+    """Miller's recurrence per band (lo, hi] of the double-precision kernel:
+    bands doubling from _SERIES_TOP up to ``_expansion_start``, and for each
+    its top edge and the Neumann weights c_0..c_(K/2), read-only.
+
+    The recurrence starts at order nu + K, K even and about
+    hi + 6 hi^(1/3) + 16, where the Neumann sum's neglected terms are
+    below rounding for every x in the band: at nu = 0 a start 4 orders
+    lower costs 2e-15 of the envelope, and 8 orders lower 1.4e-13.  Bands
+    keep K near each x, which saves work and bounds the recurrence's
+    growth from its start.
+    c_k = (nu + 2k) Gamma(nu + k) / (k! Gamma(nu + 1)), c_0 = 1, by
+    recurrence in extended precision, rounded once.
+    """
+    top = _expansion_start(nu)
+    edges = [_SERIES_TOP]
+    while edges[-1] < top:
+        edges.append(min(2.0 * edges[-1], top))
+    bands = []
+    for hi in edges[1:]:
+        half = math.ceil((hi + 6.0 * hi ** (1.0 / 3.0) + 16.0) / 2.0)
+        c = np.empty(half + 1)
+        c[0] = 1.0
+        g = _LD(1.0)  # Gamma(nu + k) / (k! Gamma(nu + 1)) at k = 1
+        for k in range(1, half + 1):
+            c[k] = (_LD(nu) + 2 * k) * g
+            g = g * (_LD(nu) + k) / (k + 1)
+        c.setflags(write=False)
+        bands.append((hi, c))
+    return tuple(bands)
+
+
+# Miller's recurrence multiplies its values, and the Neumann sum, by 2^-512
+# wherever the sum passes 2^512, checked every 16 orders
+_MILLER_RESCALE = 2.0**512
+
+
+def _bessel_miller(nu: float, x: np.ndarray, scaled: bool) -> np.ndarray:
+    """J_nu (or J_nu(x)/x^nu if ``scaled``) in double precision by Miller's
+    backward recurrence, for _SERIES_TOP < x <= ``_expansion_start(nu)``.
+
+    From f_(K+1) = 0, f_K = 1, f_(k-1) = 2 (nu + k) f_k / x - f_(k+1)
+    gives f_k proportional to J_(nu+k)(x), and the Neumann sum
+    sum_k c_k J_(nu+2k)(x) = (x/2)^nu / Gamma(nu + 1) (DLMF 10.23(ii))
+    fixes the scale, so J_nu(x) / x^nu = f_0 2^-nu / (Gamma(nu + 1) S) with
+    S = sum_k c_k f_(2k), and no x^nu is formed.  Each coefficient
+    2 (nu + k) / x is one division: a rounded 1/x taken once would shift x
+    by its rounding and cost x ulps of the envelope.  Every element's band
+    and start are fixed by its own x, so its value does not depend on the
+    other elements.
+    """
+    pre = 2.0**-nu / float(_gamma_real_ld(nu + 1.0))
+    bands = _miller_bands(nu)
+    which = np.searchsorted([hi for hi, _ in bands], x)
+    out = np.empty_like(x)
+    for i, (_, c) in enumerate(bands):
+        inside = which == i
+        if not np.any(inside):
+            continue
+        xb = x[inside]
+        f, f_up = np.ones_like(xb), np.zeros_like(xb)
+        total = np.full_like(xb, c[-1])
+        t = np.empty_like(xb)
+        for k in range(2 * (c.size - 1), 0, -1):
+            np.multiply(f, 2.0 * (nu + k), out=t)
+            np.divide(t, xb, out=t)
+            f, f_up = np.subtract(t, f_up, out=f_up), f
+            if k % 2:
+                total += np.multiply(f, c[k // 2], out=t)
+                if k % 16 == 1:
+                    big = np.abs(total) > _MILLER_RESCALE
+                    if np.any(big):
+                        for a in (f, f_up, total):
+                            a[big] /= _MILLER_RESCALE
+        val = f / total * pre
+        out[inside] = val if scaled else val * xb**nu
+    return out
+
+
 def _bessel_grid(nu: float, x: np.ndarray, longdouble: bool, scaled: bool) -> np.ndarray:
     """Vectorised J_nu (or J_nu(x)/x^nu if ``scaled``) on x >= 0."""
     dt = _LD if longdouble else np.float64
     x = np.asarray(x, dtype=dt)
     out = np.empty_like(x)
-    cut = _series_cutoff(nu, longdouble)
+    cut = _series_cutoff(nu) if longdouble else _SERIES_TOP
     lo = x <= cut
     if np.any(lo):
-        ser = _bessel_series(nu, x[lo], scaled, longdouble=longdouble)
-        out[lo] = ser.astype(dt)
-    # the expansion's term count is set by the smallest argument present,
-    # so split the range into bands to spare the large arguments
+        out[lo] = _bessel_series(nu, x[lo], scaled, longdouble=longdouble)
+    if not longdouble:
+        cut = _expansion_start(nu)
+        mid = ~lo & (x <= cut)
+        if np.any(mid):
+            out[mid] = _bessel_miller(nu, x[mid], scaled)
+    # the expansion's term count is set by the smallest argument, so split
+    # the range into bands to spare the large arguments; in double the
+    # band's edge sets it, so that no value depends on the other elements
     for lo_edge, hi_edge in ((cut, 3.0 * cut), (3.0 * cut, 12.0 * cut), (12.0 * cut, math.inf)):
         band = (x > lo_edge) & (x <= hi_edge)
         if not np.any(band):
             continue
-        val = _bessel_asym(nu, x[band], longdouble)
+        xb = x[band]
+        val = _bessel_asym(nu, xb, longdouble, float(np.min(xb)) if longdouble else lo_edge)
         if scaled:
-            val = val * x[band] ** dt(-nu)
+            val = val * xb ** dt(-nu)
         out[band] = val
     return out
 

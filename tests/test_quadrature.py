@@ -454,23 +454,76 @@ class TestSweep:
     def test_sparse_grid_is_swept_directly(self):
         """A grid with fewer radii per window than Chebyshev points gives
         bitwise what the direct per-term sweeps give on its radii: the
-        contour sweep built at the smallest radius from 2 seam = 60 on, the
-        panel sweep on node sets for the largest radius below it."""
+        contour sweep built at the smallest radius from 2 seam = 60 on, and
+        the panel sweep of each window on node sets for that window's
+        largest radius, or for _CUTOFF_MESH_R = 300 if that is larger and
+        the profile has the cutoff.  Below 60 the two-term profile's radii
+        form one window; the cutoff profile's radii fall into 16 equal
+        windows about 122 wide."""
         grid = np.random.default_rng(3).permutation(np.arange(41.0, 2000.0, 4.0))
         cfg = QuadratureConfig()
         tol = cfg.target_rel_tol
         for p in (self.MIXED, single(0.0, 1.0, vanishes_near_one=True)):
             seam = quadrature._contour_seam(p.nu, p.vanishes_near_one, cfg)
             on = np.zeros(grid.size, dtype=bool) if seam is None else grid >= 2.0 * seam
+            lo, hi = float(np.min(grid[~on])), float(np.max(grid[~on]))
+            k = math.ceil((hi - lo) / quadrature._WINDOW)
+            assert k == (16 if p.vanishes_near_one else 1)
+            edges = lo + (hi - lo) / k * np.arange(k + 1)
+            which = np.minimum(np.searchsorted(edges, grid, side="right") - 1, k - 1)
             expect = np.zeros(grid.size, dtype=np.complex128)
             for t in p.terms:
                 if on.any():
                     ti = _TermIntegral(t.lam, t.rho, p.nu, float(np.min(grid[on])), False)
                     nl = quadrature._laguerre_nodes(tol) + 8
                     expect[on] += t.coeff * ti.steepest_descent(grid[on], seam, quadrature._NODES, nl, tol)[0]
-                ti = _TermIntegral(t.lam, t.rho, p.nu, float(np.max(grid)), p.vanishes_near_one)
-                expect[~on] += t.coeff * ti.panel_sweep(grid[~on], quadrature._SWEEP_NODES, tol)
+                for j in range(k):
+                    part = ~on & (which == j)
+                    mesh_r = float(np.max(grid[part]))
+                    if p.vanishes_near_one:
+                        mesh_r = max(mesh_r, quadrature._CUTOFF_MESH_R)
+                    ti = _TermIntegral(t.lam, t.rho, p.nu, mesh_r, p.vanishes_near_one)
+                    expect[part] += t.coeff * ti.panel_sweep(grid[part], quadrature._SWEEP_NODES, tol)
             assert (hankel_sweep(p, grid) == expect).all()
+
+    @pytest.mark.parametrize("profile", [MIXED, single(0.0, 1.0, vanishes_near_one=True)],
+                             ids=["two_terms", "cutoff"])
+    def test_outlier_leaves_the_other_radii_alone(self, profile):
+        """An outlying radius changes no value at the others: every window
+        builds its own panel mesh, and only windows that hold a radius are
+        formed.  With the mesh of the grid's largest radius, a grid on
+        [50, 300) plus r = 1e12 got panels for 1e12 at every radius below
+        60; and its 7.8e9 equal windows were each formed."""
+        grid = np.arange(50.0, 300.0, 2.0)
+        alone = hankel_sweep(profile, grid)
+        with_outlier = hankel_sweep(profile, np.append(grid, 1e12))
+        assert (with_outlier[:-1] == alone).all()
+        assert np.isfinite(with_outlier[-1])
+
+    @pytest.mark.parametrize("n,rs", [(30, (50.0, 70.0, 89.0)), (60, (50.0, 100.0, 150.0, 400.0))])
+    def test_high_order_panel_radii(self, n, rs):
+        """At n = 30 the radii below 2 seam = 90, and at n = 60, which has no
+        seam, every radius, take the panel sweep.  With the double-precision
+        series running up to 1.8 nu, these were off by 5e-10 relative at
+        n = 30, and by 4e-2 to 2.2 at n = 60, with no signal."""
+        p = single(1.0, 1.5, n=n)
+        for value, r in zip(hankel_sweep(p, np.array(rs)), rs):
+            ref = mp_term_transform(1.0, 1.5, p.nu, r)
+            assert abs(value - ref) <= 1e-12 * abs(ref), r
+
+    @pytest.mark.parametrize("lam,rho", [(2.5, 3.0), (0.0, 0.5)])
+    def test_sub_seam_radii_of_the_window_check(self, lam, rho):
+        """The window check's grid (step pi/16 on [43.7, 2006.6]) below
+        2 seam = 60 is one window of 83 radii, swept at 49 Chebyshev points
+        on a mesh built for about 60.  Every one of those radii is within
+        finite_hankel's estimate + 1e-12 |F|; the double-precision series
+        on the mesh for r = 2006 missed that by up to 3.8x at (2.5, 3)."""
+        p = single(lam, rho)
+        grid = np.arange(50.0 - 2.0 * math.pi, 2000.0 + 2.0 * math.pi + math.pi / 16, math.pi / 16)
+        sw = hankel_sweep(p, grid)
+        for i in np.nonzero(grid < 60.0)[0]:
+            res = finite_hankel(p, float(grid[i]))
+            assert abs(sw[i] - res.value) <= res.error_estimate + 1e-12 * abs(res.value), grid[i]
 
 
 class TestConfig:

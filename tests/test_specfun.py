@@ -8,7 +8,9 @@ import pytest
 from finhankel.errors import DomainError, PoleError
 from finhankel.specfun import (
     bessel_j,
+    bessel_j_grid,
     bessel_j_leading,
+    bessel_j_scaled_grid,
     gamma,
     hankel_scaled_grid,
     reciprocal_gamma,
@@ -64,6 +66,30 @@ def test_bessel_series_band_vs_reference(nu):
         ref = mp_bessel_j(nu, float(x))
         env = math.hypot(ref, mp_bessel_j(nu + 1.0, float(x)))
         assert abs(bessel_j(nu, float(x)) - ref) <= 1e-13 * env
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.0, 0.5, 1.0, 1.5, 3.0, 14.0, 29.0])
+def test_double_kernels_vs_reference(nu):
+    """The double-precision kernels within 1e-14 of the envelope
+    sqrt(J_nu^2 + J_nu+1^2), divided by x^nu for the scaled one, on [0, 60]
+    and at a few larger arguments.  An ascending series run up to x = 13
+    lost about 5e-12 near its switch, and far more at nu = 29.  Up to
+    x = 256 at nu = 29 the recurrence runs, where a 1/x rounded once would
+    cost 1.4e-14 at x = 244."""
+    x = np.concatenate([np.linspace(0.0, 60.0, 161), [77.7, 150.0, 199.0, 244.0, 255.5, 256.5, 1234.5, 1e4]])
+    if nu < 0:
+        x = x[1:]
+    plain, scaled = bessel_j_grid(nu, x), bessel_j_scaled_grid(nu, x)
+    for xi, p, s in zip(x.tolist(), plain, scaled):
+        ref = mp_bessel_j(nu, xi)
+        env = math.hypot(ref, mp_bessel_j(nu + 1.0, xi))
+        assert abs(p - ref) <= 1e-14 * env, xi
+        if xi == 0.0:
+            ref_s = 2.0**-nu / mp_gamma(nu + 1.0).real
+            assert abs(s - ref_s) <= 1e-14 * ref_s
+        else:
+            xn = xi**nu
+            assert abs(s - ref / xn) <= 1e-14 * env / xn, xi
 
 
 def test_bessel_leading_form():
