@@ -78,10 +78,14 @@ of those radii, with their extended-precision sum there, and only the
 per-node factor's step from 1 and the edge legs are evaluated per radius,
 in double precision.  Its cost per radius is flat in r.  Below that, and
 for cutoff profiles, it trades accuracy for speed: the panel node sets
-are built once, for the grid's largest r with 12 nodes per panel, and
-each is summed as one double-precision kernel matrix per chunk of radii,
-the chunks of every node set held to one budget of (radius, node) pairs.
-The phase r s is one long-double product rounded once to double.
+are built per window of r (below), for the window's largest r, or for
+r = 300 if that is larger and the profile has the cutoff, with 12 nodes
+per panel, and each is summed as one double-precision kernel matrix per
+chunk of radii, the chunks of every node set held to one budget of
+(radius, node) pairs.  The phase r s is one long-double product rounded
+once to double.  The double-precision kernel runs Miller's recurrence
+where the ascending series would cancel, and with it a mesh built for the
+window's own radii is accurate to about 1e-12 relative.
 A dense grid is not swept radius by radius.  F is of exponential type u,
 the top of the support (1, or 2/3 for cutoff profiles), so each path's
 radii are cut into windows at most 128 wide, and narrower where
@@ -149,11 +153,10 @@ _WINDOW_RANGE = 16.0
 # temporaries hold at most 8 MB.  steepest_descent's widest part, a
 # real-exponent term's 160 origin-zone nodes at the default target, takes
 # the 1,616 Chebyshev points of a C7 sweep's contour windows in 1 chunk.
-# panel_sweep chunks each node set by its own size: at r_max ~ 2006 with
-# 12 nodes per panel a term has 3,840 nodes for lam = 0.5, rho = 6 and
-# 2,568 for the cutoff lam = 1, rho = 3.5, nearly all of them Legendre
-# panels, which a C7 cutoff sweep's 1,296 Chebyshev points then take 205
-# radii at a time, in 7 chunks
+# panel_sweep chunks each node set by its own size.  With 12 nodes per
+# panel, a C7 cutoff sweep (lam = 1, rho = 3.5) has 16 windows of 81
+# Chebyshev points each, on meshes of 396 nodes (built for 300) to 2,568
+# (for 2006), so every window is 1 chunk
 _SWEEP_ELEMS = 1 << 19
 # relative accuracy of a double-precision contour sum: the Laguerre rules'
 # low moments are good to about 4e-15 when alpha = rho - 1 is near -1
@@ -1070,17 +1073,23 @@ def hankel_sweep(
     the smallest of them, with the point evaluator's fine rules (32 nodes
     per panel, nl + 8 per contour leg).  These values agree with
     finite_hankel to within its estimate, so with the closed form to about
-    1e-12 relative wherever that estimate is certified; the panel sweep's
-    absolute floor is gone.
+    1e-12 relative wherever that estimate is certified, with no absolute
+    floor.
     Below that, and for cutoff profiles at every r, the term runs
-    ``_TermIntegral.panel_sweep`` on node sets built for the grid's
-    largest radius with 12 nodes per panel (3,840 nodes for lam = 0.5,
-    rho = 6 at r_max ~ 2006), each summed in double precision as one
-    kernel matrix per chunk of ``_SWEEP_ELEMS`` // nodes radii, with r s
-    formed as one long-double product rounded once to double.  That is
-    about 1e-12 relative, with an absolute floor of a few 1e-16 (the
-    double-precision Bessel series near r s ~ 10) that dominates where the
-    transform is below about 1e-4.
+    ``_TermIntegral.panel_sweep`` once per window of r (below), on node
+    sets built for the window's largest radius with 12 nodes per panel, or
+    for r = ``_CUTOFF_MESH_R`` = 300 if that is larger and the profile has
+    the cutoff, whose ramp on [1/3, 2/3] a smaller mesh does not resolve.
+    So an outlying radius costs only its own window, and the 49 sub-seam
+    points of a C7 window check take 120 nodes for lam = 0.5, rho = 6, not
+    the 3,840 of a mesh for r ~ 2006.  Each node set is summed in double
+    precision as one kernel matrix per chunk of ``_SWEEP_ELEMS`` // nodes
+    radii, with r s formed as one long-double product rounded once to
+    double.  The double-precision kernel is within 4.3e-15 of J_nu's
+    envelope (Miller's recurrence where the ascending series would
+    cancel), so on the C7 radii below 60 the sweep stays within a fifth of
+    finite_hankel's estimate + 1e-12 |F|, and at n = 30 and 60 within
+    2.3e-14 of the closed form.
 
     Dense grids are not swept radius by radius.  The radii of each path are
     cut into windows at most ``_WINDOW`` = 128 wide, so none straddles
@@ -1094,8 +1103,8 @@ def hankel_sweep(
     a regular profile and 1,296 for a cutoff one.  On the contour path the
     interpolant agrees with the direct sweep to about 1.2e-14 of the local
     envelope of |F|, the Chebyshev series' truncation at 40 points of
-    margin; on panels it resamples the panel sweep's absolute floor,
-    amplified by at most the Lebesgue constant, about 4.  Every other
+    margin; on panels it resamples the panel sweep's own error, amplified
+    by at most the Lebesgue constant, about 4.  Every other
     window, and so every grid sparser than that, is swept exactly as its
     radii are given.
     """

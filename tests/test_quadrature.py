@@ -491,9 +491,9 @@ class TestSweep:
     def test_outlier_leaves_the_other_radii_alone(self, profile):
         """An outlying radius changes no value at the others: every window
         builds its own panel mesh, and only windows that hold a radius are
-        formed.  With the mesh of the grid's largest radius, a grid on
-        [50, 300) plus r = 1e12 got panels for 1e12 at every radius below
-        60; and its 7.8e9 equal windows were each formed."""
+        formed.  With one mesh for the grid's largest radius, every panel
+        radius of [50, 300) plus r = 1e12 got a mesh for 1e12, and the
+        edges of all 7.8e9 equal windows of that span were formed."""
         grid = np.arange(50.0, 300.0, 2.0)
         alone = hankel_sweep(profile, grid)
         with_outlier = hankel_sweep(profile, np.append(grid, 1e12))
