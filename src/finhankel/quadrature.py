@@ -59,7 +59,12 @@ The point evaluator runs each path once at two resolutions, with no mesh
 refinement: 32 and 16 nodes per panel and, at the default 1e-10 target,
 18 and 10 Laguerre nodes per contour leg.  The fine sum is the value; its
 distance from the coarse sum, plus the floors and bounds of the pieces,
-is the error estimate.
+is the error estimate.  On the panel path the node sets of every term at
+both resolutions are built first, and ``_kernel_terms`` gets all their
+kernel values from one call of each extended-precision kernel, plain and
+scaled; then each set is summed on its own, as it would be alone.  The
+kernel's value at a node depends on that node's x only, so batching
+changes no term's value or estimate.
 
 Panel sums cancel: large r makes the transform exponentially smaller than
 the absolute mass of the integrand (panel values alternate in sign), so
@@ -67,7 +72,11 @@ every node value, weight and partial sum of a panel is kept in 80-bit
 extended precision; in double the cancellation noise floor alone would
 exceed the 1e-10 default tolerance by r ~ 500.  Extended precision thus
 serves the panel path and the origin zone [0, a] of the steepest-descent
-path, which cancels against the contours from a.
+path, which cancels against the contours from a.  The kernel values
+there are within 6e-16 of J_nu's envelope: the extended-precision kernel
+runs its ascending series only up to x = 2, where it cannot cancel, and
+Miller's recurrence above it up to where the large-argument expansion is
+accurate to its rounding (29 for nu = 0 and 1, 318 for nu = 29).
 
 The batch sweep, hankel_sweep, takes each radius down the point
 evaluator's path and returns no per-point error estimate.  It runs term
@@ -297,13 +306,15 @@ def _matvec(m: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _kernel_floor(phase) -> np.ndarray:
     """Bound on the Bessel-evaluator error per unit of a node's absolute mass.
 
-    The long-double evaluator switches branches at the phase
-    ``specfun._series_cutoff`` gives (16 for orders up to about 9); the
-    large-argument expansion bottoms out around 1e-14 right above the
-    switch, decays fast, and the extended-precision series sits near
-    1e-15.  This smooth component is invisible to the two-resolution
-    estimate, so each node's absolute mass |w k| is charged by its own
-    phase r s, the one that picked its branch.
+    The three bands, 2e-14 at phase 14 to 22, 1e-16 above and 2e-15
+    below, bound an extended-precision kernel whose ascending series ran
+    up to phase 16 and cancelled there.  The kernel runs Miller's
+    recurrence from phase 2 up to ``specfun._expansion_start`` instead,
+    and is within 6e-16 of the envelope sqrt(J_nu^2 + J_nu+1^2) at every
+    phase, so the bands overcharge; ROADMAP item 3's per-element bounds
+    are to replace them.  This component is invisible to the
+    two-resolution estimate, so each node's absolute mass |w k| is charged
+    by its own phase r s.
     """
     phase = np.asarray(phase, dtype=np.float64)
     return np.where((phase >= 14.0) & (phase <= 22.0), 2e-14, np.where(phase > 22.0, 1e-16, 2e-15))
@@ -620,26 +631,6 @@ class _TermIntegral:
         slope = 2.0 ** max(p1 - 1.0, 0.0) * (self.r + abs(self.lam) + abs(self.rho - 1.0))
         return [self._legendre(u_edges, n, from_u=True), lead], 2.0 * slope * delta ** (p1 + 1.0) / (p1 + 1.0)
 
-    def _kernel_terms(self, ns: _NodeSet) -> np.ndarray:
-        """w times the kernel at this term's r, per node, in extended precision."""
-        if ns.kernel is not None:
-            return ns.w * ns.kernel
-        if ns.scaled:
-            rnu = np.exp(_LD(self.nu) * np.log(_LD(self.r)))
-            return ns.w * (rnu * bessel_j_scaled_grid(self.nu, self.r * ns.s, longdouble=True))
-        return ns.w * bessel_j_grid(self.nu, _LD(self.r) * ns.s, longdouble=True)
-
-    def _real_axis(self, edges: np.ndarray, n: int, tol: float):
-        """The panel path's node sets summed at r in extended precision:
-        (value, kernel floors, rule rounding and tail bounds, panels)."""
-        sets, err = self.node_sets(edges, n, tol, not self.cutoff)
-        value = _LD(0.0)
-        for ns in sets:
-            t = self._kernel_terms(ns)
-            value = value + np.sum(t)
-            err += float(np.sum((_kernel_floor(self.r * ns.s) + ns.rounding) * np.abs(t)))
-        return value, err, sum(ns.s.shape[0] for ns in sets)
-
     # -- steepest-descent contours ------------------------------------------
 
     def _leg_seam(self, seam: float, nl: int, sigma: float):
@@ -692,7 +683,7 @@ class _TermIntegral:
         r = self.r
         sets, tail = self.node_sets(_phase_edges(seam), n, tol, False, in_phase=True)
         z = r * np.concatenate([np.asarray(ns.s, dtype=np.float64).ravel() for ns in sets])
-        t = np.concatenate([self._kernel_terms(ns).ravel() for ns in sets])
+        t = np.concatenate([t.ravel() for t in _kernel_terms(sets, self.nu, r)])
         rounding = np.concatenate([np.full(ns.s.size, ns.rounding) for ns in sets])
         legs = [self._leg_seam(seam, nl, sigma) for sigma in (1.0, -1.0)]
         parts = [(z, t, _kernel_floor(z) + rounding), tuple(map(np.concatenate, zip(*legs)))]
@@ -854,24 +845,75 @@ class _TermIntegral:
         """The term at this r from one pass at two resolutions: (value,
         estimate, panels).
 
-        Without ``seam``, panels on ``build_mesh`` cover the whole support
-        and are summed in extended precision.  With it, ``steepest_descent``
-        runs at this one radius.  The value is the fine sum (32 nodes per
-        panel, nl + 8 Laguerre nodes per leg); the estimate adds its
-        difference from the coarse sum (16 and nl) to the floors and bounds
-        the pieces report.
+        Without ``seam``, ``_panel_path`` evaluates it on panels.  With it,
+        ``steepest_descent`` runs at this one radius.  The value is the
+        fine sum (32 nodes per panel, nl + 8 Laguerre nodes per leg); the
+        estimate adds its difference from the coarse sum (16 and nl) to the
+        floors and bounds the pieces report.
         """
         tol = cfg.target_rel_tol
         if seam is None:
-            edges = self.build_mesh()
-            fine, err, panels = self._real_axis(edges, _NODES, tol)
-            coarse = self._real_axis(edges, _NODES // 2, tol)[0]
-            return complex(fine), abs(complex(fine - coarse)) + err, panels
+            return _panel_path([self], self.nu, self.r, tol)[0]
         r = np.array([self.r])
         nl = _laguerre_nodes(tol)
         fine, err, panels = self.steepest_descent(r, seam, _NODES, nl + 8, tol)
         coarse = self.steepest_descent(r, seam, _NODES // 2, nl, tol)[0]
         return complex(fine[0]), float(abs(fine[0] - coarse[0]) + err[0]), panels
+
+
+def _kernel_terms(sets, nu: float, r: float) -> list:
+    """w times the kernel at r for every node of each set of ``sets``, in
+    extended precision, as arrays shaped like the sets.
+
+    A set that carries a table uses it.  The others get their kernel
+    values from at most one ``bessel_j_grid`` call, over every plain set's
+    x = r s, and one ``bessel_j_scaled_grid`` call, over every scaled
+    set's, times r^nu.  The kernel's value at an element depends on that
+    element alone, so a set's terms do not depend on the sets it is
+    batched with.
+    """
+    out = [None if ns.kernel is None else ns.w * ns.kernel for ns in sets]
+    for scaled, kernel in ((False, bessel_j_grid), (True, bessel_j_scaled_grid)):
+        todo = [i for i, ns in enumerate(sets) if ns.kernel is None and ns.scaled == scaled]
+        if not todo:
+            continue
+        k = kernel(nu, np.concatenate([(_LD(r) * sets[i].s).ravel() for i in todo]), longdouble=True)
+        if scaled:
+            k = np.exp(_LD(nu) * np.log(_LD(r))) * k
+        for i, part in zip(todo, np.split(k, np.cumsum([sets[i].s.size for i in todo])[:-1])):
+            out[i] = sets[i].w * part.reshape(sets[i].s.shape)
+    return out
+
+
+def _panel_path(integrals, nu: float, r: float, tol: float) -> list:
+    """Each term of ``integrals``, all of order nu at radius r, on the panel
+    path from one pass at two resolutions: (value, estimate, panels) per
+    term.
+
+    Panels on the term's ``build_mesh`` cover its whole support, with 32
+    and 16 nodes per panel.  The node sets of every term at both
+    resolutions get their kernel values from one ``_kernel_terms`` call,
+    and then each set is summed in extended precision.  The value is the
+    fine sum; the estimate adds its difference from the coarse sum to the
+    fine sets' kernel floors, rule rounding and tail bounds.
+    """
+    built = []
+    for ti in integrals:
+        edges = ti.build_mesh()
+        built += [ti.node_sets(edges, n, tol, not ti.cutoff) for n in (_NODES, _NODES // 2)]
+    terms = iter(_kernel_terms([ns for sets, _ in built for ns in sets], nu, r))
+    out = []
+    for (fine, err), (coarse, _) in zip(built[::2], built[1::2]):
+        value = _LD(0.0)
+        for ns in fine:
+            t = next(terms)
+            value = value + np.sum(t)
+            err += float(np.sum((_kernel_floor(r * ns.s) + ns.rounding) * np.abs(t)))
+        check = _LD(0.0)
+        for ns in coarse:
+            check = check + np.sum(next(terms))
+        out.append((complex(value), abs(complex(value - check)) + err, sum(ns.s.shape[0] for ns in fine)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -889,17 +931,22 @@ def _contour_seam(nu: float, cutoff: bool, cfg: QuadratureConfig) -> float | Non
 def _transform(terms, nu: float, r: float, cutoff: bool, cfg: QuadratureConfig) -> QuadratureResult:
     """Sum of c * (integral of s^lam (1-s^2)^(rho-1) J_nu(r s)) over (c, lam, rho).
 
-    Steepest descent from twice the seam phase on; panels below it and
-    where there is no seam.
+    Steepest descent from twice the seam phase on, term by term; panels
+    below it and where there is no seam, every term in one pass.
     """
     seam = _contour_seam(nu, cutoff, cfg)
-    if seam is not None and r < 2.0 * seam:
-        seam = None
+    coeffs, integrals = [], []
+    for c, lam, rho in terms:
+        coeffs.append(c)
+        integrals.append(_TermIntegral(lam, rho, nu, r, cutoff))
+    if seam is None or r < 2.0 * seam:
+        results = _panel_path(integrals, nu, r, cfg.target_rel_tol)
+    else:
+        results = [ti.evaluate(cfg, seam) for ti in integrals]
     total = 0j
     err = 0.0
     panels = 0
-    for c, lam, rho in terms:
-        v, e, p = _TermIntegral(lam, rho, nu, r, cutoff).evaluate(cfg, seam)
+    for c, (v, e, p) in zip(coeffs, results):
         total += c * v
         err += abs(c) * e
         panels += p

@@ -6,24 +6,26 @@ power series, large-argument cosine/sine expansions and a fixed-coefficient
 rational (Lanczos-type) approximation.  Accuracy envelope, verified by the
 test suite against an independent high-precision oracle:
 
-* ``bessel_j``         relative error <= 1e-11 for order nu in (-1, 12] and
-                       argument x in [0, 1e4]
+* ``bessel_j``         error <= 1e-15 of the envelope sqrt(J_nu^2 + J_nu+1^2)
+                       for order nu in (-1, 29] and argument x in [0, 1e4],
+                       so relative error <= 2e-14 where |J_nu| is at least
+                       0.05 of that envelope
 * ``gamma``            relative error <= 1e-12 for |z| <= 50 at distance
                        > 1e-3 from the poles
 * ``reciprocal_gamma`` entire, with *exact* zeros at 0, -1, -2, ...
 
 The Bessel evaluators expose vectorised variants used by the quadrature
-module, in 80-bit extended or in double precision.  In extended precision
-the ascending series runs below a switch point (``_series_cutoff``, 16 or
-1.8|nu| if that is larger), where its alternating-sum cancellation meets
-the large-argument expansion's error, and the expansion above it.  In
-double precision the series would lose about 5e-12 of the envelope near
-such a switch, so it runs only up to x = 2, where its terms stay below 1.
-From there Miller's backward recurrence, normalised by the Neumann sum
-for (x/2)^nu (Gautschi, SIAM Rev. 9 (1967); DLMF 10.74(iv)), runs up to
-the point where the expansion's first omitted term is below double
-rounding (``_expansion_start``: about 24 for nu = 0, 38 for nu = 14, 256
-for nu = 29), and the expansion takes over above it.
+module, in 80-bit extended or in double precision, with one structure in
+both.  The ascending series runs only up to x = 2 (``_SERIES_TOP``), where
+its terms stay below 1 and cannot cancel.  From there Miller's backward
+recurrence, normalised by the Neumann sum for (x/2)^nu (Gautschi, SIAM
+Rev. 9 (1967); DLMF 10.74(iv)), runs up to the point where the
+large-argument expansion's first omitted term is below the precision's
+rounding (``_expansion_start``: about 24 in double and 29 in extended
+precision for nu = 0, 38 and 47 for nu = 14, 256 and 318 for nu = 29), and
+the expansion takes over above it.  At nu = 1/2 and 3/2 the expansion
+terminates and holds from x = 2 on.  Each element's value depends on its
+own x only, so a batch of arguments returns what each would alone.
 ``hankel_scaled_grid`` sums the same large-argument expansion at complex
 argument for the exponentially scaled Hankel functions, with a bound on
 its truncation error.
@@ -148,32 +150,23 @@ def _gamma_real_ld(x: float) -> np.longdouble:
     return np.sqrt(2 * _PI_LD) * t ** (w + _LD(0.5)) * np.exp(-t) * acc
 
 
-def _series_cutoff(nu: float) -> float:
-    """Switch point between the ascending series and the large-argument
-    expansion of the extended-precision kernel.
-
-    It switches where the two branches' errors meet, measured against
-    mpmath for orders -0.7 to 3.3 relative to the envelope
-    sqrt(J_nu^2 + J_nu+1^2): about 5e-14 at 16.  The expansion's terms
-    only shrink from k ~ |nu| on, hence 1.8|nu| for large orders.
-    """
-    return max(16.0, 1.8 * abs(nu))
-
-
-# the double-precision kernel's ascending series runs up to here, where no
-# term exceeds 1 and so it cannot cancel
+# the ascending series runs up to here, where no term exceeds 1 and so it
+# cannot cancel
 _SERIES_TOP = 2.0
+# terms of the ascending series after the first: at x = _SERIES_TOP the
+# 16th is below 1e-22 of the sum for every order above -1
+_SERIES_TERMS = 16
 
 
 def _bessel_series(nu: float, x: np.ndarray, scaled: bool, longdouble: bool) -> np.ndarray:
-    """Ascending power series; extended precision when ``longdouble``.
+    """Ascending power series on 0 <= x <= _SERIES_TOP; extended precision
+    when ``longdouble``.
 
     ``scaled`` computes J_nu(x)/x^nu (finite at x=0) instead of J_nu(x).
-    Meant for 0 <= x <= _series_cutoff(nu) in extended precision and
-    x <= _SERIES_TOP in double; cancellation loses about x/ln(10) digits.
-    The denominator k (k + nu) is formed in the series' precision: rounded
-    to double, it would cost orders off the half-integers up to 4e-12 of
-    the envelope on [8, 16].
+    A fixed number of terms serves every x in range, so each element's
+    value depends on its own x only.  The Neumaier compensation adds no
+    accuracy the tests can see at x <= 2, but without it many
+    double-precision values would change in their last bit.
     """
     dt = _LD if longdouble else np.float64
     x = np.asarray(x, dtype=dt)
@@ -189,17 +182,12 @@ def _bessel_series(nu: float, x: np.ndarray, scaled: bool, longdouble: bool) -> 
     acc = t.copy()
     comp = np.zeros_like(acc)  # Neumaier compensation
     minus_q = -q
-    abs_acc = np.abs(acc)
-    k = np.arange(1, 400, dtype=dt)
+    k = np.arange(1, _SERIES_TERMS + 1, dtype=dt)
     for den in k * (k + dt(nu)):
         t = t * minus_q / den
-        abs_t = np.abs(t)
         new = acc + t
-        comp += np.where(abs_acc >= abs_t, (acc - new) + t, (t - new) + acc)
+        comp += np.where(np.abs(acc) >= np.abs(t), (acc - new) + t, (t - new) + acc)
         acc = new
-        abs_acc = np.abs(acc)
-        if abs_t.max() <= 1e-22 * max(float(abs_acc.max()), 1e-300):
-            break
     return acc + comp
 
 
@@ -296,50 +284,55 @@ def hankel_scaled_grid(nu: float, z: np.ndarray, kind: int = 1):
 
 
 @lru_cache(maxsize=256)
-def _expansion_start(nu: float) -> float:
-    """Where the double-precision kernel leaves Miller's recurrence for the
-    large-argument expansion: the smallest x = _SERIES_TOP * 2^(j/16) at
-    which the expansion's first omitted term, as ``_asym_terms`` gives it,
-    is below 1e-17, none of the terms it sums exceeds 8 and x >= nu.  Then
-    rounding those terms costs a few ulps of J_nu's envelope at most; below
-    x = nu the envelope falls under the terms' size.  About 23.6 for
-    nu = 0, 38 for nu = 14 and 256 for nu = 29.  At nu = 1/2 and 3/2 the
-    expansion terminates and holds from _SERIES_TOP on.
+def _expansion_start(nu: float, longdouble: bool) -> float:
+    """Where the kernel leaves Miller's recurrence for the large-argument
+    expansion: the smallest x = _SERIES_TOP * 2^(j/16) at which the
+    expansion's first omitted term, as ``_asym_terms`` gives it, is below
+    the precision's floor (1e-17 in double, 1e-19 in extended precision),
+    none of the terms it sums exceeds 8 and x >= nu.  Then rounding those
+    terms costs a few ulps of J_nu's envelope at most; below x = nu the
+    envelope falls under the terms' size.  About 23.6 in double and 29.3 in
+    extended precision for nu = 0 and 1, 38 and 47 for nu = 14, and 256 and
+    318 for nu = 29.  At nu = 1/2 and 3/2 the expansion terminates and
+    holds from _SERIES_TOP on.
     """
+    floor = 1e-19 if longdouble else 1e-17
     fournu2 = 4.0 * nu * nu
     x = _SERIES_TOP
     while True:
         count, omitted = _asym_terms(nu, x)
         ratios = (abs(fournu2 - (2 * k - 1) ** 2) / (8 * k * x) for k in range(1, count + 1))
         peak = max(accumulate(ratios, lambda a, b: a * b), default=1.0)
-        if omitted <= 1e-17 and peak <= 8.0 and x >= nu:
+        if omitted <= floor and peak <= 8.0 and x >= nu:
             return x
         x *= 2.0 ** (1.0 / 16.0)
 
 
 @lru_cache(maxsize=256)
-def _miller_bands(nu: float) -> tuple:
-    """Miller's recurrence per band (lo, hi] of the double-precision kernel:
-    bands doubling from _SERIES_TOP up to ``_expansion_start``, and for each
-    its top edge and the Neumann weights c_0..c_(K/2), read-only.
+def _miller_bands(nu: float, longdouble: bool) -> tuple:
+    """Miller's recurrence per band (lo, hi] of the kernel in double or
+    extended precision: bands doubling from _SERIES_TOP up to
+    ``_expansion_start``, and for each its top edge and the Neumann weights
+    c_0..c_(K/2) in the kernel's precision, read-only.
 
     The recurrence starts at order nu + K, K even and about
-    hi + 6 hi^(1/3) + 16, where the Neumann sum's neglected terms are
-    below rounding for every x in the band: at nu = 0 a start 4 orders
-    lower costs 2e-15 of the envelope, and 8 orders lower 1.4e-13.  Bands
-    keep K near each x, which saves work and bounds the recurrence's
-    growth from its start.
-    c_k = (nu + 2k) Gamma(nu + k) / (k! Gamma(nu + 1)), c_0 = 1, by
-    recurrence in extended precision, rounded once.
+    hi + 6 hi^(1/3) + 16 in double, where the Neumann sum's neglected terms
+    are below rounding for every x in the band: at nu = 0 a start 4 orders
+    lower costs 2e-15 of the envelope, and 8 orders lower 1.4e-13.  Extended
+    precision starts _MILLER_LD_ORDERS orders higher.  Bands keep K near
+    each x, which saves work and bounds the recurrence's growth from its
+    start.  c_k = (nu + 2k) Gamma(nu + k) / (k! Gamma(nu + 1)), c_0 = 1, by
+    recurrence in extended precision, rounded once to double in double.
     """
-    top = _expansion_start(nu)
+    top = _expansion_start(nu, longdouble)
+    margin = 16.0 + (_MILLER_LD_ORDERS if longdouble else 0.0)
     edges = [_SERIES_TOP]
     while edges[-1] < top:
         edges.append(min(2.0 * edges[-1], top))
     bands = []
     for hi in edges[1:]:
-        half = math.ceil((hi + 6.0 * hi ** (1.0 / 3.0) + 16.0) / 2.0)
-        c = np.empty(half + 1)
+        half = math.ceil((hi + 6.0 * hi ** (1.0 / 3.0) + margin) / 2.0)
+        c = np.empty(half + 1, dtype=_LD if longdouble else np.float64)
         c[0] = 1.0
         g = _LD(1.0)  # Gamma(nu + k) / (k! Gamma(nu + 1)) at k = 1
         for k in range(1, half + 1):
@@ -350,27 +343,32 @@ def _miller_bands(nu: float) -> tuple:
     return tuple(bands)
 
 
+# orders by which the extended-precision recurrence starts above the double
+# one: at nu = 0 the double start leaves 2.7e-17 of the envelope, and 4
+# orders more 1.3e-18, the recurrence's rounding, as do 8
+_MILLER_LD_ORDERS = 4.0
 # Miller's recurrence multiplies its values, and the Neumann sum, by 2^-512
 # wherever the sum passes 2^512, checked every 16 orders
 _MILLER_RESCALE = 2.0**512
 
 
-def _bessel_miller(nu: float, x: np.ndarray, scaled: bool) -> np.ndarray:
-    """J_nu (or J_nu(x)/x^nu if ``scaled``) in double precision by Miller's
-    backward recurrence, for _SERIES_TOP < x <= ``_expansion_start(nu)``.
+def _bessel_miller(nu: float, x: np.ndarray, scaled: bool, longdouble: bool) -> np.ndarray:
+    """J_nu (or J_nu(x)/x^nu if ``scaled``) by Miller's backward recurrence,
+    for _SERIES_TOP < x <= ``_expansion_start``, in the precision of x.
 
     From f_(K+1) = 0, f_K = 1, f_(k-1) = 2 (nu + k) f_k / x - f_(k+1)
     gives f_k proportional to J_(nu+k)(x), and the Neumann sum
     sum_k c_k J_(nu+2k)(x) = (x/2)^nu / Gamma(nu + 1) (DLMF 10.23(ii))
     fixes the scale, so J_nu(x) / x^nu = f_0 2^-nu / (Gamma(nu + 1) S) with
     S = sum_k c_k f_(2k), and no x^nu is formed.  Each coefficient
-    2 (nu + k) / x is one division: a rounded 1/x taken once would shift x
-    by its rounding and cost x ulps of the envelope.  Every element's band
-    and start are fixed by its own x, so its value does not depend on the
-    other elements.
+    2 (nu + k) / x is one division, with nu + k formed in the precision of
+    x: a rounded 1/x taken once would shift x by its rounding and cost x
+    ulps of the envelope.  Every element's band and start are fixed by its
+    own x, so its value does not depend on the other elements.
     """
-    pre = 2.0**-nu / float(_gamma_real_ld(nu + 1.0))
-    bands = _miller_bands(nu)
+    dt = _LD if longdouble else np.float64
+    pre = dt(2.0) ** dt(-nu) / dt(_gamma_real_ld(nu + 1.0))
+    bands = _miller_bands(nu, longdouble)
     which = np.searchsorted([hi for hi, _ in bands], x)
     out = np.empty_like(x)
     for i, (_, c) in enumerate(bands):
@@ -378,11 +376,12 @@ def _bessel_miller(nu: float, x: np.ndarray, scaled: bool) -> np.ndarray:
         if not np.any(inside):
             continue
         xb = x[inside]
+        two_nu_k = 2 * (dt(nu) + np.arange(2 * c.size - 1, dtype=dt))
         f, f_up = np.ones_like(xb), np.zeros_like(xb)
         total = np.full_like(xb, c[-1])
         t = np.empty_like(xb)
         for k in range(2 * (c.size - 1), 0, -1):
-            np.multiply(f, 2.0 * (nu + k), out=t)
+            np.multiply(f, two_nu_k[k], out=t)
             np.divide(t, xb, out=t)
             f, f_up = np.subtract(t, f_up, out=f_up), f
             if k % 2:
@@ -398,28 +397,27 @@ def _bessel_miller(nu: float, x: np.ndarray, scaled: bool) -> np.ndarray:
 
 
 def _bessel_grid(nu: float, x: np.ndarray, longdouble: bool, scaled: bool) -> np.ndarray:
-    """Vectorised J_nu (or J_nu(x)/x^nu if ``scaled``) on x >= 0."""
+    """Vectorised J_nu (or J_nu(x)/x^nu if ``scaled``) on x >= 0, each
+    element's value a function of its own x only."""
     dt = _LD if longdouble else np.float64
     x = np.asarray(x, dtype=dt)
     out = np.empty_like(x)
-    cut = _series_cutoff(nu) if longdouble else _SERIES_TOP
-    lo = x <= cut
+    lo = x <= _SERIES_TOP
     if np.any(lo):
-        out[lo] = _bessel_series(nu, x[lo], scaled, longdouble=longdouble)
-    if not longdouble:
-        cut = _expansion_start(nu)
-        mid = ~lo & (x <= cut)
-        if np.any(mid):
-            out[mid] = _bessel_miller(nu, x[mid], scaled)
+        out[lo] = _bessel_series(nu, x[lo], scaled, longdouble)
+    cut = _expansion_start(nu, longdouble)
+    mid = ~lo & (x <= cut)
+    if np.any(mid):
+        out[mid] = _bessel_miller(nu, x[mid], scaled, longdouble)
     # the expansion's term count is set by the smallest argument, so split
-    # the range into bands to spare the large arguments; in double the
-    # band's edge sets it, so that no value depends on the other elements
+    # the range into bands to spare the large arguments; the band's edge
+    # sets it, so that no value depends on the other elements
     for lo_edge, hi_edge in ((cut, 3.0 * cut), (3.0 * cut, 12.0 * cut), (12.0 * cut, math.inf)):
         band = (x > lo_edge) & (x <= hi_edge)
         if not np.any(band):
             continue
         xb = x[band]
-        val = _bessel_asym(nu, xb, longdouble, float(np.min(xb)) if longdouble else lo_edge)
+        val = _bessel_asym(nu, xb, longdouble, lo_edge)
         if scaled:
             val = val * xb ** dt(-nu)
         out[band] = val
