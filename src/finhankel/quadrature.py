@@ -935,10 +935,8 @@ def _transform(terms, nu: float, r: float, cutoff: bool, cfg: QuadratureConfig) 
     below it and where there is no seam, every term in one pass.
     """
     seam = _contour_seam(nu, cutoff, cfg)
-    coeffs, integrals = [], []
-    for c, lam, rho in terms:
-        coeffs.append(c)
-        integrals.append(_TermIntegral(lam, rho, nu, r, cutoff))
+    terms = list(terms)
+    integrals = [_TermIntegral(lam, rho, nu, r, cutoff) for _, lam, rho in terms]
     if seam is None or r < 2.0 * seam:
         results = _panel_path(integrals, nu, r, cfg.target_rel_tol)
     else:
@@ -946,7 +944,7 @@ def _transform(terms, nu: float, r: float, cutoff: bool, cfg: QuadratureConfig) 
     total = 0j
     err = 0.0
     panels = 0
-    for c, (v, e, p) in zip(coeffs, results):
+    for (c, _, _), (v, e, p) in zip(terms, results):
         total += c * v
         err += abs(c) * e
         panels += p

@@ -66,6 +66,11 @@ def mp_bessel_j(nu: float, x: float) -> float:
     return float(mp.besselj(mp.mpf(nu), mp.mpf(x)))
 
 
+def mp_bessel_j_scaled(nu: float, x: float) -> float:
+    """J_nu(x) / x^nu, rounded once."""
+    return float(mp.besselj(mp.mpf(nu), mp.mpf(x)) / mp.mpf(x) ** nu)
+
+
 def mp_finite_hankel(lam, rho, nu, r, flatten: int = 40) -> float:
     """Reference transform value via substitutions that flatten both endpoint
     singularities, then tanh-sinh quadrature on each half."""

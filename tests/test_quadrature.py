@@ -195,8 +195,111 @@ class TestEstimates:
             res = finite_hankel(single(3.0, 0.02), r)
             assert abs(res.value - mp_term_transform(3.0, 0.02, 0.0, r)) <= res.error_estimate
 
+    def test_high_order_within_estimate(self):
+        """n = 60 (nu = 29) has no seam, so finite_hankel takes panels at
+        every r, with kernel arguments up to r.  With the extended-precision
+        series run up to 1.8 nu = 52, where it cancelled, these were off by
+        up to 4e-3 relative, outside the estimate at r = 100, 150 and 400."""
+        p = single(1.0, 1.5, n=60)
+        for r in (50.0, 100.0, 150.0, 400.0):
+            res = finite_hankel(p, r)
+            ref = mp_term_transform(1.0, 1.5, p.nu, r)
+            err = abs(res.value - ref)
+            assert err <= res.error_estimate and err <= 1e-12 * abs(ref), r
+
+
+# the multi-term profiles of the transform benchmark's seed 1
+# (bench/workloads.Transform), rounded to four decimals, with their radii
+# below 60, where finite_hankel takes the panel path: (n, (coeff, lam, rho)
+# per term, radii)
+BENCH_MULTI_TERM = [
+    (2, ((0.5419, 2.4469, complex(3.5655, -0.0502)), (0.9293, 0.697, 3.9468)),
+     (33.559, 8.233, 15.458)),
+    (3, ((1.0905, -1.4173, 2.2118), (-0.9614, 1.1499, 6.1689)),
+     (7.694, 17.436)),
+    (4, ((-1.6772, complex(-0.2025, -0.1989), 0.0241), (0.5979, 2.242, 4.3664)),
+     (25.194, 36.877, 5.0)),
+    (2, ((-0.8014, -0.909, 0.025), (1.4007, 3.1051, 6.1919), (1.5607, 1.3796, complex(2.8037, -0.0703))),
+     (6.93, 30.335)),
+    (3, ((-1.3388, 3.1425, 1.8903), (-1.5067, 1.2265, 0.2976), (1.6733, 2.3376, 0.2579)),
+     (26.915, 9.127)),
+    (2, ((1.3112, -0.9352, 1.6143), (1.6936, 2.3662, 1.962)),
+     (30.298, 55.193, 9.284)),
+    (3, ((1.2757, complex(-1.1885, 0.2482), 0.0267), (-0.9772, -0.2522, 1.6042)),
+     (7.671, 25.603, 43.184)),
+    (4, ((-1.1351, -1.9397, 0.0235), (-1.9799, 1.3826, 1.2445)),
+     (14.662, 39.748, 6.338)),
+    (2, ((-1.2171, 0.6618, complex(4.0335, 0.2455)), (1.4829, 1.3734, 3.9859), (-1.3101, 2.3307, 0.882)),
+     (19.065, 5.668)),
+    (3, ((-0.6676, -1.4036, 3.6896), (1.3119, complex(-1.0725, -0.1975), 3.7814), (-0.5785, 0.2948, 1.9808)),
+     (6.053, 14.071, 42.446)),
+    (4, ((0.8179, 0.6657, 0.0566), (1.5273, 2.2995, 0.34), (-1.5613, 2.1436, complex(3.1006, -0.2525))),
+     (47.635, 5.464, 17.293)),
+    (2, ((-1.501, complex(1.9925, -0.164), 0.0423), (-1.4139, 1.9769, 0.2293)),
+     (5.027, 20.707)),
+    (3, ((0.9669, -1.4669, 0.0299), (-1.9431, -0.6603, 3.7636)),
+     (33.831, 10.3, 29.184)),
+    (4, ((-0.9124, 1.3026, complex(0.5168, 0.07)), (-1.1999, 1.1936, 1.3204)),
+     (13.767, 7.682)),
+    (2, ((1.5006, -0.9331, 0.6354), (-0.6245, 0.0521, 4.0536), (1.3909, complex(1.695, 0.1374), 3.4507)),
+     (32.682, 44.717, 5.841)),
+    (3, ((1.3188, 1.77, 0.0282), (1.0015, 0.95, 3.9636), (1.3508, 1.5671, 1.2994)),
+     (17.846, 34.979, 5.595)),
+    (4, ((1.1839, -1.9446, complex(0.0479, -0.153)), (-0.6366, -0.9645, 1.0312), (1.113, -0.1409, 4.0176)),
+     (20.476, 9.07, 44.523)),
+    (2, ((-2.0282, -0.9333, 0.0718), (1.1416, 1.5625, 1.7244)),
+     (24.338, 6.418, 55.33)),
+    (3, ((-0.5325, -0.4463, complex(0.4961, -0.1133)), (-0.4635, 2.8687, 2.2991)),
+     (31.787, 30.485, 7.049)),
+    (4, ((-1.0832, -1.9042, 1.1833), (-1.7362, -0.1506, 2.9915)),
+     (8.236, 48.197, 29.655)),
+    (2, ((-1.174, complex(0.6912, 0.2121), 0.022), (0.9226, 0.5762, 0.5415), (-0.6514, -0.3603, 0.3105)),
+     (16.687, 6.444, 54.552)),
+    (3, ((-1.1309, -1.4538, 0.022), (1.7347, 1.2543, complex(5.7063, 0.1642)), (-1.2082, 3.0034, 0.6941)),
+     (37.586, 10.758, 13.969)),
+    (4, ((2.1047, 0.9532, 2.1775), (-1.1613, 0.2712, 2.9515), (-0.6969, complex(-0.6728, -0.1796), 1.0442)),
+     (20.531, 8.91, 34.57)),
+]
+
 
 class TestLinearity:
+    @pytest.mark.parametrize("n,terms,radii,cutoff", [
+        *((n, terms, radii, False) for n, terms, radii in BENCH_MULTI_TERM),
+        (2, ((1.0, 1.0, 3.5), (-0.5, 0.5, 2.0)), (20.0, 150.0), True),
+        (3, ((complex(0.7, -0.2), complex(1.0, 0.3), 2.0), (-1.3, 0.5, complex(1.5, 0.4))), (12.0, 45.0), False),
+    ])
+    def test_batching_changes_no_term(self, n, terms, radii, cutoff):
+        """On the panel path the node sets of every term share one call of
+        each kernel, yet the value and estimate are bitwise the
+        coefficient-weighted sums of the terms' own results."""
+        def profile(*ts):
+            return RadialProfile(n, tuple(ProfileTerm(coeff=c, lam=l, rho=r) for c, l, r in ts),
+                                 vanishes_near_one=cutoff)
+        for r in radii:
+            res = finite_hankel(profile(*terms), r)
+            value, estimate = 0j, 0.0
+            for c, lam, rho in terms:
+                part = finite_hankel(profile((1.0, lam, rho)), r)
+                value += c * part.value
+                estimate += abs(c) * part.error_estimate
+            assert (res.value, res.error_estimate) == (value, estimate), r
+
+    def test_panel_path_calls_each_kernel_once(self, monkeypatch):
+        """All node sets of a three-term profile at both resolutions take
+        one call of each kernel, through the names quadrature binds."""
+        calls = []
+        for name in ("bessel_j_grid", "bessel_j_scaled_grid"):
+            kernel = getattr(quadrature, name)
+
+            def counted(*args, kernel=kernel, name=name, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+
+            monkeypatch.setattr(quadrature, name, counted)
+        n, terms, radii = BENCH_MULTI_TERM[3]
+        finite_hankel(RadialProfile(n, tuple(ProfileTerm(coeff=c, lam=l, rho=r) for c, l, r in terms)), radii[0])
+        assert sorted(calls) == ["bessel_j_grid", "bessel_j_scaled_grid"]
+
     def test_exact_in_terms(self):
         t1 = ProfileTerm(coeff=complex(0.7, -0.2), lam=1.0, rho=2.0)
         t2 = ProfileTerm(coeff=complex(-1.3, 0.4), lam=0.5, rho=1.5)

@@ -16,7 +16,7 @@ from finhankel.specfun import (
     reciprocal_gamma,
 )
 
-from oracles import j0_first_zero, mp_bessel_j, mp_gamma, mp_hankel_scaled
+from oracles import j0_first_zero, mp_bessel_j, mp_bessel_j_scaled, mp_gamma, mp_hankel_scaled
 
 # frozen via oracles.j0_first_zero() (series bisection with tail bound)
 J0_FIRST_ZERO = 2.404825557695773
@@ -60,8 +60,9 @@ def test_bessel_accuracy_vs_reference(nu):
 
 @pytest.mark.parametrize("nu", [-0.9, -0.7, 0.0, 0.3, 1.7, 3.3])
 def test_bessel_series_band_vs_reference(nu):
-    """Within 1e-13 of the envelope sqrt(J_nu^2 + J_nu+1^2) on [8, 16], the
-    top of the ascending series' range, for orders off the half-integers."""
+    """bessel_j within 1e-13 of the envelope sqrt(J_nu^2 + J_nu+1^2) on
+    [8, 16], inside the range of Miller's recurrence, for orders off the
+    half-integers."""
     for x in np.linspace(8.0, 16.0, 161):
         ref = mp_bessel_j(nu, float(x))
         env = math.hypot(ref, mp_bessel_j(nu + 1.0, float(x)))
@@ -90,6 +91,38 @@ def test_double_kernels_vs_reference(nu):
         else:
             xn = xi**nu
             assert abs(s - ref / xn) <= 1e-14 * env / xn, xi
+
+
+@pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 0.3, 0.5, 1.0, 1.5, 3.0, 9.0, 14.0, 29.0])
+def test_long_double_kernels_vs_reference(nu):
+    """The extended-precision kernels within 1e-15 of the envelope
+    sqrt(J_nu^2 + J_nu+1^2), divided by x^nu for the scaled one, on
+    [0.01, 60] and at a few larger arguments.  With the ascending series run
+    up to x = 16, or 1.8 nu from nu = 9 on, these points read up to 1.4e-14
+    at nu = 0, 3.2e-13 at nu = 9 and 3.8e-2 at nu = 29, all near the
+    series' switch.  The worst left, about 6e-16 at nu = -0.9, is
+    Gamma(0.1) from ``_gamma_real_ld``."""
+    x = np.concatenate([np.linspace(0.01, 60.0, 161), [100.0, 317.0, 1e3, 1e4]])
+    plain = bessel_j_grid(nu, x, longdouble=True)
+    scaled = bessel_j_scaled_grid(nu, x, longdouble=True)
+    for xi, p, s in zip(x.tolist(), plain, scaled):
+        ref = mp_bessel_j(nu, xi)
+        env = math.hypot(ref, mp_bessel_j(nu + 1.0, xi))
+        assert abs(p - ref) <= 1e-15 * env, xi
+        assert abs(s - mp_bessel_j_scaled(nu, xi)) <= 1e-15 * env / xi**nu, xi
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 29.0])
+def test_kernel_elements_do_not_depend_on_the_batch(nu):
+    """Each element of a kernel call is bitwise what its argument gives
+    alone, in both precisions, plain and scaled: finite_hankel's panel path
+    evaluates every node set of a profile in one call."""
+    x = np.geomspace(0.05, 5000.0, 97)
+    for kernel in (bessel_j_grid, bessel_j_scaled_grid):
+        for longdouble in (True, False):
+            batch = kernel(nu, x, longdouble=longdouble)
+            alone = [kernel(nu, x[i : i + 1], longdouble=longdouble)[0] for i in range(x.size)]
+            assert (np.array(alone, dtype=batch.dtype) == batch).all()
 
 
 def test_bessel_leading_form():
