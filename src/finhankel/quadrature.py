@@ -58,7 +58,7 @@ where the kernel values come from the tables above.
 The point evaluator runs each path once at two resolutions, with no mesh
 refinement: 32 and 16 nodes per panel and, at the default 1e-10 target,
 18 and 10 Laguerre nodes per contour leg.  The fine sum is the value; its
-distance from the coarse sum, plus the floors and bounds of the pieces,
+distance from the coarse sum, plus the rounding and bounds of the pieces,
 is the error estimate.  On the panel path the node sets of every term at
 both resolutions are built first, and ``_kernel_terms`` gets all their
 kernel values from one call of each extended-precision kernel, plain and
@@ -175,6 +175,16 @@ _CONTOUR_ROUNDING = 4e-15
 # for exponents e >= -0.8, growing like 7.5e-17 / (1 + e) toward e = -1
 # (1.8e-15 at -0.98, 7.4e-14 at -0.999); charged as this / min(1, 1 + e)
 _JACOBI_ROUNDING = 5e-16
+# error of the extended-precision Bessel kernel per unit of a node's absolute
+# mass |w k|, charged on every real-axis node, where the two-resolution
+# estimate cannot see it.  The kernel is within 6e-16 of the envelope
+# sqrt(J_nu^2 + J_nu+1^2) at every phase, and at most nodes |k| is close to
+# that envelope.  This is not a worst-case bound: near a zero of J_nu, |k|
+# falls below the envelope, and the bound 6e-16 * sum |w| * envelope of a
+# boundary Gauss-Jacobi set whose mass sits at a zero (rho = 0.035, r = 6.4)
+# is 1.64x this charge.  Per-element bounds from the kernel are the route to
+# a worst-case bound
+_KERNEL_ROUNDING = 2e-15
 _HALF_PI_LD = 2 * np.arctan(_LD(1))
 
 
@@ -303,23 +313,6 @@ def _matvec(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     return k[:, 0] + 1j * k[:, 1]
 
 
-def _kernel_floor(phase) -> np.ndarray:
-    """Bound on the Bessel-evaluator error per unit of a node's absolute mass.
-
-    The three bands, 2e-14 at phase 14 to 22, 1e-16 above and 2e-15
-    below, bound an extended-precision kernel whose ascending series ran
-    up to phase 16 and cancelled there.  The kernel runs Miller's
-    recurrence from phase 2 up to ``specfun._expansion_start`` instead,
-    and is within 6e-16 of the envelope sqrt(J_nu^2 + J_nu+1^2) at every
-    phase, so the bands overcharge; ROADMAP item 3's per-element bounds
-    are to replace them.  This component is invisible to the
-    two-resolution estimate, so each node's absolute mass |w k| is charged
-    by its own phase r s.
-    """
-    phase = np.asarray(phase, dtype=np.float64)
-    return np.where((phase >= 14.0) & (phase <= 22.0), 2e-14, np.where(phase > 22.0, 1e-16, 2e-15))
-
-
 # ---------------------------------------------------------------------------
 # mesh and integrand pieces
 # ---------------------------------------------------------------------------
@@ -441,19 +434,20 @@ class _NodeSet:
     is valid at every r.  A set built in x = r s instead carries its
     kernel values, J_nu(x) or J_nu(x)/x^nu, from a per-order table in
     ``kernel``, and its weights hold this term's r^-(lam+1).
-    ``rounding`` is the rule's own error per unit of absolute mass.
+    ``rounding`` is the kernel's error plus the rule's, per unit of
+    absolute mass |w k|.
     """
 
     s: np.ndarray
     w: np.ndarray
     scaled: bool = False
-    rounding: float = 0.0
+    rounding: float = _KERNEL_ROUNDING
     kernel: np.ndarray | None = None
 
 
 def _single_node(s: float, w: complex, scaled: bool, kernel=None) -> _NodeSet:
     """A closed-form piece as one node: its weight times the kernel at s."""
-    return _NodeSet(np.full((1, 1), s, dtype=_LD), np.full((1, 1), w, dtype=_CLD), scaled, 0.0, kernel)
+    return _NodeSet(np.full((1, 1), s, dtype=_LD), np.full((1, 1), w, dtype=_CLD), scaled, kernel=kernel)
 
 
 class _TermIntegral:
@@ -564,7 +558,8 @@ class _TermIntegral:
             else np.exp((complex(self.rho) - 1.0) * np.log1p(-(s * s).astype(_CLD)))
         if self.cutoff:
             f = f * _smooth_cutoff_ld(s)
-        return _NodeSet(s, w * f * scale, True, _JACOBI_ROUNDING / min(1.0, 1.0 + b), kernel)
+        rounding = _KERNEL_ROUNDING + _JACOBI_ROUNDING / min(1.0, 1.0 + b)
+        return _NodeSet(s, w * f * scale, True, rounding, kernel)
 
     def _boundary_jacobi(self, d_b: float, n: int) -> _NodeSet:
         """[1 - d_b, 1] with weight (1-s)^(rho-1)."""
@@ -575,7 +570,8 @@ class _TermIntegral:
         f = np.exp(complex(self.lam) * np.log1p(-u).astype(_CLD)) if self.lam.imag != 0.0 \
             else np.exp(_LD(self.lam.real) * np.log1p(-u))
         w = w * f * np.exp(_LD(a) * np.log(2 - u)) * h ** _LD(a + 1.0)
-        return _NodeSet((1 - u)[None, :], w[None, :], False, _JACOBI_ROUNDING / min(1.0, 1.0 + a))
+        rounding = _KERNEL_ROUNDING + _JACOBI_ROUNDING / min(1.0, 1.0 + a)
+        return _NodeSet((1 - u)[None, :], w[None, :], False, rounding)
 
     def _origin_graded(self, s_top: float, n: int, tol: float, in_phase: bool = False):
         """Fallback for complex lam: geometric panels down to delta, then [0, delta].
@@ -686,7 +682,7 @@ class _TermIntegral:
         t = np.concatenate([t.ravel() for t in _kernel_terms(sets, self.nu, r)])
         rounding = np.concatenate([np.full(ns.s.size, ns.rounding) for ns in sets])
         legs = [self._leg_seam(seam, nl, sigma) for sigma in (1.0, -1.0)]
-        parts = [(z, t, _kernel_floor(z) + rounding), tuple(map(np.concatenate, zip(*legs)))]
+        parts = [(z, t, rounding), tuple(map(np.concatenate, zip(*legs)))]
         return parts, tail, sum(ns.s.shape[0] for ns in sets) + 2
 
     def _edge_rule(self, nl: int, n: int, tol: float):
@@ -775,9 +771,10 @@ class _TermIntegral:
         at r0 plus the terms times the factor minus 1, and by
         (r0/r)^(lam+1) overall.  The origin tail bound scales by
         (r0/r)^(Re lam+1), which over-covers its |rho - 1| part.  Only the
-        edge legs are evaluated per radius.  The bounds add the pieces'
-        floors, truncation bounds and tails and a rounding floor from the
-        absolute contour mass (the seam legs cancel against the origin zone).
+        edge legs are evaluated per radius.  The bounds add each node's
+        absolute mass times its set's rounding, the truncation bounds and
+        tails, and a rounding floor from the absolute contour mass (the seam
+        legs cancel against the origin zone).
         """
         parts, tail, panels = self._seam_zone(seam, n, nl, tol)
         # a real exponent keeps the real-axis factors real
@@ -841,19 +838,15 @@ class _TermIntegral:
 
     # -- driver ----------------------------------------------------------
 
-    def evaluate(self, cfg: QuadratureConfig, seam: float | None = None):
-        """The term at this r from one pass at two resolutions: (value,
-        estimate, panels).
+    def evaluate(self, cfg: QuadratureConfig, seam: float):
+        """The term at this r on the steepest-descent path of ``seam``, from
+        one pass at two resolutions: (value, estimate, panels).
 
-        Without ``seam``, ``_panel_path`` evaluates it on panels.  With it,
-        ``steepest_descent`` runs at this one radius.  The value is the
-        fine sum (32 nodes per panel, nl + 8 Laguerre nodes per leg); the
-        estimate adds its difference from the coarse sum (16 and nl) to the
-        floors and bounds the pieces report.
+        The value is the fine sum (32 nodes per panel, nl + 8 Laguerre nodes
+        per leg); the estimate adds its difference from the coarse sum (16
+        and nl) to the rounding and bounds the pieces report.
         """
         tol = cfg.target_rel_tol
-        if seam is None:
-            return _panel_path([self], self.nu, self.r, tol)[0]
         r = np.array([self.r])
         nl = _laguerre_nodes(tol)
         fine, err, panels = self.steepest_descent(r, seam, _NODES, nl + 8, tol)
@@ -894,8 +887,8 @@ def _panel_path(integrals, nu: float, r: float, tol: float) -> list:
     and 16 nodes per panel.  The node sets of every term at both
     resolutions get their kernel values from one ``_kernel_terms`` call,
     and then each set is summed in extended precision.  The value is the
-    fine sum; the estimate adds its difference from the coarse sum to the
-    fine sets' kernel floors, rule rounding and tail bounds.
+    fine sum; the estimate adds its difference from the coarse sum to each
+    fine set's rounding times its absolute mass, and the tail bounds.
     """
     built = []
     for ti in integrals:
@@ -908,7 +901,7 @@ def _panel_path(integrals, nu: float, r: float, tol: float) -> list:
         for ns in fine:
             t = next(terms)
             value = value + np.sum(t)
-            err += float(np.sum((_kernel_floor(r * ns.s) + ns.rounding) * np.abs(t)))
+            err += ns.rounding * float(np.sum(np.abs(t)))
         check = _LD(0.0)
         for ns in coarse:
             check = check + np.sum(next(terms))

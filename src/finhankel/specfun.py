@@ -164,9 +164,8 @@ def _bessel_series(nu: float, x: np.ndarray, scaled: bool, longdouble: bool) -> 
 
     ``scaled`` computes J_nu(x)/x^nu (finite at x=0) instead of J_nu(x).
     A fixed number of terms serves every x in range, so each element's
-    value depends on its own x only.  The Neumaier compensation adds no
-    accuracy the tests can see at x <= 2, but without it many
-    double-precision values would change in their last bit.
+    value depends on its own x only.  At x <= 2 the sum does not cancel,
+    so it needs no compensation.
     """
     dt = _LD if longdouble else np.float64
     x = np.asarray(x, dtype=dt)
@@ -180,15 +179,12 @@ def _bessel_series(nu: float, x: np.ndarray, scaled: bool, longdouble: bool) -> 
         if nu == 0.0:
             t = np.where(x == 0, dt(1.0), t)
     acc = t.copy()
-    comp = np.zeros_like(acc)  # Neumaier compensation
     minus_q = -q
     k = np.arange(1, _SERIES_TERMS + 1, dtype=dt)
     for den in k * (k + dt(nu)):
         t = t * minus_q / den
-        new = acc + t
-        comp += np.where(np.abs(acc) >= np.abs(t), (acc - new) + t, (t - new) + acc)
-        acc = new
-    return acc + comp
+        acc = acc + t
+    return acc
 
 
 def _asym_terms(nu: float, zmin: float, at_least: int = 0) -> tuple[int, float]:

@@ -145,6 +145,22 @@ class TestSlowDecreaseCheck:
         assert not rep.passed
         assert rep.worst_margin < 1e-6
 
+    def test_nan_sample_fails_its_windows(self):
+        """A NaN sample makes the supremum of every window that holds it NaN,
+        and NaN <= 1 is false: those windows must still count as failing."""
+
+        def sampler(r):
+            q = np.ones_like(r)
+            q[np.argmin(np.abs(r - 100.0))] = math.nan
+            return q
+
+        rep = slow_decrease_check(
+            sampler, SlowDecreaseParams(A=1.0, B=2 * math.pi, C=0.5), (50.0, 200.0), math.pi / 16
+        )
+        assert not rep.passed
+        # the windows within B of r = 100 (2 * 31 + 1 of them on this grid)
+        assert rep.failures == 63
+
     def test_grid_step_guard(self):
         with pytest.raises(DomainError):
             slow_decrease_check(

@@ -15,6 +15,7 @@ from finhankel.profiles import ProfileTerm, RadialProfile
 from finhankel.quadrature import (
     QuadratureConfig,
     _TermIntegral,
+    _panel_path,
     _seam_phase,
     finite_hankel,
     hankel_prefactor,
@@ -180,9 +181,10 @@ class TestEstimates:
     def test_panel_estimate_covers_oracle(self):
         """The panel path's two-resolution estimate bounds its error above
         the seam too, where finite_hankel would take the contours."""
-        cfg = QuadratureConfig()
+        tol = QuadratureConfig().target_rel_tol
         for lam, rho, r in ((1.0, 3.5, 300.0), (-0.9, 0.1, 120.0), (0.5, 6.0, 700.0)):
-            value, estimate, _ = _TermIntegral(lam, rho, 0.0, r, False).evaluate(cfg)
+            ti = _TermIntegral(lam, rho, 0.0, r, False)
+            value, estimate, _ = _panel_path([ti], ti.nu, ti.r, tol)[0]
             assert abs(value - mp_term_transform(lam, rho, 0.0, r)) <= estimate
 
     def test_estimate_covers_true_error(self):
@@ -194,6 +196,20 @@ class TestEstimates:
         for r in (35.0, 47.0):
             res = finite_hankel(single(3.0, 0.02), r)
             assert abs(res.value - mp_term_transform(3.0, 0.02, 0.0, r)) <= res.error_estimate
+
+    def test_estimate_at_zeros_of_the_kernel(self):
+        """The kernel's error is charged per unit of |w k|, which is thinnest
+        where |k| is far below J_nu's envelope.  With rho near 0 the boundary
+        Gauss-Jacobi set holds most of the mass, at s ~ 1, so at r near a
+        zero k pi of J_1/2 that mass sits at a zero of the kernel."""
+        for rho in (0.035, 0.064):
+            p = single(1.0, rho, n=3)
+            for k in (2, 7, 18):
+                for d in (-0.01, 0.0, 0.01):
+                    r = k * math.pi + d
+                    res = finite_hankel(p, r)
+                    err = abs(res.value - mp_term_transform(1.0, rho, p.nu, r))
+                    assert err <= res.error_estimate, (rho, r)
 
     def test_high_order_within_estimate(self):
         """n = 60 (nu = 29) has no seam, so finite_hankel takes panels at
@@ -716,7 +732,10 @@ class TestSteepestDescent:
         assert seam == 30.0
         for r, cutoff, contour in ((60.0, False, True), (59.0, False, False), (1000.0, True, False)):
             ti = _TermIntegral(1.0, 3.5, 0.0, r, cutoff)
-            value, estimate, _ = ti.evaluate(cfg, seam if contour else None)
+            if contour:
+                value, estimate, _ = ti.evaluate(cfg, seam)
+            else:
+                value, estimate, _ = _panel_path([ti], ti.nu, ti.r, cfg.target_rel_tol)[0]
             res = finite_hankel(single(1.0, 3.5, vanishes_near_one=cutoff), r)
             assert (res.value, res.error_estimate) == (value, estimate)
             # plain Python numbers on either path, as QuadratureResult declares
@@ -739,7 +758,7 @@ class TestSteepestDescent:
         cfg = QuadratureConfig()
         ti = _TermIntegral(lam, rho, nu, r, False)
         a, est_a, _ = ti.evaluate(cfg, _seam_phase(nu, cfg.target_rel_tol))
-        b, est_b, _ = ti.evaluate(cfg)
+        b, est_b, _ = _panel_path([ti], ti.nu, ti.r, cfg.target_rel_tol)[0]
         assert abs(a - b) <= est_a + est_b
         ref = mp_term_transform(lam, rho, nu, r)
         assert abs(a - ref) <= max(est_a, cfg.target_rel_tol * abs(ref))
