@@ -112,7 +112,8 @@ class CheckReport:
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "worst_margin": self.worst_margin,
+            # JSON has no NaN: a margin left undefined by a NaN sample is null
+            "worst_margin": None if math.isnan(self.worst_margin) else self.worst_margin,
             "windows": self.windows,
             "failures": self.failures,
             "insufficient_resolution": self.insufficient_resolution,

@@ -97,10 +97,12 @@ where the ascending series would cancel, and with it a mesh built for the
 window's own radii is accurate to about 1e-12 relative.
 A dense grid is not swept radius by radius.  F is of exponential type u,
 the top of the support (1, or 2/3 for cutoff profiles), so each path's
-radii are cut into windows at most 128 wide, and narrower where
-r^-(nu + 2) would change by more than 16 across one (near r = 0, and for
-large orders), and a window of half-width h holding more radii than
-m = ceil(u h) + 40 is swept at its m Chebyshev points only and
+sorted radii are cut into windows in one pass: a window starts at the
+first radius a no window covers yet and spans [a, b], b the last radius
+within min(a + 128, a 16^(1/(nu + 2))), so that r^-(nu + 2) changes by
+at most 16 across it (near r = 0, and for large orders, it is narrower
+than 128).  A window of half-width h holding more radii than
+m = ceil(u h) + 40 is swept at its m Chebyshev points on [a, b] only and
 interpolated onto its radii in barycentric form (Berrut & Trefethen,
 SIAM Rev. 46 (2004)).  The weights and the differences r - x_j come from
 the points as rounded when sampled; with textbook weights against the
@@ -148,24 +150,23 @@ _CUTOFF_MESH_R = 300.0
 # ceil(u h) + _WINDOW_MARGIN Chebyshev points for half-width h and support [0, u]
 _WINDOW = 128.0
 _WINDOW_MARGIN = 40
-# A window is also cut geometrically until r^-(nu + 2) changes by at most
-# _WINDOW_RANGE across it.  The interpolant errs by a fixed fraction of |F|'s
-# largest value in its window, and |F| rises like r^nu up to r ~ nu and
-# then falls off roughly like r^-2, so this bounds that error relative to
-# the local size of F.  Windows only _WINDOW wide let n = 30 (nu = 14) on
-# [pi/16, 200) drift from the direct sweep by 9.5e-4 of the local envelope
-# near r = 0, against 3.5e-9 with the cut, which is the direct panel
-# sweep's own error at that order
+# A window [a, b] also keeps (b / a)^(nu + 2), the change of r^-(nu + 2)
+# across it, within _WINDOW_RANGE.  The interpolant errs by a fixed fraction
+# of |F|'s largest value in its window, and |F| rises like r^nu up to
+# r ~ nu and then falls off roughly like r^-2, so this bounds that error
+# relative to the local size of F.  Windows only _WINDOW wide let n = 30
+# (nu = 14, lam = 1, rho = 1.5) on [pi/16, 200) drift from the direct sweep
+# by 6.4e-9 of the local envelope, against 1.2e-14 with this bound
 _WINDOW_RANGE = 16.0
 # (radius, node) pairs per chunk of either sweep over many radii, and
 # (radius, point) pairs per chunk of the interpolant, so their largest
 # temporaries hold at most 8 MB.  steepest_descent's widest part, a
 # real-exponent term's 160 origin-zone nodes at the default target, takes
-# the 1,616 Chebyshev points of a C7 sweep's contour windows in 1 chunk.
+# the 1,614 Chebyshev points of a C7 sweep's 16 contour windows in 1 chunk.
 # panel_sweep chunks each node set by its own size.  With 12 nodes per
-# panel, a C7 cutoff sweep (lam = 1, rho = 3.5) has 16 windows of 81
-# Chebyshev points each, on meshes of 396 nodes (built for 300) to 2,568
-# (for 2006), so every window is 1 chunk
+# panel, a C7 cutoff sweep (lam = 1, rho = 3.5) has 16 windows, 15 of 83
+# Chebyshev points and the last of 55, on meshes of 396 nodes (built for
+# 300) to 2,568 (for 2006), so every window is 1 chunk
 _SWEEP_ELEMS = 1 << 19
 # relative accuracy of a double-precision contour sum: the Laguerre rules'
 # low moments are good to about 4e-15 when alpha = rho - 1 is near -1
@@ -483,14 +484,14 @@ class _TermIntegral:
 
     # -- node sets -------------------------------------------------------
 
-    def node_sets(self, edges, n: int, tol: float, to_edge: bool, in_phase: bool = False):
-        """The term on [0, edges[-1]], and on [edges[-1], 1] when ``to_edge``,
-        as n-point node sets: Legendre panels between the edges, and an
-        endpoint zone each side.  A real exponent there is absorbed by a
-        Gauss-Jacobi rule; a complex one oscillates in log s, which no fixed
-        polynomial weight absorbs, so geometrically graded panels cover the
-        zone, a single node carries the leading term of the discarded end
-        piece in closed form, and the rest is bounded.  Returns (sets, bound
+    def node_sets(self, edges, n: int, tol: float, in_phase: bool = False):
+        """The term on [0, edges[-1]], and on [edges[-1], 1] unless it has the
+        cutoff or ``in_phase``, as n-point node sets: Legendre panels between
+        the edges, and an endpoint zone each side.  A real exponent there is
+        absorbed by a Gauss-Jacobi rule; a complex one oscillates in log s,
+        which no fixed polynomial weight absorbs, so geometrically graded
+        panels cover the zone, a single node carries the leading term of the
+        discarded end piece in closed form, and the rest is bounded.  Returns (sets, bound
         on the discarded end pieces).
 
         With ``in_phase`` the edges are in x = r s and the nodes are fixed
@@ -507,7 +508,7 @@ class _TermIntegral:
         else:
             graded, tail = self._origin_graded(s_a, n, tol, in_phase)
             sets += graded
-        if to_edge:
+        if not (self.cutoff or in_phase):
             d_top = 1.0 - float(edges[-1])
             if self.rho.imag == 0.0:
                 sets.append(self._boundary_jacobi(d_top, n))
@@ -677,9 +678,9 @@ class _TermIntegral:
         their sum cancels against the legs.
         """
         r = self.r
-        sets, tail = self.node_sets(_phase_edges(seam), n, tol, False, in_phase=True)
+        sets, tail = self.node_sets(_phase_edges(seam), n, tol, in_phase=True)
         z = r * np.concatenate([np.asarray(ns.s, dtype=np.float64).ravel() for ns in sets])
-        t = np.concatenate([t.ravel() for t in _kernel_terms(sets, self.nu, r)])
+        t = np.concatenate([(ns.w * ns.kernel).ravel() for ns in sets])
         rounding = np.concatenate([np.full(ns.s.size, ns.rounding) for ns in sets])
         legs = [self._leg_seam(seam, nl, sigma) for sigma in (1.0, -1.0)]
         parts = [(z, t, rounding), tuple(map(np.concatenate, zip(*legs)))]
@@ -821,7 +822,7 @@ class _TermIntegral:
         ``_SWEEP_ELEMS`` // nodes radii, with the phase r s formed as one
         long-double product rounded once to double.
         """
-        sets, _ = self.node_sets(self.build_mesh(), n, tol, not self.cutoff)
+        sets, _ = self.node_sets(self.build_mesh(), n, tol)
         values = np.zeros(radii.size, dtype=np.complex128)
         for ns in sets:
             s = ns.s.ravel()
@@ -858,16 +859,15 @@ def _kernel_terms(sets, nu: float, r: float) -> list:
     """w times the kernel at r for every node of each set of ``sets``, in
     extended precision, as arrays shaped like the sets.
 
-    A set that carries a table uses it.  The others get their kernel
-    values from at most one ``bessel_j_grid`` call, over every plain set's
-    x = r s, and one ``bessel_j_scaled_grid`` call, over every scaled
-    set's, times r^nu.  The kernel's value at an element depends on that
-    element alone, so a set's terms do not depend on the sets it is
-    batched with.
+    The sets get their kernel values from at most one ``bessel_j_grid``
+    call, over every plain set's x = r s, and one ``bessel_j_scaled_grid``
+    call, over every scaled set's, times r^nu.  The kernel's value at an
+    element depends on that element alone, so a set's terms do not depend
+    on the sets it is batched with.
     """
-    out = [None if ns.kernel is None else ns.w * ns.kernel for ns in sets]
+    out = [None] * len(sets)
     for scaled, kernel in ((False, bessel_j_grid), (True, bessel_j_scaled_grid)):
-        todo = [i for i, ns in enumerate(sets) if ns.kernel is None and ns.scaled == scaled]
+        todo = [i for i, ns in enumerate(sets) if ns.scaled == scaled]
         if not todo:
             continue
         k = kernel(nu, np.concatenate([(_LD(r) * sets[i].s).ravel() for i in todo]), longdouble=True)
@@ -893,7 +893,7 @@ def _panel_path(integrals, nu: float, r: float, tol: float) -> list:
     built = []
     for ti in integrals:
         edges = ti.build_mesh()
-        built += [ti.node_sets(edges, n, tol, not ti.cutoff) for n in (_NODES, _NODES // 2)]
+        built += [ti.node_sets(edges, n, tol) for n in (_NODES, _NODES // 2)]
     terms = iter(_kernel_terms([ns for sets, _ in built for ns in sets], nu, r))
     out = []
     for (fine, err), (coarse, _) in zip(built[::2], built[1::2]):
@@ -1044,50 +1044,36 @@ def _barycentric(x: np.ndarray, w: np.ndarray, f: np.ndarray, t: np.ndarray) -> 
 def _windowed(r: np.ndarray, upper: float, nu: float, sweep) -> np.ndarray:
     """``sweep`` at every radius of r, with r on one path of the sweep.
 
-    The span of r is cut into equal windows at most ``_WINDOW`` wide, and
-    each of those geometrically into as few as keep the ratio b / a of its
-    ends within ``_WINDOW_RANGE`` ** (1 / (nu + 2)).  F is of exponential
-    type ``upper`` and, for a non-integer order, has a branch point at
-    r = 0, which at b / a <= 4 lies well outside the region where the
-    interpolant converges.  So a window of half-width h holding more radii
-    than m = ceil(upper h) + ``_WINDOW_MARGIN`` is sampled at its m
+    In one pass over the sorted radii, each window starts at the smallest
+    radius a no window covers yet and spans [a, b], b the largest radius up
+    to min(a + ``_WINDOW``, a ``_WINDOW_RANGE`` ** (1 / (nu + 2))).  F is of
+    exponential type ``upper`` and, for a non-integer order, has a branch
+    point at r = 0, which at b / a <= 4 lies well outside the region where
+    the interpolant converges.  So a window of half-width h holding more
+    radii than m = ceil(upper h) + ``_WINDOW_MARGIN`` is sampled at its m
     Chebyshev points only, and F there is interpolated onto its radii.  The
     other windows' radii, in their order in r, go to ``sweep`` as they are,
     in the same call as the points, with the index of each one's window.
     Only windows that hold a radius are formed, so an outlying radius costs
     no more than any other.
     """
-    lo, hi = float(np.min(r)), float(np.max(r))
-    k = math.ceil((hi - lo) / _WINDOW)
-    if k == 0:
-        return sweep(r, np.zeros(r.size, dtype=np.intp))
-
-    def edge(j):  # the left edge of equal window j, and hi for j = k
-        return np.where(j == k, hi, lo + (hi - lo) / k * j)
-
-    # the equal window of each radius, from its edges as rounded
-    coarse = np.minimum(((r - lo) / ((hi - lo) / k)).astype(np.intp), k - 1)
-    coarse -= r < edge(coarse)
-    coarse += (coarse < k - 1) & (r >= edge(coarse + 1))
+    order = np.argsort(r)
+    ascending = r[order]
+    ratio = _WINDOW_RANGE ** (1.0 / (nu + 2.0))
     which = np.empty(r.size, dtype=np.intp)
-    sub_edges = []
-    for j in np.unique(coarse):
-        a, b = float(edge(j)), float(edge(j + 1))
-        g = np.geomspace(a, b, math.ceil((nu + 2) * math.log(b / a) / math.log(_WINDOW_RANGE)) + 1)
-        inside = coarse == j
-        which[inside] = len(sub_edges) + np.minimum(np.searchsorted(g, r[inside], side="right") - 1, g.size - 2)
-        sub_edges += zip(g[:-1], g[1:])
     direct = np.ones(r.size, dtype=bool)
     windows = []
-    for j, count in zip(*np.unique(which, return_counts=True)):
-        a, b = sub_edges[j]
+    i = j = 0
+    while i < r.size:
+        a = float(ascending[i])
+        end = int(np.searchsorted(ascending, min(a + _WINDOW, a * ratio), side="right"))
+        b, inside = float(ascending[end - 1]), order[i:end]
+        which[inside] = j
         m = math.ceil(upper * (b - a) / 2) + _WINDOW_MARGIN
-        if count > m and b - a > 1e-8 * b:
-            inside = which == j
-            direct &= ~inside
+        if end - i > m and b - a > 1e-8 * b:
+            direct[inside] = False
             windows.append((inside, j, *_chebyshev_window(a, b, m)))
-    if not windows:
-        return sweep(r, which)
+        i, j = end, j + 1
     values = sweep(np.concatenate([r[direct], *(x for _, _, x, _ in windows)]),
                    np.concatenate([which[direct], *(np.full(x.size, j) for _, j, x, _ in windows)]))
     out = np.empty(r.size, dtype=np.complex128)
@@ -1129,16 +1115,18 @@ def hankel_sweep(
     finite_hankel's estimate + 1e-12 |F|, and at n = 30 and 60 within
     2.3e-14 of the closed form.
 
-    Dense grids are not swept radius by radius.  The radii of each path are
-    cut into windows at most ``_WINDOW`` = 128 wide, so none straddles
-    twice the seam, and further until r^-(nu + 2) changes by at most
-    ``_WINDOW_RANGE`` = 16 across each, which splits windows near r = 0
-    and, for large orders, over the first few hundred.  A window that holds
+    Dense grids are not swept radius by radius.  The sorted radii of each
+    path, so that no window straddles twice the seam, are cut in one pass
+    into windows: each starts at the first radius a no window covers yet
+    and spans [a, b], b the last radius within a + ``_WINDOW`` = 128 and
+    within a ``_WINDOW_RANGE`` ** (1 / (nu + 2)), so that r^-(nu + 2)
+    changes by at most 16 across it.  That narrows windows near r = 0 and,
+    for large orders, over the first few hundred.  A window that holds
     more radii than ceil(u h) + 40 Chebyshev points (half-width h, support
-    [0, u]) is swept at those points only and interpolated onto its radii
-    (``_windowed``).
-    A C7 grid of 9,997 radii on [43.7, 2006] becomes 1,665 swept radii for
-    a regular profile and 1,296 for a cutoff one.  On the contour path the
+    [0, u]) is swept at those points on [a, b] only and interpolated onto
+    its radii (``_windowed``).
+    A C7 grid of 9,997 radii on [43.7, 2006] becomes 1,663 swept radii for
+    a regular profile and 1,300 for a cutoff one.  On the contour path the
     interpolant agrees with the direct sweep to about 1.2e-14 of the local
     envelope of |F|, the Chebyshev series' truncation at 40 points of
     margin; on panels it resamples the panel sweep's own error, amplified

@@ -160,6 +160,9 @@ class TestSlowDecreaseCheck:
         assert not rep.passed
         # the windows within B of r = 100 (2 * 31 + 1 of them on this grid)
         assert rep.failures == 63
+        # strict JSON has no NaN, so the undefined margin is written as null
+        assert math.isnan(rep.worst_margin)
+        assert json.loads(json.dumps(rep.to_dict(), allow_nan=False))["worst_margin"] is None
 
     def test_grid_step_guard(self):
         with pytest.raises(DomainError):

@@ -449,6 +449,19 @@ class TestSweep:
         return float(np.max(np.abs(values[max(0, i - 16) : i + 17])))
 
     @staticmethod
+    def windows(radii, nu):
+        """The windows of ``_windowed``, predicted from its rule: each starts
+        at the smallest radius a not yet covered and takes every radius up
+        to min(a + _WINDOW, a _WINDOW_RANGE^(1 / (nu + 2)))."""
+        rest, out = np.sort(radii), []
+        while rest.size:
+            a = rest[0]
+            inside = rest <= min(a + quadrature._WINDOW, a * quadrature._WINDOW_RANGE ** (1 / (nu + 2)))
+            out.append(rest[inside])
+            rest = rest[~inside]
+        return out
+
+    @staticmethod
     def swept(monkeypatch):
         """Record the number of radii each direct per-term sweep is given."""
         sizes = []
@@ -525,7 +538,9 @@ class TestSweep:
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_windows_bound_the_power_of_r(self, n, monkeypatch):
         """Each sampled window [a, b] keeps (b / a)^(nu + 2) within
-        _WINDOW_RANGE, on the contour and the panel path alike."""
+        _WINDOW_RANGE and b - a within _WINDOW, on the contour and the panel
+        path alike, and its ends are radii of the grid: the interval that
+        is interpolated is the span of the radii it serves."""
         spans = []
         window = quadrature._chebyshev_window
 
@@ -535,10 +550,31 @@ class TestSweep:
 
         monkeypatch.setattr(quadrature, "_chebyshev_window", recorded)
         p = single(1.0, 1.5, n=n)
-        hankel_sweep(p, np.arange(math.pi / 16, 400.0, math.pi / 16))
+        grid = np.arange(math.pi / 16, 400.0, math.pi / 16)
+        hankel_sweep(p, grid)
         assert spans
         for lo, hi in spans:
             assert (hi / lo) ** (p.nu + 2) <= quadrature._WINDOW_RANGE * (1 + 1e-12), (lo, hi)
+            assert hi - lo <= quadrature._WINDOW, (lo, hi)
+            assert lo in grid and hi in grid, (lo, hi)
+
+    @pytest.mark.parametrize("profile", [single(1.0, 1.5), single(0.0, 1.0, vanishes_near_one=True)],
+                             ids=["contour", "cutoff"])
+    @pytest.mark.parametrize("grid", [
+        np.sort(np.append(np.arange(60.0, 90.0, math.pi / 16), np.full(200, 75.0))),
+        np.full(300, 75.0),
+    ], ids=["duplicates", "all_equal"])
+    def test_duplicate_radii(self, profile, grid):
+        """Repeated radii count towards their window like any others: 200
+        copies of r = 75 in a dense grid are interpolated with the rest, and
+        a grid of one radius repeated is one window, swept directly.  Every
+        value is finite and within finite_hankel's estimate + 1e-12 |F|."""
+        sw = hankel_sweep(profile, grid)
+        assert np.isfinite(sw).all()
+        for r in np.unique(grid)[::7].tolist() + [75.0]:
+            res = finite_hankel(profile, r)
+            for v in sw[grid == r]:
+                assert abs(v - res.value) <= res.error_estimate + 1e-12 * abs(res.value), r
 
     def test_barycentric_node_hits_and_chunks(self, monkeypatch):
         """A radius equal to a sampled point takes that sample, the last
@@ -576,29 +612,27 @@ class TestSweep:
         contour sweep built at the smallest radius from 2 seam = 60 on, and
         the panel sweep of each window on node sets for that window's
         largest radius, or for _CUTOFF_MESH_R = 300 if that is larger and
-        the profile has the cutoff.  Below 60 the two-term profile's radii
-        form one window; the cutoff profile's radii fall into 16 equal
-        windows about 122 wide."""
+        the profile has the cutoff.  The windows are predicted from the
+        rule of ``_windowed``.  Below 60 the two-term profile's radii form
+        one window; the cutoff profile's radii form 15, the first [41, 161]
+        (r^-2 changes by at most 16 across it), the others up to 128 wide."""
         grid = np.random.default_rng(3).permutation(np.arange(41.0, 2000.0, 4.0))
         cfg = QuadratureConfig()
         tol = cfg.target_rel_tol
         for p in (self.MIXED, single(0.0, 1.0, vanishes_near_one=True)):
             seam = quadrature._contour_seam(p.nu, p.vanishes_near_one, cfg)
             on = np.zeros(grid.size, dtype=bool) if seam is None else grid >= 2.0 * seam
-            lo, hi = float(np.min(grid[~on])), float(np.max(grid[~on]))
-            k = math.ceil((hi - lo) / quadrature._WINDOW)
-            assert k == (16 if p.vanishes_near_one else 1)
-            edges = lo + (hi - lo) / k * np.arange(k + 1)
-            which = np.minimum(np.searchsorted(edges, grid, side="right") - 1, k - 1)
+            windows = self.windows(grid[~on], p.nu)
+            assert len(windows) == (15 if p.vanishes_near_one else 1)
             expect = np.zeros(grid.size, dtype=np.complex128)
             for t in p.terms:
                 if on.any():
                     ti = _TermIntegral(t.lam, t.rho, p.nu, float(np.min(grid[on])), False)
                     nl = quadrature._laguerre_nodes(tol) + 8
                     expect[on] += t.coeff * ti.steepest_descent(grid[on], seam, quadrature._NODES, nl, tol)[0]
-                for j in range(k):
-                    part = ~on & (which == j)
-                    mesh_r = float(np.max(grid[part]))
+                for window in windows:
+                    part = np.isin(grid, window)
+                    mesh_r = float(window[-1])
                     if p.vanishes_near_one:
                         mesh_r = max(mesh_r, quadrature._CUTOFF_MESH_R)
                     ti = _TermIntegral(t.lam, t.rho, p.nu, mesh_r, p.vanishes_near_one)
