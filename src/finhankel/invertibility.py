@@ -299,12 +299,14 @@ def slow_decrease_check(
     sup = np.maximum.reduce([padded[k : k + q.size] for k in range(2 * half + 1)])
 
     centers = (grid >= r_min) & (grid <= r_max)
+    if not centers.any():
+        raise DomainError(f"no point of the grid of step {grid_step:g} lies in [{r_min:g}, {r_max:g}]")
     x = grid[centers]
     s = sup[centers]
     threshold = params.C * x ** (-params.A)
     margins = s / threshold
     failures = int(np.count_nonzero(~(margins > 1.0)))
-    worst = float(np.min(margins)) if margins.size else math.inf
+    worst = float(np.min(margins))
 
     # resolution warning from the oscillation rate of the samples
     d = np.diff(q)

@@ -2,8 +2,9 @@
 
 The integrand  s^lam (1-s^2)^(rho-1) J_nu(r s)  on (0, 1) combines an
 algebraic singularity at each endpoint with oscillation of wavelength
-2*pi/r.  The point evaluator picks one of two paths per term from r, nu,
-the target and the cutoff flag alone.
+2*pi/r.  The evaluator, ``_transform``, takes a grid of radii, and
+``finite_hankel`` is its one-radius case.  It picks one of two paths per
+radius and term from r, nu, the target and the cutoff flag alone.
 
 Steepest descent, once r is at least twice the seam phase (30 at the
 default target for orders nu up to about 9, so r >= 60), for every profile
@@ -29,8 +30,9 @@ without ``vanishes_near_one``:
   so they run in double precision, and no part of the cost grows with r.
   Once an order's tables are built, this path calls no Bessel kernel.
 * in z = r s, [0, a] and the legs from a are one path at every radius, so
-  a sweep over many radii builds it once and carries it to the others by
-  a factor per node (``_TermIntegral.steepest_descent``).
+  the evaluator and hankel_sweep build it once per term, at the smallest
+  of their radii on this path, and carry it to the others by a factor per
+  node (``_TermIntegral.steepest_descent``).
 
 Panels, below the seam and for cutoff profiles at every r:
 
@@ -50,16 +52,20 @@ One builder, ``_TermIntegral.node_sets``, turns a term, a mesh and a node
 count into these pieces as node sets: nodes, weights with the profile
 factor folded in, and a kernel kind (J_nu(r s), or r^nu J_nu(x)/x^nu at the
 origin).  A closed-form end term is one more node.  On the panel path
-nothing in a node set depends on r, so the point evaluator sums them at one
-r, and hankel_sweep's panel path sums the same sets over a whole grid of r.
+nothing in a node set depends on r, so the evaluator sums them at one r at
+a time, and hankel_sweep's panel path sums the same sets over a whole grid
+of r.
 The same builder makes the steepest-descent origin zone's sets in x = r s,
 where the kernel values come from the tables above.
 
-The point evaluator runs each path once at two resolutions, with no mesh
+The evaluator runs each path once at two resolutions, with no mesh
 refinement: 32 and 16 nodes per panel and, at the default 1e-10 target,
 18 and 10 Laguerre nodes per contour leg.  The fine sum is the value; its
 distance from the coarse sum, plus the rounding and bounds of the pieces,
-is the error estimate.  On the panel path the node sets of every term at
+is the error estimate.  On the contour path each term runs
+``steepest_descent`` once per resolution over all the grid's radii there,
+so a value moves within its estimate with the grid it is part of.  On
+the panel path each radius runs alone: the node sets of every term at
 both resolutions are built first, and ``_kernel_terms`` gets all their
 kernel values from one call of each extended-precision kernel, plain and
 scaled; then each set is summed on its own, as it would be alone.  The
@@ -78,11 +84,11 @@ runs its ascending series only up to x = 2, where it cannot cancel, and
 Miller's recurrence above it up to where the large-argument expansion is
 accurate to its rounding (29 for nu = 0 and 1, 318 for nu = 29).
 
-The batch sweep, hankel_sweep, takes each radius down the point
-evaluator's path and returns no per-point error estimate.  It runs term
+The batch sweep, hankel_sweep, takes each radius down the evaluator's
+path and returns no per-point error estimate.  It runs term
 by term, each term over all its radii at once.  From twice the seam phase
-on, it runs the steepest-descent path of the point evaluator, at its fine
-rules only: the origin zone and seam legs are built once, at the smallest
+on, it runs the evaluator's steepest-descent path, at its fine rules
+only: the origin zone and seam legs are built once, at the smallest
 of those radii, with their extended-precision sum there, and only the
 per-node factor's step from 1 and the edge legs are evaluated per radius,
 in double precision.  Its cost per radius is flat in r.  Below that, and
@@ -137,7 +143,7 @@ _CLD = np.clongdouble
 _ENDPOINT_PHASE = 8.0  # Bessel phase allowed inside each endpoint panel
 _CUT_LO, _CUT_HI = 1.0 / 3.0, 2.0 / 3.0
 _SEAM_PHASE = 30.0  # smallest r*a at which [a, 1] is deformed onto contours
-_NODES = 32  # nodes per panel of the point evaluator; half as many for its check
+_NODES = 32  # nodes per panel of the evaluator; half as many for its check
 _MAX_PANELS = 20000  # oscillation panels per mesh before they are widened
 _SWEEP_NODES = 12  # nodes per panel of the panel sweep
 # smallest radius a cutoff profile's panel-sweep mesh is built for: below it
@@ -817,7 +823,7 @@ class _TermIntegral:
         with n nodes per panel and serve every radius: the profile factor
         is evaluated once and only the kernel is recomputed per radius.
         Complex exponents get the same graded end zones and closed-form end
-        terms as the point evaluator, with depths set by ``tol``.
+        terms as the evaluator, with depths set by ``tol``.
         Each node set is summed as one kernel matrix per chunk of
         ``_SWEEP_ELEMS`` // nodes radii, with the phase r s formed as one
         long-double product rounded once to double.
@@ -836,24 +842,6 @@ class _TermIntegral:
                 else:
                     values[i0 : i0 + rows] += _matvec(bessel_j_grid(self.nu, x), w)
         return values
-
-    # -- driver ----------------------------------------------------------
-
-    def evaluate(self, cfg: QuadratureConfig, seam: float):
-        """The term at this r on the steepest-descent path of ``seam``, from
-        one pass at two resolutions: (value, estimate, panels).
-
-        The value is the fine sum (32 nodes per panel, nl + 8 Laguerre nodes
-        per leg); the estimate adds its difference from the coarse sum (16
-        and nl) to the rounding and bounds the pieces report.
-        """
-        tol = cfg.target_rel_tol
-        r = np.array([self.r])
-        nl = _laguerre_nodes(tol)
-        fine, err, panels = self.steepest_descent(r, seam, _NODES, nl + 8, tol)
-        coarse = self.steepest_descent(r, seam, _NODES // 2, nl, tol)[0]
-        return complex(fine[0]), float(abs(fine[0] - coarse[0]) + err[0]), panels
-
 
 def _kernel_terms(sets, nu: float, r: float) -> list:
     """w times the kernel at r for every node of each set of ``sets``, in
@@ -921,27 +909,53 @@ def _contour_seam(nu: float, cutoff: bool, cfg: QuadratureConfig) -> float | Non
     return None if cutoff else _seam_phase(float(nu), cfg.target_rel_tol)
 
 
-def _transform(terms, nu: float, r: float, cutoff: bool, cfg: QuadratureConfig) -> QuadratureResult:
-    """Sum of c * (integral of s^lam (1-s^2)^(rho-1) J_nu(r s)) over (c, lam, rho).
+def _transform(terms, nu: float, radii: np.ndarray, cutoff: bool, cfg: QuadratureConfig):
+    """Sum of c * (integral of s^lam (1-s^2)^(rho-1) J_nu(r s)) over (c, lam, rho)
+    at every radius of ``radii``: (values, estimates, panels), one per radius.
 
-    Steepest descent from twice the seam phase on, term by term; panels
-    below it and where there is no seam, every term in one pass.
+    From twice the seam phase on, each term runs ``steepest_descent`` twice
+    over all those radii, built at the smallest of them: at 32 nodes per
+    panel and nl + 8 per contour leg, and at 16 and nl.  The fine values
+    are the values; the estimate adds their distance from the coarse ones
+    to the bounds.  Below it and where there is no seam, each radius runs
+    ``_panel_path``, every term in one pass.
     """
+    tol = cfg.target_rel_tol
     seam = _contour_seam(nu, cutoff, cfg)
     terms = list(terms)
-    integrals = [_TermIntegral(lam, rho, nu, r, cutoff) for _, lam, rho in terms]
-    if seam is None or r < 2.0 * seam:
-        results = _panel_path(integrals, nu, r, cfg.target_rel_tol)
-    else:
-        results = [ti.evaluate(cfg, seam) for ti in integrals]
-    total = 0j
-    err = 0.0
-    panels = 0
-    for (c, _, _), (v, e, p) in zip(terms, results):
-        total += c * v
-        err += abs(c) * e
-        panels += p
-    return QuadratureResult(value=total, error_estimate=err, panels_used=panels)
+    values = np.zeros(radii.size, dtype=np.complex128)
+    errors = np.zeros(radii.size)
+    panels = np.zeros(radii.size, dtype=np.int64)
+    on = np.zeros(radii.size, dtype=bool) if seam is None else radii >= 2.0 * seam
+    if on.any():
+        r, nl = radii[on], _laguerre_nodes(tol)
+        v, e, p = 0j, 0.0, 0
+        for c, lam, rho in terms:
+            ti = _TermIntegral(lam, rho, nu, float(r.min()), False)
+            fine, bound, n = ti.steepest_descent(r, seam, _NODES, nl + 8, tol)
+            coarse = ti.steepest_descent(r, seam, _NODES // 2, nl, tol)[0]
+            # Python's complex product: numpy's vector loop may fuse it into
+            # FMAs, and a one-radius call would then round differently
+            v = v + np.array([c * x for x in fine.tolist()])
+            e = e + abs(c) * (np.abs(fine - coarse) + bound)
+            p += n
+        values[on], errors[on], panels[on] = v, e, p
+    for i in np.flatnonzero(~on):
+        r = float(radii[i])
+        results = _panel_path([_TermIntegral(lam, rho, nu, r, cutoff) for _, lam, rho in terms], nu, r, tol)
+        v, e, p = 0j, 0.0, 0
+        for (c, _, _), (x, y, n) in zip(terms, results):
+            v, e, p = v + c * x, e + abs(c) * y, p + n
+        values[i], errors[i], panels[i] = v, e, p
+    return values, errors, panels
+
+
+def _finite_hankel_grid(profile: RadialProfile, radii, cfg: QuadratureConfig):
+    """``finite_hankel`` at every radius of a 1-d array ``radii`` in one
+    pass: (values, estimates, panels), one per radius."""
+    radii = check_radii(radii, "finite_hankel")
+    terms = ((t.coeff, t.lam, t.rho) for t in profile.terms)
+    return _transform(terms, profile.nu, radii, profile.vanishes_near_one, cfg)
 
 
 def finite_hankel(
@@ -951,12 +965,12 @@ def finite_hankel(
 
     Returns the value with an embedded error estimate; when the target
     relative tolerance cannot be certified the estimate simply reports what
-    was achieved (no exception).
+    was achieved (no exception).  This is the one-radius case of the grid
+    evaluator ``_transform``.
     """
-    cfg = cfg or _DEFAULT_CFG
     r = check_radius(r, "finite_hankel")
-    terms = ((t.coeff, t.lam, t.rho) for t in profile.terms)
-    return _transform(terms, profile.nu, r, profile.vanishes_near_one, cfg)
+    value, error, panels = _finite_hankel_grid(profile, np.array([r]), cfg or _DEFAULT_CFG)
+    return QuadratureResult(complex(value[0]), float(error[0]), int(panels[0]))
 
 
 def radial_fourier(
@@ -1003,11 +1017,12 @@ def iterated_transform(
     nu = profile.nu
     terms = ((c, nu + shift + 1.0 + 2.0 * beta, gama + 1.0)
              for c, beta, gama in _derivative_power_terms(profile, shift))
-    return _transform(terms, nu + shift, r, profile.vanishes_near_one, cfg)
+    value, error, panels = _transform(terms, nu + shift, np.array([r]), profile.vanishes_near_one, cfg)
+    return QuadratureResult(complex(value[0]), float(error[0]), int(panels[0]))
 
 
 # ---------------------------------------------------------------------------
-# batch sweep (the point evaluator's paths, over a grid of r)
+# batch sweep (the evaluator's paths, over a grid of r)
 # ---------------------------------------------------------------------------
 
 
@@ -1091,11 +1106,11 @@ def hankel_sweep(
     """finite_hankel evaluated on a whole grid of r at once, with no error
     estimates; intended for slow-decrease sweeps.
 
-    Each radius takes the point evaluator's path, one term at a time.
-    From twice the seam phase on, a term runs
+    Each radius takes the path of the grid evaluator ``_transform``, one
+    term at a time.  From twice the seam phase on, a term runs
     ``_TermIntegral.steepest_descent`` once over all those radii, built at
-    the smallest of them, with the point evaluator's fine rules (32 nodes
-    per panel, nl + 8 per contour leg).  These values agree with
+    the smallest of them, as ``_transform`` does, but with its fine rules
+    only (32 nodes per panel, nl + 8 per contour leg).  These values agree with
     finite_hankel to within its estimate, so with the closed form to about
     1e-12 relative wherever that estimate is certified, with no absolute
     floor.

@@ -7,8 +7,11 @@ import math
 
 import pytest
 
+import numpy as np
+
 from finhankel.cli import main
 from finhankel.profiles import profile_from_json
+from finhankel.quadrature import QuadratureConfig, _finite_hankel_grid
 from finhankel.specfun import bessel_j
 
 
@@ -110,6 +113,25 @@ class TestTransform:
         for rc, rj in zip(rows_csv, rows_json):
             for key in ("r", "re", "im", "error_estimate"):
                 assert float(rc[key]) == rj[key]
+
+    def test_grid_rows_are_the_grid_form(self, capsys, tmp_path):
+        """The rows on a grid straddling the contour path's first radius
+        (60) are the grid evaluator's values, from one call."""
+        text = json.dumps({"dimension": 3, "terms": [
+            {"coeff": [1.0, 0.0], "lambda": [0.5, 0.0], "rho": [2.5, 0.0]},
+            {"coeff": [1.0, 0.0], "lambda": [1.3, 0.2], "rho": [0.6, 0.0]},
+        ]})
+        path = tmp_path / "two.json"
+        path.write_text(text)
+        code, out, _ = run(
+            capsys, "transform", "--profile", str(path),
+            "--r-min", "5", "--r-max", "2000", "--count", "200", "--format", "json",
+        )
+        assert code == 0
+        grid = np.geomspace(5.0, 2000.0, 200)
+        values, estimates, _ = _finite_hankel_grid(profile_from_json(text), grid, QuadratureConfig())
+        rows = [(row["r"], complex(row["re"], row["im"]), row["error_estimate"]) for row in json.loads(out)["rows"]]
+        assert rows == list(zip(grid.tolist(), values.tolist(), estimates.tolist()))
 
 
 class TestExpand:
@@ -247,6 +269,17 @@ class TestSlowDecrease:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert doc["params"]["B"] == pytest.approx(2 * math.pi)
+
+    def test_range_with_no_window_exits_2(self, capsys, origin_path):
+        """No grid point (step pi/16) lies in [50, 50.01]: this used to print
+        passed with 0 windows and an infinite worst margin."""
+        code, out, err = run(
+            capsys, "slowdecrease", "--profile", origin_path,
+            "--r-min", "50", "--r-max", "50.01", "--format", "json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "error" in err
 
 
 def test_unknown_command_exits_2(capsys):

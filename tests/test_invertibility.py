@@ -194,6 +194,17 @@ class TestSlowDecreaseCheck:
                 0.1,
             )
 
+    def test_range_with_no_grid_point(self):
+        """The grid runs from r_min - B = 48.95 in steps of 0.1, so [50, 50.04]
+        holds none of its points: that used to pass with 0 windows."""
+        with pytest.raises(DomainError):
+            slow_decrease_check(
+                lambda r: np.ones_like(r),
+                SlowDecreaseParams(A=1.0, B=1.05, C=0.5),
+                (50.0, 50.04),
+                0.1,
+            )
+
     def test_window_floor_guard(self):
         with pytest.raises(DomainError):
             slow_decrease_check(

@@ -13,10 +13,15 @@ from finhankel.asymptotics import evaluate_prediction, predict
 from finhankel.errors import DomainError, SmoothnessBudgetError, check_radii, check_radius
 from finhankel.profiles import ProfileTerm, RadialProfile
 from finhankel.quadrature import (
+    _NODES,
     QuadratureConfig,
+    _derivative_power_terms,
+    _finite_hankel_grid,
+    _laguerre_nodes,
     _TermIntegral,
     _panel_path,
     _seam_phase,
+    _transform,
     finite_hankel,
     hankel_prefactor,
     hankel_sweep,
@@ -767,7 +772,10 @@ class TestSteepestDescent:
         for r, cutoff, contour in ((60.0, False, True), (59.0, False, False), (1000.0, True, False)):
             ti = _TermIntegral(1.0, 3.5, 0.0, r, cutoff)
             if contour:
-                value, estimate, _ = ti.evaluate(cfg, seam)
+                (value,), (estimate,), _ = _transform([(1.0, 1.0, 3.5)], 0.0, np.array([r]), cutoff, cfg)
+                fine = ti.steepest_descent(np.array([r]), seam, _NODES, _laguerre_nodes(cfg.target_rel_tol) + 8,
+                                           cfg.target_rel_tol)[0]
+                assert value == fine[0]
             else:
                 value, estimate, _ = _panel_path([ti], ti.nu, ti.r, cfg.target_rel_tol)[0]
             res = finite_hankel(single(1.0, 3.5, vanishes_near_one=cutoff), r)
@@ -788,11 +796,50 @@ class TestSteepestDescent:
         nu = n / 2.0 - 1.0
         lam = complex(gap - 1.0 - nu, lam_im)
         rho = complex(rho_re, rho_im)
-        r = math.exp(log_r)
+        r = max(math.exp(log_r), 60.0)  # exp(log(60)) rounds to just below the contour path
         cfg = QuadratureConfig()
         ti = _TermIntegral(lam, rho, nu, r, False)
-        a, est_a, _ = ti.evaluate(cfg, _seam_phase(nu, cfg.target_rel_tol))
+        (a,), (est_a,), _ = _transform([(1.0, lam, rho)], nu, np.array([r]), False, cfg)
         b, est_b, _ = _panel_path([ti], ti.nu, ti.r, cfg.target_rel_tol)[0]
         assert abs(a - b) <= est_a + est_b
         ref = mp_term_transform(lam, rho, nu, r)
         assert abs(a - ref) <= max(est_a, cfg.target_rel_tol * abs(ref))
+
+
+class TestGrid:
+    """The grid evaluator against one radius at a time, on grids that
+    straddle 2 * seam = 60, where the contour path starts."""
+
+    def test_profile_within_point_estimates(self):
+        """The contour radii share one path built at the smallest of them,
+        so they move within their one-radius estimates; the estimates
+        themselves stay close (0.987-1.004x on this grid)."""
+        p = RadialProfile(3, (ProfileTerm(coeff=1, lam=0.5, rho=2.5),
+                              ProfileTerm(coeff=1, lam=complex(1.3, 0.2), rho=0.6)))
+        grid = np.geomspace(5.0, 2000.0, 200)
+        values, estimates, panels = _finite_hankel_grid(p, grid, QuadratureConfig())
+        for r, value, estimate, used in zip(grid.tolist(), values, estimates, panels):
+            res = finite_hankel(p, r)
+            assert abs(value - res.value) <= res.error_estimate, r
+            assert 0.5 * res.error_estimate <= estimate <= 2.0 * res.error_estimate, r
+            assert used == res.panels_used
+
+    def test_cutoff_profile_is_point_by_point(self):
+        """A cutoff profile takes panels at every radius, one at a time."""
+        p = single(1.0, 3.5, n=3, vanishes_near_one=True)
+        grid = np.geomspace(5.0, 2000.0, 8)
+        values, estimates, panels = _finite_hankel_grid(p, grid, QuadratureConfig())
+        for r, value, estimate, used in zip(grid.tolist(), values, estimates, panels):
+            res = finite_hankel(p, r)
+            assert (value, estimate, used) == (res.value, res.error_estimate, res.panels_used)
+
+    def test_iterated_transform(self):
+        p = single(1.0, 7.0, n=3)
+        shift, nu = 2, p.nu
+        terms = [(c, nu + shift + 1.0 + 2.0 * beta, gama + 1.0)
+                 for c, beta, gama in _derivative_power_terms(p, shift)]
+        grid = np.geomspace(5.0, 2000.0, 24)
+        values, _, _ = _transform(terms, nu + shift, grid, False, QuadratureConfig())
+        for r, value in zip(grid.tolist(), values):
+            res = iterated_transform(p, shift, r)
+            assert abs(value - res.value) <= res.error_estimate, r
