@@ -30,6 +30,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -250,6 +251,7 @@ _COMMANDS = (
 )
 
 
+@cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="finhankel",

@@ -101,19 +101,23 @@ chunk of radii, the chunks of every node set held to one budget of
 once to double.  The double-precision kernel runs Miller's recurrence
 where the ascending series would cancel, and with it a mesh built for the
 window's own radii is accurate to about 1e-12 relative.
-A dense grid is not swept radius by radius.  F is of exponential type u,
-the top of the support (1, or 2/3 for cutoff profiles), so each path's
-sorted radii are cut into windows in one pass: a window starts at the
-first radius a no window covers yet and spans [a, b], b the last radius
-within min(a + 128, a 16^(1/(nu + 2))), so that r^-(nu + 2) changes by
-at most 16 across it (near r = 0, and for large orders, it is narrower
-than 128).  A window of half-width h holding more radii than
-m = ceil(u h) + 40 is swept at its m Chebyshev points on [a, b] only and
-interpolated onto its radii in barycentric form (Berrut & Trefethen,
-SIAM Rev. 46 (2004)).  The weights and the differences r - x_j come from
-the points as rounded when sampled; with textbook weights against the
-unrounded points the interpolant drifts from the sweep by about 1e-13 of
-the envelope at r ~ 1500.
+A dense grid is not swept radius by radius.  Each path's sorted radii
+are cut into windows in one pass, and a window holding more radii than
+its point count is swept at its Chebyshev points only and interpolated
+onto its radii in barycentric form (Berrut & Trefethen, SIAM Rev. 46
+(2004)).  On the contour path a term is the seam zone S(r) plus the
+edge legs e^(ir) A+(r) and e^(-ir) A-(r).  Neither S r^(Re lam+1) nor
+A+- r^(Re rho+1/2) oscillates, and their nearest singularities, at
+r = x <= seam and at r = -+i tau for the edge legs' nodes tau, lie far
+outside a window [a, b] with b <= 4 a in log r.  So such a window is
+sampled at 32 Chebyshev points in log r, the three functions of every
+term share one barycentric matrix, and the powers of r and e^(+-ir) go
+back at each radius.  On the panel path F itself, of exponential type u
+(1, or 2/3 for cutoff profiles), is sampled at ceil(u h) + 40 points in
+r for half-width h, with b <= min(a + 128, a 16^(1/(nu + 2))).  Those
+weights and differences r - x_j come from the points as rounded when
+sampled; textbook weights against the unrounded points drift by about
+1e-13 of the envelope at r ~ 1500.
 
 Profiles flagged ``vanishes_near_one`` are materialised with a fixed smooth
 cutoff equal to 1 below s = 1/3 and 0 above s = 2/3, which realises "the
@@ -152,11 +156,11 @@ _SWEEP_NODES = 12  # nodes per panel of the panel sweep
 # built for r = 75 is off by 4e-10 relative, one for 171 by 6e-14, and one
 # for 250 to 2006 by 3e-15
 _CUTOFF_MESH_R = 300.0
-# hankel_sweep's windows of r: at most _WINDOW wide, and sampled at
+# hankel_sweep's panel-path windows of r: at most _WINDOW wide, and sampled at
 # ceil(u h) + _WINDOW_MARGIN Chebyshev points for half-width h and support [0, u]
 _WINDOW = 128.0
 _WINDOW_MARGIN = 40
-# A window [a, b] also keeps (b / a)^(nu + 2), the change of r^-(nu + 2)
+# A panel window [a, b] also keeps (b / a)^(nu + 2), the change of r^-(nu + 2)
 # across it, within _WINDOW_RANGE.  The interpolant errs by a fixed fraction
 # of |F|'s largest value in its window, and |F| rises like r^nu up to
 # r ~ nu and then falls off roughly like r^-2, so this bounds that error
@@ -164,11 +168,16 @@ _WINDOW_MARGIN = 40
 # (nu = 14, lam = 1, rho = 1.5) on [pi/16, 200) drift from the direct sweep
 # by 6.4e-9 of the local envelope, against 1.2e-14 with this bound
 _WINDOW_RANGE = 16.0
+# Chebyshev points in log r per window [a, b], b <= 4 a, of hankel_sweep's
+# contour path
+_CONTOUR_POINTS = 32
 # (radius, node) pairs per chunk of either sweep over many radii, and
 # (radius, point) pairs per chunk of the interpolant, so their largest
 # temporaries hold at most 8 MB.  steepest_descent's widest part, a
 # real-exponent term's 160 origin-zone nodes at the default target, takes
-# the 1,614 Chebyshev points of a C7 sweep's 16 contour windows in 1 chunk.
+# 3,276 radii per chunk, so the 96 Chebyshev points of a C7 sweep's 3
+# contour windows are 1 chunk, and an interpolant at 32 points takes
+# 16,384 radii per chunk, more than any window of that sweep holds.
 # panel_sweep chunks each node set by its own size.  With 12 nodes per
 # panel, a C7 cutoff sweep (lam = 1, rho = 3.5) has 16 windows, 15 of 83
 # Chebyshev points and the last of 55, on meshes of 396 nodes (built for
@@ -311,13 +320,14 @@ def _cexp_ld(re, im):
 
 
 def _matvec(m: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """m @ t for a complex vector t.  A real m meets the real and imaginary
-    parts of t as two real columns: a product with a complex vector would
+    """m @ t for a complex vector or matrix t.  A real m meets the real and
+    imaginary parts of t as real columns: a product with a complex t would
     first copy m to complex."""
     if np.iscomplexobj(m):
         return m @ t
-    k = m @ np.stack([t.real, t.imag], axis=1)
-    return k[:, 0] + 1j * k[:, 1]
+    k = m @ np.stack([t.real, t.imag], axis=-1).reshape(t.shape[0], -1)
+    k = k.reshape(*m.shape[:-1], *t.shape[1:], 2)
+    return k[..., 0] + 1j * k[..., 1]
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +773,10 @@ class _TermIntegral:
 
     def steepest_descent(self, radii: np.ndarray, seam: float, n: int, nl: int, tol: float):
         """The term at every radius of ``radii``, each at least this term's
-        r, which is at least 2 seam: (values, error bounds, panels).
+        r, which is at least 2 seam: (values, error bounds, panels, parts).
+        The rows of ``parts`` are the seam zone S (origin zone and seam
+        legs) and the edge legs e^(ir) A+ and e^(-ir) A-, in the order the
+        values sum them.
 
         On [a, 1], J_nu = (H1 + H2)/2, H1 moves to a + it and 1 + it and H2
         to a - it and 1 - it.  In z = r s the origin zone [0, a] and the
@@ -792,7 +805,7 @@ class _TermIntegral:
             base = np.log1p(-((z / self.r) ** 2))
             paths.append((complex(np.sum(t)), z, base, t128, per_mass * np.abs(t128)))
         rule = self._edge_rule(nl, n, tol)
-        values = np.empty(radii.size, dtype=np.complex128)
+        split = np.empty((3, radii.size), dtype=np.complex128)
         bounds = np.empty(radii.size)
         rows = max(1, _SWEEP_ELEMS // max(parts[0][0].size, parts[1][0].size, rule[0].size))
         for i0 in range(0, radii.size, rows):
@@ -803,15 +816,13 @@ class _TermIntegral:
                 v = v + (total + _matvec(step, t))
                 e = e + np.abs(1.0 + step) @ charged
             lr = np.log(r / self.r)
-            v = v * np.exp(-(self.lam + 1.0) * lr)
+            split[0, i0 : i0 + rows] = v * np.exp(-(self.lam + 1.0) * lr)
             e = e * np.exp(-(self.lam.real + 1.0) * lr)
-            for sigma in (1.0, -1.0):
-                ev, mass, bound = self._leg_edge(r, rule, sigma)
-                v += ev
+            for k, sigma in ((1, 1.0), (2, -1.0)):
+                split[k, i0 : i0 + rows], mass, bound = self._leg_edge(r, rule, sigma)
                 e += bound + _CONTOUR_ROUNDING * mass
-            values[i0 : i0 + rows] = v
             bounds[i0 : i0 + rows] = e
-        return values, bounds, panels + 2 * rule[4]
+        return split[0] + split[1] + split[2], bounds, panels + 2 * rule[4], split
 
     # -- panel sweep -----------------------------------------------------
 
@@ -932,7 +943,7 @@ def _transform(terms, nu: float, radii: np.ndarray, cutoff: bool, cfg: Quadratur
         v, e, p = 0j, 0.0, 0
         for c, lam, rho in terms:
             ti = _TermIntegral(lam, rho, nu, float(r.min()), False)
-            fine, bound, n = ti.steepest_descent(r, seam, _NODES, nl + 8, tol)
+            fine, bound, n, _ = ti.steepest_descent(r, seam, _NODES, nl + 8, tol)
             coarse = ti.steepest_descent(r, seam, _NODES // 2, nl, tol)[0]
             # Python's complex product: numpy's vector loop may fuse it into
             # FMAs, and a one-radius call would then round differently
@@ -969,7 +980,9 @@ def finite_hankel(
     evaluator ``_transform``.
     """
     r = check_radius(r, "finite_hankel")
-    value, error, panels = _finite_hankel_grid(profile, np.array([r]), cfg or _DEFAULT_CFG)
+    terms = ((t.coeff, t.lam, t.rho) for t in profile.terms)
+    cfg = cfg or _DEFAULT_CFG
+    value, error, panels = _transform(terms, profile.nu, np.array([r]), profile.vanishes_near_one, cfg)
     return QuadratureResult(complex(value[0]), float(error[0]), int(panels[0]))
 
 
@@ -1040,62 +1053,74 @@ def _chebyshev_window(lo: float, hi: float, m: int):
 def _barycentric(x: np.ndarray, w: np.ndarray, f: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The interpolant through (x, f), x ascending, with barycentric weights
     w, at t, in the second (true) barycentric form; t - x_j is taken in
-    absolute coordinates, against the points actually sampled.  A t equal
-    to some x_j takes f_j.  t is taken ``_SWEEP_ELEMS`` // x.size at a
-    time, like the sweeps' chunks."""
-    p = np.empty(t.size, dtype=np.complex128)
+    absolute coordinates, against the points actually sampled.  The columns
+    of a matrix f share one barycentric matrix.  A t equal to some x_j
+    takes f_j.  t is taken ``_SWEEP_ELEMS`` // x.size at a time, like the
+    sweeps' chunks."""
+    p = np.empty((t.size, *f.shape[1:]), dtype=np.complex128)
     rows = max(1, _SWEEP_ELEMS // x.size)
     for i0 in range(0, t.size, rows):
         ti = t[i0 : i0 + rows]
         with np.errstate(divide="ignore", invalid="ignore"):
             q = w / (ti[:, None] - x[None, :])
-            p[i0 : i0 + rows] = _matvec(q, f) / np.sum(q, axis=1)
+            p[i0 : i0 + rows] = (_matvec(q, f).T / np.sum(q, axis=1)).T
     j = np.minimum(np.searchsorted(x, t), x.size - 1)
     hit = x[j] == t
     p[hit] = f[j[hit]]
     return p
 
 
-def _windowed(r: np.ndarray, upper: float, nu: float, sweep) -> np.ndarray:
+def _windowed(r: np.ndarray, sweep, reach, count, flat=None) -> np.ndarray:
     """``sweep`` at every radius of r, with r on one path of the sweep.
 
     In one pass over the sorted radii, each window starts at the smallest
     radius a no window covers yet and spans [a, b], b the largest radius up
-    to min(a + ``_WINDOW``, a ``_WINDOW_RANGE`` ** (1 / (nu + 2))).  F is of
-    exponential type ``upper`` and, for a non-integer order, has a branch
-    point at r = 0, which at b / a <= 4 lies well outside the region where
-    the interpolant converges.  So a window of half-width h holding more
-    radii than m = ceil(upper h) + ``_WINDOW_MARGIN`` is sampled at its m
-    Chebyshev points only, and F there is interpolated onto its radii.  The
-    other windows' radii, in their order in r, go to ``sweep`` as they are,
-    in the same call as the points, with the index of each one's window.
-    Only windows that hold a radius are formed, so an outlying radius costs
-    no more than any other.
+    to ``reach(a)``.  A window holding more radii than m = ``count(a, b)``
+    is sampled at its m Chebyshev points only, and interpolated onto its
+    radii.  The other windows' radii, in their order in r, go to ``sweep``
+    as they are, in the same call as the points, with the index of each
+    one's window.  Only windows that hold a radius are formed, so an
+    outlying radius costs no more than any other.
+
+    Without ``flat``, ``sweep`` gives F, the points are Chebyshev in r and
+    F is interpolated.  With it, ``sweep`` gives (F, P), P a row of parts
+    per radius whose sum is F, the points are Chebyshev in log r, and
+    G = P ``flat``(radii, unit) is interpolated, smooth in log r; an
+    interpolated radius takes the sum of G / ``flat`` there.  unit, the
+    power of 2 just above the window's first point, keeps r / unit exact
+    and the powers in ``flat`` finite where F itself underflows.
     """
     order = np.argsort(r)
     ascending = r[order]
-    ratio = _WINDOW_RANGE ** (1.0 / (nu + 2.0))
     which = np.empty(r.size, dtype=np.intp)
     direct = np.ones(r.size, dtype=bool)
     windows = []
     i = j = 0
     while i < r.size:
         a = float(ascending[i])
-        end = int(np.searchsorted(ascending, min(a + _WINDOW, a * ratio), side="right"))
+        end = int(np.searchsorted(ascending, reach(a), side="right"))
         b, inside = float(ascending[end - 1]), order[i:end]
         which[inside] = j
-        m = math.ceil(upper * (b - a) / 2) + _WINDOW_MARGIN
+        m = count(a, b)
         if end - i > m and b - a > 1e-8 * b:
             direct[inside] = False
-            windows.append((inside, j, *_chebyshev_window(a, b, m)))
+            x, w = _chebyshev_window(*(np.log([a, b]) if flat else (a, b)), m)
+            windows.append((inside, j, np.exp(x) if flat else x, x, w))
         i, j = end, j + 1
-    values = sweep(np.concatenate([r[direct], *(x for _, _, x, _ in windows)]),
-                   np.concatenate([which[direct], *(np.full(x.size, j) for _, j, x, _ in windows)]))
+    values = sweep(np.concatenate([r[direct], *(y for _, _, y, _, _ in windows)]),
+                   np.concatenate([which[direct], *(np.full(x.size, j) for _, j, x, _, _ in windows)]))
+    values, parts = values if flat else (values, values)
     out = np.empty(r.size, dtype=np.complex128)
     at = np.count_nonzero(direct)
     out[direct] = values[:at]
-    for inside, _, x, w in windows:
-        out[inside] = _barycentric(x, w, values[at : at + x.size], r[inside])
+    for inside, _, y, x, w in windows:
+        t, f = r[inside], parts[at : at + x.size]
+        if flat:
+            unit = math.ldexp(1.0, math.frexp(y[0])[1])
+            g = _barycentric(x, w, f * flat(y, unit), np.log(t))
+            out[inside] = np.sum(g / flat(t, unit), axis=1)
+        else:
+            out[inside] = _barycentric(x, w, f, t)
         at += x.size
     return out
 
@@ -1132,22 +1157,26 @@ def hankel_sweep(
 
     Dense grids are not swept radius by radius.  The sorted radii of each
     path, so that no window straddles twice the seam, are cut in one pass
-    into windows: each starts at the first radius a no window covers yet
-    and spans [a, b], b the last radius within a + ``_WINDOW`` = 128 and
-    within a ``_WINDOW_RANGE`` ** (1 / (nu + 2)), so that r^-(nu + 2)
-    changes by at most 16 across it.  That narrows windows near r = 0 and,
-    for large orders, over the first few hundred.  A window that holds
-    more radii than ceil(u h) + 40 Chebyshev points (half-width h, support
-    [0, u]) is swept at those points on [a, b] only and interpolated onto
-    its radii (``_windowed``).
-    A C7 grid of 9,997 radii on [43.7, 2006] becomes 1,663 swept radii for
-    a regular profile and 1,300 for a cutoff one.  On the contour path the
-    interpolant agrees with the direct sweep to about 1.2e-14 of the local
-    envelope of |F|, the Chebyshev series' truncation at 40 points of
-    margin; on panels it resamples the panel sweep's own error, amplified
-    by at most the Lebesgue constant, about 4.  Every other
-    window, and so every grid sparser than that, is swept exactly as its
-    radii are given.
+    into windows [a, b] (``_windowed``).  A window that holds more radii
+    than its Chebyshev points is swept at those points only and
+    interpolated onto its radii.  On the contour path b <= 4 a, with
+    ``_CONTOUR_POINTS`` = 32 points in log r, and what is interpolated is
+    the ``parts`` of ``steepest_descent`` per term, made smooth by
+    r^(Re lam+1) and r^(Re rho+1/2) e^(-+ir), which are put back at each
+    radius.  On the [60, 2006] grid of step pi/16 this is within 2.3e-15 of
+    the direct sweep's local envelope of |F|, except where the direct
+    sweep is noisier itself: it cancels at (1, 3) and (2.5, 3), and is
+    3e-15 off mpmath at (0.5, 6), which reads 4.8e-15.  On the
+    panel path b <= min(a + ``_WINDOW``, a ``_WINDOW_RANGE`` **
+    (1 / (nu + 2))): r^-(nu + 2) changes by at most 16 across it, which
+    narrows windows near r = 0 and, for large orders, over the first few
+    hundred, and F itself is sampled at ceil(u h) + 40 points in r
+    (half-width h, support [0, u]).  There the interpolant resamples the
+    panel sweep's own error, amplified by at most the Lebesgue constant,
+    about 4.  A C7 grid of 9,997 radii on [43.7, 2006] is swept at 96
+    contour points and 49 panel points for a regular profile, and at
+    1,300 panel points for a cutoff one.  Every other window, and so every
+    grid sparser than that, is swept exactly as its radii are given.
     """
     cfg = cfg or _DEFAULT_CFG
     r = np.asarray(r_values)
@@ -1160,11 +1189,20 @@ def hankel_sweep(
     on = np.zeros(r.size, dtype=bool) if seam is None else r >= 2.0 * seam
 
     def contours(radii, _):
-        out = np.zeros(radii.size, dtype=np.complex128)
+        out, split = np.zeros(radii.size, dtype=np.complex128), []
         for t in profile.terms:
             ti = _TermIntegral(t.lam, t.rho, nu, float(np.min(radii)), False)
-            out += t.coeff * ti.steepest_descent(radii, seam, _NODES, _laguerre_nodes(tol) + 8, tol)[0]
-        return out
+            v, _, _, parts = ti.steepest_descent(radii, seam, _NODES, _laguerre_nodes(tol) + 8, tol)
+            out += t.coeff * v
+            split.append(t.coeff * parts)
+        return out, np.concatenate(split).T
+
+    def flat(radii, unit):
+        # per term (r/unit)^(Re lam+1) for the seam zone, (r/unit)^(Re rho+1/2) e^(-+ir) for the edge legs
+        rc, turn = (radii / unit)[:, None], np.exp(1j * radii)[:, None]
+        turn = np.hstack([turn.conj(), turn])
+        return np.hstack([x for t in profile.terms
+                          for x in (rc ** (t.lam.real + 1.0), rc ** (t.rho.real + 0.5) * turn)])
 
     def panels(radii, window):
         out = np.zeros(radii.size, dtype=np.complex128)
@@ -1177,8 +1215,10 @@ def hankel_sweep(
         return out
 
     out = np.zeros(r.size, dtype=np.complex128)
-    upper = _CUT_HI if cutoff else 1.0
-    for part, sweep in ((on, contours), (~on, panels)):
-        if part.any():
-            out[part] = _windowed(r[part], upper, nu, sweep)
+    upper, ratio = _CUT_HI if cutoff else 1.0, _WINDOW_RANGE ** (1.0 / (nu + 2.0))
+    if on.any():
+        out[on] = _windowed(r[on], contours, lambda a: 4.0 * a, lambda a, b: _CONTOUR_POINTS, flat)
+    if not on.all():
+        out[~on] = _windowed(r[~on], panels, lambda a: min(a + _WINDOW, a * ratio),
+                             lambda a, b: math.ceil(upper * (b - a) / 2) + _WINDOW_MARGIN)
     return out

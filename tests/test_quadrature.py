@@ -531,7 +531,9 @@ class TestSweep:
         p = single(1.0, 1.5, n=n)
         grid = np.arange(lo, hi, math.pi / 16)
         sw = hankel_sweep(p, grid)
-        monkeypatch.setattr(quadrature, "_WINDOW_MARGIN", 10**9)  # no window is sampled
+        # no window is sampled, on panels or contours
+        monkeypatch.setattr(quadrature, "_WINDOW_MARGIN", 10**9)
+        monkeypatch.setattr(quadrature, "_CONTOUR_POINTS", 10**9)
         direct = hankel_sweep(p, grid)
         for i in range(grid.size):
             assert abs(sw[i] - direct[i]) <= 3e-12 * self.envelope(direct, i), grid[i]
@@ -542,26 +544,60 @@ class TestSweep:
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_windows_bound_the_power_of_r(self, n, monkeypatch):
-        """Each sampled window [a, b] keeps (b / a)^(nu + 2) within
-        _WINDOW_RANGE and b - a within _WINDOW, on the contour and the panel
-        path alike, and its ends are radii of the grid: the interval that
-        is interpolated is the span of the radii it serves."""
+        """Each sampled panel window [a, b] keeps (b / a)^(nu + 2) within
+        _WINDOW_RANGE and b - a within _WINDOW.  Each sampled contour
+        window, the one kind with _CONTOUR_POINTS points, is Chebyshev in
+        log r with b / a <= 4, from 2 seam on.  On both paths its ends are
+        radii of the grid: the interval that is interpolated is the span of
+        the radii it serves."""
         spans = []
         window = quadrature._chebyshev_window
 
         def recorded(lo, hi, m):
-            spans.append((lo, hi))
+            spans.append((lo, hi, m))
             return window(lo, hi, m)
 
         monkeypatch.setattr(quadrature, "_chebyshev_window", recorded)
         p = single(1.0, 1.5, n=n)
         grid = np.arange(math.pi / 16, 400.0, math.pi / 16)
         hankel_sweep(p, grid)
-        assert spans
-        for lo, hi in spans:
+        seam = quadrature._contour_seam(p.nu, False, QuadratureConfig())
+        contour = [(lo, hi) for lo, hi, m in spans if m == quadrature._CONTOUR_POINTS]
+        panel = [(lo, hi) for lo, hi, m in spans if m != quadrature._CONTOUR_POINTS]
+        assert contour and panel
+        for lo, hi in contour:
+            assert hi - lo <= math.log(4.0) + 1e-12 and math.exp(lo) >= 2.0 * seam * (1 - 1e-12), (lo, hi)
+            for end in (lo, hi):
+                assert np.min(np.abs(grid - math.exp(end))) <= 1e-13 * math.exp(end), (lo, hi)
+        for lo, hi in panel:
             assert (hi / lo) ** (p.nu + 2) <= quadrature._WINDOW_RANGE * (1 + 1e-12), (lo, hi)
             assert hi - lo <= quadrature._WINDOW, (lo, hi)
             assert lo in grid and hi in grid, (lo, hi)
+
+    @pytest.mark.parametrize("profile", [
+        single(0.0, 0.1), single(1.0, 0.5), single(2.5, 1.0), MIXED,
+        single(1.0, complex(1.5, 0.4), n=4), single(1.0, 1.5, n=30),
+    ], ids=["0_0.1", "1_0.5", "2.5_1", "two_terms", "complex_rho", "n30"])
+    def test_contour_interpolant_tracks_the_direct_sweep(self, profile, monkeypatch):
+        """On the contour path the sweep interpolates, per term, the seam
+        zone times r^(Re lam + 1) and each edge leg with e^(+-ir) taken out
+        times r^(Re rho + 1/2), none of which oscillates, at 32 Chebyshev
+        points in log r per window.  At every radius of the grid from 2 seam
+        on it stays within 5e-15 of the direct sweep's local envelope.
+        Interpolating the oscillating F at ceil(h) + 40 points per window
+        128 wide read 1.6e-14 to 2.8e-14 on the first three and on the
+        complex rho.  The direct sweep runs at every fourth radius from
+        2 seam on, built at the same first radius, and its envelope is the
+        largest |F| among those within pi (a few % under the full grid's)."""
+        grid = np.arange(60.0, 2006.0, math.pi / 16)
+        on = grid >= 2.0 * quadrature._contour_seam(profile.nu, False, QuadratureConfig())
+        sw = hankel_sweep(profile, grid)[on][::4]
+        monkeypatch.setattr(quadrature, "_CONTOUR_POINTS", 10**9)  # every contour radius is swept
+        direct = hankel_sweep(profile, grid[on][::4])
+        envelope = np.lib.stride_tricks.sliding_window_view(np.pad(np.abs(direct), 4), 9).max(axis=1)
+        err = np.abs(sw - direct) / envelope
+        assert sw.size > 2000
+        assert err.max() <= 5e-15, grid[on][::4][np.argmax(err)]
 
     @pytest.mark.parametrize("profile", [single(1.0, 1.5), single(0.0, 1.0, vanishes_near_one=True)],
                              ids=["contour", "cutoff"])
@@ -580,6 +616,16 @@ class TestSweep:
             res = finite_hankel(profile, r)
             for v in sw[grid == r]:
                 assert abs(v - res.value) <= res.error_estimate + 1e-12 * abs(res.value), r
+
+    def test_contour_interpolant_where_F_underflows(self, monkeypatch):
+        """At r ~ 1e100 the parts of (2.5, 3) underflow to 0 while r^3.5
+        overflows, so the powers that make them smooth are taken relative to
+        a power of 2 near each window.  Taken absolute, 0 * inf made every
+        interpolated value NaN; the direct sweep gives 0."""
+        grid = 1e100 * np.linspace(1.0, 1.001, 100)
+        sw = hankel_sweep(single(2.5, 3.0), grid)
+        monkeypatch.setattr(quadrature, "_CONTOUR_POINTS", 10**9)
+        assert (sw == hankel_sweep(single(2.5, 3.0), grid)).all()
 
     def test_barycentric_node_hits_and_chunks(self, monkeypatch):
         """A radius equal to a sampled point takes that sample, the last
@@ -617,14 +663,18 @@ class TestSweep:
         contour sweep built at the smallest radius from 2 seam = 60 on, and
         the panel sweep of each window on node sets for that window's
         largest radius, or for _CUTOFF_MESH_R = 300 if that is larger and
-        the profile has the cutoff.  The windows are predicted from the
-        rule of ``_windowed``.  Below 60 the two-term profile's radii form
-        one window; the cutoff profile's radii form 15, the first [41, 161]
+        the profile has the cutoff.  The panel windows are predicted from
+        the rule of ``_windowed``.  Below 60 the two-term profile's radii
+        form one window, and from 60 on its 60 log-spaced radii put at most
+        25 in each contour window (b / a <= 4), under the 32 points; the
+        cutoff profile's radii, 4 apart, form 15, the first [41, 161]
         (r^-2 changes by at most 16 across it), the others up to 128 wide."""
-        grid = np.random.default_rng(3).permutation(np.arange(41.0, 2000.0, 4.0))
+        rng = np.random.default_rng(3)
+        spaced = rng.permutation(np.append(np.arange(41.0, 60.0, 4.0), np.geomspace(61.0, 2000.0, 60)))
         cfg = QuadratureConfig()
         tol = cfg.target_rel_tol
-        for p in (self.MIXED, single(0.0, 1.0, vanishes_near_one=True)):
+        for p, grid in ((self.MIXED, spaced),
+                        (single(0.0, 1.0, vanishes_near_one=True), rng.permutation(np.arange(41.0, 2000.0, 4.0)))):
             seam = quadrature._contour_seam(p.nu, p.vanishes_near_one, cfg)
             on = np.zeros(grid.size, dtype=bool) if seam is None else grid >= 2.0 * seam
             windows = self.windows(grid[~on], p.nu)
