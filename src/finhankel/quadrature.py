@@ -97,10 +97,13 @@ are built per window of r (below), for the window's largest r, or for
 r = 300 if that is larger and the profile has the cutoff, with 12 nodes
 per panel, and each is summed as one double-precision kernel matrix per
 chunk of radii, the chunks of every node set held to one budget of
-(radius, node) pairs.  The phase r s is one long-double product rounded
-once to double.  The double-precision kernel runs Miller's recurrence
-where the ascending series would cancel, and with it a mesh built for the
-window's own radii is accurate to about 1e-12 relative.
+(radius, node) pairs.  Oscillation panels past the double kernel's
+expansion start sum that expansion with its phase factored per panel
+(``_asym_panel_sums``).  Elsewhere the phase r s is one long-double
+product rounded once to double, and the double-precision kernel runs
+Miller's recurrence where the ascending series would cancel.  With both,
+a mesh built for the window's own radii is accurate to about 1e-12
+relative.
 A dense grid is not swept radius by radius.  Each path's sorted radii
 are cut into windows in one pass, and a window holding more radii than
 its point count is swept at its Chebyshev points only and interpolated
@@ -140,7 +143,8 @@ from .profiles import (
     boundary_power_terms,
     differentiate_power_terms,
 )
-from .specfun import bessel_j_grid, bessel_j_scaled_grid, hankel_scaled_grid, _gamma_real_ld
+from .specfun import (bessel_j_grid, bessel_j_scaled_grid, hankel_scaled_grid, _asym_pq, _asym_terms,
+                      _expansion_start, _gamma_real_ld)
 
 _LD = np.longdouble
 _CLD = np.clongdouble
@@ -181,8 +185,12 @@ _CONTOUR_POINTS = 32
 # panel_sweep chunks each node set by its own size.  With 12 nodes per
 # panel, a C7 cutoff sweep (lam = 1, rho = 3.5) has 16 windows, 15 of 83
 # Chebyshev points and the last of 55, on meshes of 396 nodes (built for
-# 300) to 2,568 (for 2006), so every window is 1 chunk
+# 300) to 2,568 (for 2006), so every window is 1 chunk, of whose 1.87 M
+# pairs only 0.10 M, below the expansion start, form a kernel matrix
 _SWEEP_ELEMS = 1 << 19
+# (radius, node) pairs per block of _asym_panel_sums, whose temporaries
+# then stay in cache: 16 panels of 12 nodes for a window of 83 radii
+_ASYM_BLOCK = 1 << 14
 # relative accuracy of a double-precision contour sum: the Laguerre rules'
 # low moments are good to about 4e-15 when alpha = rho - 1 is near -1
 _CONTOUR_ROUNDING = 4e-15
@@ -416,11 +424,11 @@ def _seam_hankel(nu: float, seam: float, nl: int, kind: int):
 def _smooth_cutoff_ld(s: np.ndarray) -> np.ndarray:
     """C-infinity step: 1 for s <= 1/3, 0 for s >= 2/3."""
     u = (np.asarray(s, dtype=_LD) - _LD(_CUT_LO)) / _LD(_CUT_HI - _CUT_LO)
-    lo = np.clip(u, 1e-30, None)
-    hi = np.clip(1 - u, 1e-30, None)
-    g0 = np.where(u > 0, np.exp(-1 / lo), _LD(0.0))
-    g1 = np.where(u < 1, np.exp(-1 / hi), _LD(0.0))
-    return g1 / (g0 + g1)
+    out = np.where(u <= 0, _LD(1.0), _LD(0.0))
+    ramp = (u > 0) & (u < 1)  # the exponentials are needed only here
+    g0, g1 = np.exp(-1 / u[ramp]), np.exp(-1 / (1 - u[ramp]))
+    out[ramp] = g1 / (g0 + g1)
+    return out
 
 
 def _phi_factor(s, dist1, lam, rho, from_u: bool = False):
@@ -836,10 +844,14 @@ class _TermIntegral:
         Complex exponents get the same graded end zones and closed-form end
         terms as the evaluator, with depths set by ``tol``.
         Each node set is summed as one kernel matrix per chunk of
-        ``_SWEEP_ELEMS`` // nodes radii, with the phase r s formed as one
-        long-double product rounded once to double.
+        ``_SWEEP_ELEMS`` // nodes radii.  Oscillation panels whose every
+        r s, at the chunk's smallest radius, is past the double kernel's
+        expansion start go to ``_asym_panel_sums``; the other nodes take
+        the kernel at r s, one long-double product rounded once to double.
         """
-        sets, _ = self.node_sets(self.build_mesh(), n, tol)
+        edges = self.build_mesh()
+        sets, _ = self.node_sets(edges, n, tol)
+        start = _expansion_start(self.nu, False)
         values = np.zeros(radii.size, dtype=np.complex128)
         for ns in sets:
             s = ns.s.ravel()
@@ -847,12 +859,56 @@ class _TermIntegral:
             rows = max(1, _SWEEP_ELEMS // s.size)
             for i0 in range(0, radii.size, rows):
                 r = radii[i0 : i0 + rows]
-                x = (r.astype(_LD)[:, None] * s).astype(np.float64)
+                cols = s.size
+                if ns is sets[0]:  # the oscillation panels
+                    first = int(np.searchsorted(np.asarray(ns.s[:, 0], dtype=np.float64) * r.min(), start, "right"))
+                    if first < ns.s.shape[0]:
+                        values[i0 : i0 + rows] += _asym_panel_sums(self.nu, r, edges[first:], ns.w[first:])
+                    cols = first * ns.s.shape[1]
+                x = (r.astype(_LD)[:, None] * s[:cols]).astype(np.float64)
                 if ns.scaled:
                     values[i0 : i0 + rows] += _matvec(bessel_j_scaled_grid(self.nu, x), w) * r**self.nu
-                else:
-                    values[i0 : i0 + rows] += _matvec(bessel_j_grid(self.nu, x), w)
+                elif cols:
+                    values[i0 : i0 + rows] += _matvec(bessel_j_grid(self.nu, x), w[:cols])
         return values
+
+
+def _asym_panel_sums(nu: float, r: np.ndarray, edges, w) -> np.ndarray:
+    """sum_k w_k J_nu(r s_k) over the nodes s of the Legendre panels
+    between ``edges`` (``w`` a row per panel) at every radius of r, each
+    r s past ``_expansion_start(nu, False)``.
+
+    There J_nu(x) = sqrt(2 / (pi x)) Re(e^(i omega) (P + i Q)) with
+    omega = x - (nu/2 + 1/4) pi (DLMF 10.17.3).  On a panel of midpoint m
+    and half-width h, s = m + h t and e^(i omega) is
+    e^(i (r m - (nu/2 + 1/4) pi)), one long-double product per radius and
+    panel reduced modulo 2 pi and rounded once to double, times
+    e^(i r h t), one per radius, distinct half-width and rule node, with
+    r h t at most pi on a mesh built for r or more: a phase is rounded as a
+    double below pi, not as one near r s.  ``_asym_pq`` sums P and Q at
+    1/x = (1/r)(1/s), with the terms ``_asym_terms`` takes at each block's
+    smallest x, in blocks of about ``_ASYM_BLOCK`` (radius, node) pairs.
+    1/sqrt(s) goes into the weights and sqrt(2 / (pi r)) onto the sums.
+    """
+    mid, hx, _ = _panel_nodes(edges, w.shape[1])
+    _, first, kind = np.unique(hx[:, -1], return_index=True, return_inverse=True)
+    s = mid + hx
+    inv_s, w = (1 / s).astype(np.float64), np.asarray(w / np.sqrt(s), dtype=np.complex128)
+    theta = r.astype(_LD)[:, None] * mid[:, 0] - (_LD(0.5 * nu) + _LD(0.25)) * (2 * _HALF_PI_LD)
+    phase = np.exp(1j * (theta - 4 * _HALF_PI_LD * np.round(theta / (4 * _HALF_PI_LD))).astype(np.float64))
+    turn = np.exp(1j * (r[:, None, None] * np.asarray(hx[first], dtype=np.float64)))
+    out = np.zeros(r.size, dtype=np.complex128)
+    panels = max(1, _ASYM_BLOCK // (s.shape[1] * r.size))
+    rows = max(1, _ASYM_BLOCK // (s.shape[1] * panels))
+    for i0 in range(0, r.size, rows):
+        ri = slice(i0, i0 + rows)
+        for j0 in range(0, s.shape[0], panels):
+            pj = slice(j0, j0 + panels)
+            e = phase[ri, pj, None] * np.take(turn[ri], kind[pj], axis=1)
+            count, _ = _asym_terms(nu, float(np.min(r[ri])) * float(s[j0, 0]))
+            p, q = _asym_pq(nu, (1 / r[ri])[:, None, None] * inv_s[pj], count, np.float64)
+            out[ri] += _matvec((e.real * p - e.imag * q).reshape(e.shape[0], -1), w[pj].ravel())
+    return out * np.sqrt(2 / (np.pi * r))
 
 def _kernel_terms(sets, nu: float, r: float) -> list:
     """w times the kernel at r for every node of each set of ``sets``, in
@@ -1148,12 +1204,14 @@ def hankel_sweep(
     points of a C7 window check take 120 nodes for lam = 0.5, rho = 6, not
     the 3,840 of a mesh for r ~ 2006.  Each node set is summed in double
     precision as one kernel matrix per chunk of ``_SWEEP_ELEMS`` // nodes
-    radii, with r s formed as one long-double product rounded once to
-    double.  The double-precision kernel is within 4.3e-15 of J_nu's
-    envelope (Miller's recurrence where the ascending series would
-    cancel), so on the C7 radii below 60 the sweep stays within a fifth of
-    finite_hankel's estimate + 1e-12 |F|, and at n = 30 and 60 within
-    2.3e-14 of the closed form.
+    radii.  Oscillation panels past the double kernel's expansion start
+    sum that expansion with its phase factored per panel
+    (``_asym_panel_sums``); elsewhere r s is one long-double product
+    rounded once to double, and the kernel is within 4.3e-15 of J_nu's
+    envelope.  So on the C7 radii below 60 the sweep stays within a fifth
+    of finite_hankel's estimate + 1e-12 |F|, on the cutoff (0, 1) over
+    [1800, 2006) within 0.003 of it, and at n = 30 and 60 within 1.8e-14
+    of the closed form.
 
     Dense grids are not swept radius by radius.  The sorted radii of each
     path, so that no window straddles twice the seam, are cut in one pass

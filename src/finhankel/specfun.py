@@ -224,7 +224,8 @@ def _asym_pq(nu: float, inv_z: np.ndarray, count: int, dt):
     qs = np.zeros_like(inv_z)
     u = np.ones_like(inv_z)  # u_k = a_k / z^k
     for k in range(1, count + 1):
-        u = u * (dt(fournu2 - (2 * k - 1) ** 2) / dt(8 * k)) * inv_z
+        np.multiply(u, dt(fournu2 - (2 * k - 1) ** 2) / dt(8 * k), out=u)
+        np.multiply(u, inv_z, out=u)
         target = qs if k % 2 else p  # odd terms feed the sine series
         if (k // 2) % 2 == 0:
             np.add(target, u, out=target)

@@ -28,7 +28,7 @@ from finhankel.quadrature import (
     iterated_transform,
     radial_fourier,
 )
-from finhankel.specfun import bessel_j
+from finhankel.specfun import _expansion_start, bessel_j, bessel_j_grid, bessel_j_scaled_grid
 
 from oracles import mp_term_transform
 
@@ -491,8 +491,12 @@ class TestSweep:
         # r^nu changes by a factor of 9e9 across [pi/16, 60) at n = 10
         (single(1.0, 1.5, n=10), math.pi / 16, 200.0, 0.5),
         (single(1.0, 1.5, n=10), 43.7, 300.0, 0.5),
+        # the top of the window check's range, where the panel sweep's
+        # phases r s are largest
+        (single(0.0, 1.0, vanishes_near_one=True), 1800.0, 2006.0, 0.5),
+        (RadialProfile(3, MIXED.terms, vanishes_near_one=True), 1800.0, 2006.0, 0.5),
     ], ids=["across_seam", "near_origin", "cutoff", "complex_rho", "two_terms",
-            "n10_near_origin", "n10"])
+            "n10_near_origin", "n10", "cutoff_top", "two_terms_cutoff_top"])
     def test_dense_grid_is_interpolated(self, profile, lo, hi, share, monkeypatch):
         """On a grid of step pi/16 the windows are swept at their Chebyshev
         points, and the interpolant agrees with finite_hankel and with the
@@ -718,6 +722,37 @@ class TestSweep:
         for value, r in zip(hankel_sweep(p, np.array(rs)), rs):
             ref = mp_term_transform(1.0, 1.5, p.nu, r)
             assert abs(value - ref) <= 1e-12 * abs(ref), r
+
+    @pytest.mark.parametrize("profile,radii", [
+        (single(0.0, 1.0, vanishes_near_one=True), (40.0, 50.0, 59.0)),
+        (single(1.0, 1.5, n=3), (4.0, 5.0, 5.7)),
+        (single(1.0, 1.5, n=30), (50.0, 70.0, 89.0)),
+        (single(1.0, complex(1.5, 0.4), n=60), (300.0, 350.0, 400.0)),
+    ], ids=["nu0_cutoff", "nu0.5", "nu14", "nu29_complex_rho"])
+    def test_panel_sweep_splits_at_the_expansion_start(self, profile, radii):
+        """The panel sweep sums the oscillation panels whose every r s is
+        past the double kernel's expansion start (at the smallest radius)
+        from the large-argument expansion with the phase factored per
+        panel, and the rest with the kernel itself.  Here r s straddles
+        the expansion start (2 at nu = 1/2, 23.6 at nu = 0, 38 at nu = 14,
+        256 at nu = 29), and the sweep agrees with the plain matrix sum of
+        every node set, J_nu at r s rounded once to double, within 1e-14
+        of that sum's absolute mass."""
+        (t,), nu, r = profile.terms, profile.nu, np.array(radii)
+        tol, n = QuadratureConfig().target_rel_tol, quadrature._SWEEP_NODES
+        ti = _TermIntegral(t.lam, t.rho, nu, float(r.max()), profile.vanishes_near_one)
+        sets, _ = ti.node_sets(ti.build_mesh(), n, tol)
+        first = np.asarray(sets[0].s[:, 0], dtype=np.float64) * r.min()
+        assert first[0] < _expansion_start(nu, False) < first[-1]
+        ref, mass = np.zeros(r.size, dtype=np.complex128), np.zeros(r.size)
+        for ns in sets:
+            x = (r.astype(np.longdouble)[:, None] * ns.s.ravel()).astype(np.float64)
+            k = bessel_j_scaled_grid(nu, x) * r[:, None] ** nu if ns.scaled else bessel_j_grid(nu, x)
+            terms = k * np.asarray(ns.w, dtype=np.complex128).ravel()
+            ref += terms.sum(axis=1)
+            mass += np.abs(terms).sum(axis=1)
+        err = np.abs(ti.panel_sweep(r, n, tol) - ref)
+        assert (err <= 1e-14 * mass).all(), err / mass
 
     @pytest.mark.parametrize("lam,rho", [(2.5, 3.0), (0.0, 0.5)])
     def test_sub_seam_radii_of_the_window_check(self, lam, rho):
