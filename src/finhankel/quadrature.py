@@ -910,6 +910,7 @@ def _asym_panel_sums(nu: float, r: np.ndarray, edges, w) -> np.ndarray:
             out[ri] += _matvec((e.real * p - e.imag * q).reshape(e.shape[0], -1), w[pj].ravel())
     return out * np.sqrt(2 / (np.pi * r))
 
+
 def _kernel_terms(sets, nu: float, r: float) -> list:
     """w times the kernel at r for every node of each set of ``sets``, in
     extended precision, as arrays shaped like the sets.
