@@ -63,8 +63,11 @@ refinement: 32 and 16 nodes per panel and, at the default 1e-10 target,
 18 and 10 Laguerre nodes per contour leg.  The fine sum is the value; its
 distance from the coarse sum, plus the rounding and bounds of the pieces,
 is the error estimate.  On the contour path each term runs
-``steepest_descent`` once per resolution over all the grid's radii there,
-so a value moves within its estimate with the grid it is part of.  On
+``steepest_descent`` once, at both resolutions, over all the grid's radii
+there, so a value moves within its estimate with the grid it is part of.
+That pass evaluates the seam legs, the per-node factor that carries them
+to each radius, and the edge legs once on both rules' nodes, and sums
+each rule on its own, which costs little more than one resolution.  On
 the panel path each radius runs alone: the node sets of every term at
 both resolutions are built first, and ``_kernel_terms`` gets all their
 kernel values from one call of each extended-precision kernel, plain and
@@ -133,6 +136,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_jacobi
@@ -177,8 +181,10 @@ _WINDOW_RANGE = 16.0
 _CONTOUR_POINTS = 32
 # (radius, node) pairs per chunk of either sweep over many radii, and
 # (radius, point) pairs per chunk of the interpolant, so their largest
-# temporaries hold at most 8 MB.  steepest_descent's widest part, a
-# real-exponent term's 160 origin-zone nodes at the default target, takes
+# temporaries hold at most 8 MB (16 MB for steepest_descent's edge legs,
+# which hold both legs).  steepest_descent chunks by the node count of
+# its widest part over all its rules.  A real-exponent term's 160
+# origin-zone nodes at the default target, the sweep's one rule, take
 # 3,276 radii per chunk, so the 96 Chebyshev points of a C7 sweep's 3
 # contour windows are 1 chunk, and an interpolant at 32 points takes
 # 16,384 radii per chunk, more than any window of that sweep holds.
@@ -329,11 +335,11 @@ def _cexp_ld(re, im):
 
 def _matvec(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     """m @ t for a complex vector or matrix t.  A real m meets the real and
-    imaginary parts of t as real columns: a product with a complex t would
-    first copy m to complex."""
+    imaginary parts of t as real columns, read in place from t's memory: a
+    product with a complex t would first copy m to complex."""
     if np.iscomplexobj(m):
         return m @ t
-    k = m @ np.stack([t.real, t.imag], axis=-1).reshape(t.shape[0], -1)
+    k = m @ np.ascontiguousarray(t).view(np.float64).reshape(t.shape[0], -1)
     k = k.reshape(*m.shape[:-1], *t.shape[1:], 2)
     return k[..., 0] + 1j * k[..., 1]
 
@@ -359,6 +365,7 @@ def _middle_edges(lo: float, hi: float, osc_width: float, forced=(), unit: float
     return pts
 
 
+@lru_cache(maxsize=16)
 def _phase_edges(seam: float) -> tuple:
     """Edges of the steepest-descent origin zone's Legendre panels on
     [8, seam] in x = r s.  Below x = seam the caps of ``_middle_edges`` at
@@ -412,13 +419,22 @@ def _phase_origin(nu: float, b: float, x_a: float, n: int):
 
 
 @lru_cache(maxsize=64)
-def _seam_hankel(nu: float, seam: float, nl: int, kind: int):
-    """``hankel_scaled_grid`` of this kind on its seam leg, at
-    z = seam +- i tau for the nl Laguerre nodes tau: (h, truncation bound)."""
-    tau, _ = _gauss_laguerre(nl, 0.0)
-    h, bound = hankel_scaled_grid(nu, seam + (1j if kind == 1 else -1j) * tau, kind)
-    h.setflags(write=False)
-    return h, bound
+def _seam_hankel(nu: float, seam: float, nls: tuple):
+    """The seam legs' nodes for each Laguerre rule size nl of ``nls``, rule
+    by rule: nl nodes tau on the H1 leg z = seam + i tau, then on the H2 leg
+    z = seam - i tau, as (sigma = +-1, tau, rule weight, z,
+    e^(-+iz) H^(1,2)(z), truncation bound plus contour rounding floor),
+    read-only.  For real nu, H2 at conj(z) is the conjugate of H1 at z
+    (DLMF 10.11.9), so one ``hankel_scaled_grid`` call per rule serves both
+    legs."""
+    parts = []
+    for nl in nls:
+        tau, w = _gauss_laguerre(nl, 0.0)
+        h, bound = hankel_scaled_grid(nu, seam + 1j * tau)
+        parts.append((np.repeat([1.0, -1.0], nl), np.tile(tau, 2), np.tile(w, 2), np.concatenate([h, h.conj()]),
+                      np.full(2 * nl, bound + _CONTOUR_ROUNDING)))
+    sigma, tau, w, h, per_mass = map(np.concatenate, zip(*parts))
+    return _frozen(sigma, tau, w, seam + 1j * sigma * tau, h, per_mass)
 
 
 def _smooth_cutoff_ld(s: np.ndarray) -> np.ndarray:
@@ -654,61 +670,57 @@ class _TermIntegral:
 
     # -- steepest-descent contours ------------------------------------------
 
-    def _leg_seam(self, seam: float, nl: int, sigma: float):
+    def _leg_seam(self, seam: float, nls: tuple):
         """sigma (i/2) int_0^inf f(a + i sigma t) H(r (a + i sigma t)) dt,
-        a = seam / r.
+        a = seam / r, for sigma = +1 and -1 and each Laguerre rule size in
+        ``nls``.
 
         H is H1 for sigma = +1 and H2 for sigma = -1, so the kernel decays
-        like e^(-r t); tau = r t carries the nl-node Laguerre rule, and
-        H's argument seam + i sigma tau is the same at every r, so H comes
-        from the table ``_seam_hankel``.  Returns the nodes as z = r s, the
-        term of each node, whose sum is the leg, and each term's error per
-        unit of its modulus: the Hankel truncation bound and the contour
-        rounding floor.
+        like e^(-r t); tau = r t carries the Laguerre rule, and H's argument
+        seam + i sigma tau is the same at every r, so H comes from the table
+        ``_seam_hankel``.  Returns the nodes as z = r s, in the table's
+        order, the term of each node, whose sum over a rule is both its
+        legs, and each term's error per unit of its modulus.
         """
         r = self.r
         a = seam / r
-        x, w = _gauss_laguerre(nl, 0.0)
+        sigma, x, w, z, h, per_mass = _seam_hankel(self.nu, seam, nls)
         d = 1j * sigma * x / r  # s - a
         g = np.exp(
             self.lam * np.log1p(d / a)
             + (self.rho - 1.0) * np.log1p(-d * (2.0 * a + d) / (1.0 - a * a))
         )
-        h, kbound = _seam_hankel(self.nu, seam, nl, 1 if sigma > 0 else 2)
         # f(a) e^(i sigma seam) in extended precision: this leg cancels
         # against the origin zone, and exp of a large exponent loses digits
         la, l1 = np.log(_LD(a)), np.log1p(-_LD(a) * _LD(a))
         pre = _cexp_ld(
             self.lam.real * la + (self.rho.real - 1.0) * l1,
-            self.lam.imag * la + self.rho.imag * l1 + sigma * _LD(seam),
+            self.lam.imag * la + self.rho.imag * l1 + np.array([1.0, -1.0]) * _LD(seam),
         )
-        z = seam + 1j * sigma * x
-        return z, sigma * 0.5j / r * pre * (w * g * h), np.full(x.size, kbound + _CONTOUR_ROUNDING)
+        coef = np.where(sigma > 0, *(s * 0.5j / r * p for s, p in zip((1.0, -1.0), pre)))
+        return z, coef * (w * g * h), per_mass
 
-    def _seam_zone(self, seam: float, n: int, nl: int, tol: float):
-        """The origin zone [0, a], a = seam / r, and the two seam legs from a,
-        at this term's r, as nodes z = r s (complex on the legs).
+    def _origin_zone(self, seam: float, ns, tol: float):
+        """The origin zone [0, a], a = seam / r, at this term's r, as nodes
+        z = r s, with n nodes per panel for each n of ``ns``.
 
-        Both are built in x = r s, where their nodes are the same at every
+        It is built in x = r s, where its nodes are the same at every
         radius: the origin rule on [0, 8] and Legendre panels on the fixed
         edges ``_phase_edges(seam)`` up to the seam, with the kernel values
         read from tables built once per order and per (nu, Re lam + nu, n)
-        (``node_sets`` with ``in_phase``), and the seam legs' Hankel values
-        from ``_seam_hankel``.  Per radius only the profile factor at
-        s = x / r, r^-(lam+1) and the bounds are evaluated.
-        Returns ([real axis, legs], bound on the discarded origin piece,
-        panels), each part as (z, term of each node, error per unit of each
-        term's modulus).  The real-axis terms stay in extended precision:
-        their sum cancels against the legs.
+        (``node_sets`` with ``in_phase``).  Per radius only the profile
+        factor at s = x / r, r^-(lam+1) and the bounds are evaluated.
+        Returns (z, term of each node, error per unit of each term's
+        modulus) over every rule's nodes, rule by rule, and per rule (nodes,
+        bound on the discarded origin piece, panels).  The terms stay in
+        extended precision: their sum cancels against the seam legs.
         """
-        r = self.r
-        sets, tail = self.node_sets(_phase_edges(seam), n, tol, in_phase=True)
-        z = r * np.concatenate([np.asarray(ns.s, dtype=np.float64).ravel() for ns in sets])
-        t = np.concatenate([(ns.w * ns.kernel).ravel() for ns in sets])
-        rounding = np.concatenate([np.full(ns.s.size, ns.rounding) for ns in sets])
-        legs = [self._leg_seam(seam, nl, sigma) for sigma in (1.0, -1.0)]
-        parts = [(z, t, rounding), tuple(map(np.concatenate, zip(*legs)))]
-        return parts, tail, sum(ns.s.shape[0] for ns in sets) + 2
+        built = [self.node_sets(_phase_edges(seam), n, tol, in_phase=True) for n in ns]
+        sets = [s for b, _ in built for s in b]
+        z = self.r * np.concatenate([np.asarray(s.s, dtype=np.float64).ravel() for s in sets])
+        t = np.concatenate([(s.w * s.kernel).ravel() for s in sets])
+        rounding = np.repeat([s.rounding for s in sets], [s.s.size for s in sets])
+        return (z, t, rounding), [(sum(s.s.size for s in b), tail, sum(s.s.shape[0] for s in b)) for b, tail in built]
 
     def _edge_rule(self, nl: int, n: int, tol: float):
         """Nodes and weights in tau = r t of both edge legs, with the weight
@@ -741,19 +753,24 @@ class _TermIntegral:
         w = np.concatenate([[np.exp(rho * math.log(delta)) / rho], w])
         return x, w, delta, top, len(e) - 1
 
-    def _leg_edge(self, r: np.ndarray, rule, sigma: float):
+    def _leg_edge(self, r: np.ndarray, rules):
         """-sigma (i/2) int_0^inf f(1 + i sigma t) H(r (1 + i sigma t)) dt at
-        every radius of ``r``.
+        every radius of ``r``, for sigma = +1 and -1 and each rule of
+        ``rules``, all in one pass.
 
         With tau = r t, f = tau^(rho-1) C g(tau), C = (2/r)^(rho-1)
         e^(-i sigma pi (rho-1)/2) and g = (1 + i sigma tau/r)^lam
-        (1 + i sigma tau/(2r))^(rho-1); ``rule`` comes from ``_edge_rule``,
-        and for complex rho both tails it discards are bounded.
-        Returns (values, absolute masses, kernel truncation and tail bounds).
+        (1 + i sigma tau/(2r))^(rho-1); each rule comes from ``_edge_rule``,
+        and for complex rho both tails it discards are bounded.  H2 at
+        r - i tau is the conjugate of H1 at r + i tau (DLMF 10.11.9), so one
+        ``hankel_scaled_grid`` call serves both legs, and it takes its
+        terms at the smallest |r + i tau| of all the rules' nodes.
+        Returns per rule (values, absolute masses, kernel truncation and
+        tail bounds), a row per leg.
         """
         lam, rho = self.lam, self.rho
-        x, w, delta, top, _ = rule
         alpha = rho.real - 1.0
+        sigma = np.array([[1.0], [-1.0]])
         r_ld = r.astype(_LD)
         lr = np.log(_LD(2.0) / r_ld)
         pre = _cexp_ld(
@@ -761,76 +778,97 @@ class _TermIntegral:
             rho.imag * lr - sigma * _HALF_PI_LD * alpha + sigma * r_ld,
         )
         rc = r[:, None]
-        d = 1j * sigma * x / rc
+        x = np.concatenate([rule[0] for rule in rules])
+        d = 1j * sigma[:, :, None] * x / rc
         g = np.exp(lam * np.log1p(d) + (rho - 1.0) * np.log1p(d / 2.0))
-        h, kbound = hankel_scaled_grid(self.nu, rc + 1j * sigma * x, 1 if sigma > 0 else 2)
-        terms = w * g * h
+        h, kbound = hankel_scaled_grid(self.nu, rc + 1j * x)
+        h = np.array([h, h.conj()])
+        terms = np.concatenate([rule[1] for rule in rules]) * g * h
         scale = 0.5 / r * np.abs(pre)
-        mass = scale * np.sum(np.abs(terms), axis=1)
-        bound = kbound * mass
-        if delta is not None:
-            h0 = scale * np.abs(h[:, 0])
-            slope = 1.0 + (abs(lam) + abs(rho - 1.0) + 1.0) / r
-            growth = (1.0 + top / r) ** (abs(lam.real) + abs(alpha)) * math.exp(
-                0.5 * math.pi * (abs(lam.imag) + abs(rho.imag))
-            )
-            bound = bound + 2.0 * h0 * (
-                slope * delta ** (alpha + 2.0) / (alpha + 2.0) + growth * top**alpha * math.exp(-top)
-            )
-        return -sigma * 0.5j / r * pre * np.sum(terms, axis=1), mass, bound
+        out, i = [], 0
+        for x, _, delta, top, _ in rules:
+            t, i = terms[..., i : i + x.size], i + x.size
+            mass = scale * np.sum(np.abs(t), axis=-1)
+            bound = kbound * mass
+            if delta is not None:
+                h0 = scale * np.abs(h[..., i - x.size])
+                slope = 1.0 + (abs(lam) + abs(rho - 1.0) + 1.0) / r
+                growth = (1.0 + top / r) ** (abs(lam.real) + abs(alpha)) * math.exp(
+                    0.5 * math.pi * (abs(lam.imag) + abs(rho.imag))
+                )
+                bound = bound + 2.0 * h0 * (
+                    slope * delta ** (alpha + 2.0) / (alpha + 2.0) + growth * top**alpha * math.exp(-top)
+                )
+            out.append((-sigma * 0.5j / r * pre * np.sum(t, axis=-1), mass, bound))
+        return out
 
-    def steepest_descent(self, radii: np.ndarray, seam: float, n: int, nl: int, tol: float):
+    def steepest_descent(self, radii: np.ndarray, seam: float, rules, tol: float):
         """The term at every radius of ``radii``, each at least this term's
-        r, which is at least 2 seam: (values, error bounds, panels, parts).
-        The rows of ``parts`` are the seam zone S (origin zone and seam
-        legs) and the edge legs e^(ir) A+ and e^(-ir) A-, in the order the
-        values sum them.
+        r, which is at least 2 seam, with each rule (n, nl) of ``rules``: n
+        nodes per panel and nl per contour leg.  Returns per rule (values,
+        error bounds, panels, parts).  The rows of ``parts`` are the seam
+        zone S (origin zone and seam legs) and the edge legs e^(ir) A+ and
+        e^(-ir) A-, in the order the values sum them.
 
         On [a, 1], J_nu = (H1 + H2)/2, H1 moves to a + it and 1 + it and H2
         to a - it and 1 - it.  In z = r s the origin zone [0, a] and the
         seam legs from a = seam / r are one path at every radius, and the
         term there is r^-(lam+1) times the integral of
         z^lam (1 - z^2/r^2)^(rho-1) J_nu(z) (H on the legs) along it.  So
-        ``_seam_zone`` builds them in z, with their kernel values from the
-        order's tables and only the profile factor evaluated at r, once, at
-        this term's r = r0, with n nodes per panel and nl per leg, and they
-        are carried to each radius by the factor
-        ((1 - z^2/r^2) / (1 - z^2/r0^2))^(rho-1) per node, taken as the sum
-        at r0 plus the terms times the factor minus 1, and by
-        (r0/r)^(lam+1) overall.  The origin tail bound scales by
-        (r0/r)^(Re lam+1), which over-covers its |rho - 1| part.  Only the
-        edge legs are evaluated per radius.  The bounds add each node's
-        absolute mass times its set's rounding, the truncation bounds and
-        tails, and a rounding floor from the absolute contour mass (the seam
-        legs cancel against the origin zone).
+        ``_origin_zone`` and ``_leg_seam`` build them in z, with their
+        kernel values from the order's tables and only the profile factor
+        evaluated at r, once, at this term's r = r0, and they are carried
+        to each radius by the factor ((1 - z^2/r^2) / (1 - z^2/r0^2))^(rho-1)
+        per node, taken as the sum at r0 plus the terms times the factor
+        minus 1, and by (r0/r)^(lam+1) overall.  The origin tail bound
+        scales by (r0/r)^(Re lam+1), which over-covers its |rho - 1| part.
+        Only the edge legs are evaluated per radius.  The bounds add each
+        node's absolute mass times its set's rounding, the truncation
+        bounds and tails, and a rounding floor from the absolute contour
+        mass (the seam legs cancel against the origin zone).
+
+        The rules share one pass: the seam legs, the carrying factor and
+        the edge legs are evaluated once on the nodes of all of them, and
+        only the sums are taken per rule.  A rule's values and bounds are
+        those of a call with it alone, except where the edge legs' shared
+        ``hankel_scaled_grid`` call, at the smallest |z| of every rule's
+        nodes, takes other expansion terms or another omitted-term bound
+        than the rule's own nodes would.
         """
-        parts, tail, panels = self._seam_zone(seam, n, nl, tol)
+        zone, counts = self._origin_zone(seam, [n for n, _ in rules], tol)
+        edges = [self._edge_rule(nl, n, tol) for n, nl in rules]
         # a real exponent keeps the real-axis factors real
         rho1 = self.rho.real - 1.0 if self.rho.imag == 0.0 else self.rho - 1.0
-        paths = []
-        for z, t, per_mass in parts:
+        paths = []  # the real axis and the seam legs, each over every rule's nodes
+        for (z, t, per_mass), sizes in ((zone, [c[0] for c in counts]),
+                                        (self._leg_seam(seam, tuple(nl for _, nl in rules)), [2 * nl for _, nl in rules])):
+            ends = [0, *accumulate(sizes)]
+            cols = [slice(i, j) for i, j in zip(ends, ends[1:])]
             t128 = np.asarray(t, dtype=np.complex128)
-            base = np.log1p(-((z / self.r) ** 2))
-            paths.append((complex(np.sum(t)), z, base, t128, per_mass * np.abs(t128)))
-        rule = self._edge_rule(nl, n, tol)
-        split = np.empty((3, radii.size), dtype=np.complex128)
-        bounds = np.empty(radii.size)
-        rows = max(1, _SWEEP_ELEMS // max(parts[0][0].size, parts[1][0].size, rule[0].size))
+            paths.append((z, np.log1p(-((z / self.r) ** 2)), t128, per_mass * np.abs(t128), cols,
+                          [complex(np.sum(t[c])) for c in cols]))
+        split = np.empty((len(rules), 3, radii.size), dtype=np.complex128)
+        bounds = np.empty((len(rules), radii.size))
+        rows = max(1, _SWEEP_ELEMS // max(paths[0][0].size, paths[1][0].size, sum(e[0].size for e in edges)))
         for i0 in range(0, radii.size, rows):
             r = radii[i0 : i0 + rows]
-            v, e = 0j, tail
-            for total, z, base, t, charged in paths:
+            v, e = [0j] * len(rules), [tail for _, tail, _ in counts]
+            for z, base, t, charged, cols, totals in paths:
                 step = np.expm1(rho1 * (np.log1p(-((z / r[:, None]) ** 2)) - base))
-                v = v + (total + _matvec(step, t))
-                e = e + np.abs(1.0 + step) @ charged
+                mag = np.abs(1.0 + step)
+                for k, c in enumerate(cols):
+                    v[k] = v[k] + (totals[k] + _matvec(step[:, c], t[c]))
+                    e[k] = e[k] + mag[:, c] @ charged[c]
             lr = np.log(r / self.r)
-            split[0, i0 : i0 + rows] = v * np.exp(-(self.lam + 1.0) * lr)
-            e = e * np.exp(-(self.lam.real + 1.0) * lr)
-            for k, sigma in ((1, 1.0), (2, -1.0)):
-                split[k, i0 : i0 + rows], mass, bound = self._leg_edge(r, rule, sigma)
-                e += bound + _CONTOUR_ROUNDING * mass
-            bounds[i0 : i0 + rows] = e
-        return split[0] + split[1] + split[2], bounds, panels + 2 * rule[4], split
+            carry, carry_abs = np.exp(-(self.lam + 1.0) * lr), np.exp(-(self.lam.real + 1.0) * lr)
+            for k, (values, mass, bound) in enumerate(self._leg_edge(r, edges)):
+                split[k, 0, i0 : i0 + rows] = v[k] * carry
+                split[k, 1:, i0 : i0 + rows] = values
+                e[k] = e[k] * carry_abs
+                for leg in (0, 1):
+                    e[k] += bound[leg] + _CONTOUR_ROUNDING * mass[leg]
+                bounds[k, i0 : i0 + rows] = e[k]
+        return [(p[0] + p[1] + p[2], b, c[2] + 2 + 2 * edge[4], p) for p, b, c, edge in zip(split, bounds, counts, edges)]
 
     # -- panel sweep -----------------------------------------------------
 
@@ -981,11 +1019,11 @@ def _transform(terms, nu: float, radii: np.ndarray, cutoff: bool, cfg: Quadratur
     """Sum of c * (integral of s^lam (1-s^2)^(rho-1) J_nu(r s)) over (c, lam, rho)
     at every radius of ``radii``: (values, estimates, panels), one per radius.
 
-    From twice the seam phase on, each term runs ``steepest_descent`` twice
-    over all those radii, built at the smallest of them: at 32 nodes per
-    panel and nl + 8 per contour leg, and at 16 and nl.  The fine values
-    are the values; the estimate adds their distance from the coarse ones
-    to the bounds.  Below it and where there is no seam, each radius runs
+    From twice the seam phase on, each term runs ``steepest_descent`` once
+    over all those radii, built at the smallest of them, with two rules:
+    32 nodes per panel and nl + 8 per contour leg, and 16 and nl.  The fine
+    values are the values; the estimate adds their distance from the
+    coarse ones to the fine rule's bounds.  Below it and where there is no seam, each radius runs
     ``_panel_path``, every term in one pass.
     """
     tol = cfg.target_rel_tol
@@ -1000,8 +1038,8 @@ def _transform(terms, nu: float, radii: np.ndarray, cutoff: bool, cfg: Quadratur
         v, e, p = 0j, 0.0, 0
         for c, lam, rho in terms:
             ti = _TermIntegral(lam, rho, nu, float(r.min()), False)
-            fine, bound, n, _ = ti.steepest_descent(r, seam, _NODES, nl + 8, tol)
-            coarse = ti.steepest_descent(r, seam, _NODES // 2, nl, tol)[0]
+            (fine, bound, n, _), (coarse, *_) = ti.steepest_descent(
+                r, seam, ((_NODES, nl + 8), (_NODES // 2, nl)), tol)
             # Python's complex product: numpy's vector loop may fuse it into
             # FMAs, and a one-radius call would then round differently
             v = v + np.array([c * x for x in fine.tolist()])
@@ -1191,7 +1229,7 @@ def hankel_sweep(
     Each radius takes the path of the grid evaluator ``_transform``, one
     term at a time.  From twice the seam phase on, a term runs
     ``_TermIntegral.steepest_descent`` once over all those radii, built at
-    the smallest of them, as ``_transform`` does, but with its fine rules
+    the smallest of them, as ``_transform`` does, but with its fine rule
     only (32 nodes per panel, nl + 8 per contour leg).  These values agree with
     finite_hankel to within its estimate, so with the closed form to about
     1e-12 relative wherever that estimate is certified, with no absolute
@@ -1251,7 +1289,7 @@ def hankel_sweep(
         out, split = np.zeros(radii.size, dtype=np.complex128), []
         for t in profile.terms:
             ti = _TermIntegral(t.lam, t.rho, nu, float(np.min(radii)), False)
-            v, _, _, parts = ti.steepest_descent(radii, seam, _NODES, _laguerre_nodes(tol) + 8, tol)
+            (v, _, _, parts), = ti.steepest_descent(radii, seam, ((_NODES, _laguerre_nodes(tol) + 8),), tol)
             out += t.coeff * v
             split.append(t.coeff * parts)
         return out, np.concatenate(split).T

@@ -28,7 +28,7 @@ from finhankel.quadrature import (
     iterated_transform,
     radial_fourier,
 )
-from finhankel.specfun import _expansion_start, bessel_j, bessel_j_grid, bessel_j_scaled_grid
+from finhankel.specfun import _asym_terms, _expansion_start, bessel_j, bessel_j_grid, bessel_j_scaled_grid
 
 from oracles import mp_term_transform
 
@@ -688,7 +688,7 @@ class TestSweep:
                 if on.any():
                     ti = _TermIntegral(t.lam, t.rho, p.nu, float(np.min(grid[on])), False)
                     nl = quadrature._laguerre_nodes(tol) + 8
-                    expect[on] += t.coeff * ti.steepest_descent(grid[on], seam, quadrature._NODES, nl, tol)[0]
+                    expect[on] += t.coeff * ti.steepest_descent(grid[on], seam, ((quadrature._NODES, nl),), tol)[0][0]
                 for window in windows:
                     part = np.isin(grid, window)
                     mesh_r = float(window[-1])
@@ -858,8 +858,8 @@ class TestSteepestDescent:
             ti = _TermIntegral(1.0, 3.5, 0.0, r, cutoff)
             if contour:
                 (value,), (estimate,), _ = _transform([(1.0, 1.0, 3.5)], 0.0, np.array([r]), cutoff, cfg)
-                fine = ti.steepest_descent(np.array([r]), seam, _NODES, _laguerre_nodes(cfg.target_rel_tol) + 8,
-                                           cfg.target_rel_tol)[0]
+                fine = ti.steepest_descent(np.array([r]), seam, ((_NODES, _laguerre_nodes(cfg.target_rel_tol) + 8),),
+                                           cfg.target_rel_tol)[0][0]
                 assert value == fine[0]
             else:
                 value, estimate, _ = _panel_path([ti], ti.nu, ti.r, cfg.target_rel_tol)[0]
@@ -867,6 +867,47 @@ class TestSteepestDescent:
             assert (res.value, res.error_estimate) == (value, estimate)
             # plain Python numbers on either path, as QuadratureResult declares
             assert (type(res.value), type(res.error_estimate)) == (complex, float)
+
+    @pytest.mark.parametrize("lam,rho,n,radii", [
+        (0.5, 6.0, 2, (500.0,)),
+        (complex(-0.4, 0.3), 2.5, 2, (321.0,)),
+        (1.0, complex(1.5, 0.4), 3, (77.0,)),
+        (1.3, 0.6, 3, (61.0, 1800.0)),
+        # the fine rule's first edge node sits closer to tau = 0, so the
+        # shared Hankel call reaches a smaller |z| than the coarse rule's own
+        (0.2, 0.07, 4, (61.0,)),
+    ], ids=["real", "complex_lam", "complex_rho", "two_radii", "rho_near_0"])
+    def test_fused_rules_match_single_rule_calls(self, lam, rho, n, radii):
+        """Each rule of the evaluator's two-rule call returns what a call
+        with that rule alone returns: values, bounds, panels and parts,
+        bitwise.  The one allowed exception is the coarse rule where the
+        edge legs' shared ``hankel_scaled_grid`` call, at the smallest |z|
+        of both rules' nodes, takes other expansion terms or another
+        omitted-term bound than the coarse nodes alone would; there it
+        stays within 1e-3 of the evaluator's estimate."""
+        tol = QuadratureConfig().target_rel_tol
+        nu, nl = n / 2.0 - 1.0, _laguerre_nodes(tol)
+        seam = _seam_phase(nu, tol)
+        r = np.array(radii)
+        assert r.min() >= 2.0 * seam
+        ti = _TermIntegral(lam, rho, nu, float(r.min()), False)
+        rules = ((_NODES, nl + 8), (_NODES // 2, nl))
+        both = ti.steepest_descent(r, seam, rules, tol)
+        (fine, bound, _, _), (coarse, _, _, _) = both
+        estimate = np.abs(fine - coarse) + bound
+        edge = [ti._edge_rule(k, m, tol)[0] for m, k in rules]
+
+        def terms(x):
+            """_asym_terms as hankel_scaled_grid takes it on edge nodes x."""
+            return _asym_terms(nu, float(np.min(np.abs(r[:, None] + 1j * x))), math.ceil(nu - 0.5))
+
+        for k, rule in enumerate(rules):
+            (value, bnd, panels, parts), = ti.steepest_descent(r, seam, (rule,), tol)
+            assert both[k][2] == panels
+            for got, alone in zip((both[k][0], both[k][1], both[k][3]), (value, bnd, parts)):
+                if not np.array_equal(got, alone):
+                    assert k == 1 and terms(edge[1]) != terms(np.concatenate(edge))
+                    assert (np.abs(got - alone) <= 1e-3 * estimate).all()
 
     @given(
         st.floats(0.05, 4.0),
