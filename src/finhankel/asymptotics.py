@@ -117,16 +117,18 @@ def k_set(origin: OriginExpansion, nu: float) -> KSet:
     return KSet(members=members, k0=members[0] if members else None)
 
 
+def ladder_factor(e: complex, nu: float) -> complex:
+    """Gamma((e+nu+1)/2) 2^e / Gamma((nu+1-e)/2): a power s^e of phi gives the
+    transform the power term c_e times this times r^-(e+1).  It is exactly 0
+    where (e-nu-1)/2 is exactly a nonnegative integer, since
+    ``reciprocal_gamma`` is exactly 0 at its argument's poles."""
+    return gamma((e + nu + 1.0) / 2.0) * 2.0 ** complex(e) * reciprocal_gamma((nu + 1.0 - e) / 2.0)
+
+
 def origin_term(origin: OriginExpansion, nu: float, k: int) -> AsymptoticTerm:
     """Non-oscillatory term of index k; amplitude is exactly 0 when k is excluded."""
     mu = origin.mu
-    c = origin.coeffs[k]
-    amp = (
-        c
-        * gamma((mu + k + nu + 1.0) / 2.0)
-        * 2.0 ** complex(mu + k)
-        * reciprocal_gamma((nu + 1.0 - mu - k) / 2.0)
-    )
+    amp = origin.coeffs[k] * ladder_factor(mu + k, nu)
     return AsymptoticTerm(amplitude=amp, exponent=mu + k + 1.0, phase=None)
 
 

@@ -10,29 +10,27 @@ Steepest descent, once r is at least twice the seam phase (30 at the
 default target for orders nu up to about 9, so r >= 60), for every profile
 without ``vanishes_near_one``:
 
-* the origin zone [0, a], a = seam / r, in x = r s, where it is [0, seam]
-  at every radius: the origin rule of the panel path on [0, 8] (graded
-  panels down to a fixed depth for complex lam) and Legendre panels on
-  fixed edges {8, 12.8, 19.08, 25.37, 30} for a seam of 30.  Their nodes
-  do not depend on r, so the Bessel values there are tables, built lazily
-  in extended precision once per order: per (nu, seam, n) for the panels,
-  per (nu, Re lam + nu, n) for the origin rule.  Per radius only the
-  profile factor at s = x / r and r^-(lam+1) are evaluated;
-* on [a, 1], J_nu = (H1 + H2)/2.  The H1 part moves onto a + it and 1 + it,
-  the H2 part onto a - it and 1 - it (t >= 0), where the kernel decays like
-  e^(-r t).  Gauss-Laguerre rules in tau = r t cover each contour, with
-  weight tau^(rho - 1) at s = 1; a complex rho leaves tau^(i Im rho), which
+* on [a, 1], a = seam / r, J_nu = (H1 + H2)/2.  The H1 part moves onto
+  a + it and 1 + it, the H2 part onto a - it and 1 - it (t >= 0), where
+  the kernel decays like e^(-r t);
+* the edge legs, from 1: Gauss-Laguerre rules in tau = r t cover each,
+  with weight tau^(rho - 1); a complex rho leaves tau^(i Im rho), which
   Legendre panels graded toward tau = 0 absorb instead.  The exponentially
   scaled Hankel functions come from the same large-argument expansion as
-  the Bessel kernel (specfun.hankel_scaled_grid).  The seam legs' Hankel
-  argument, seam +- i tau, is the same at every radius, so their values
-  are a table per (nu, seam, nodes) too.  Nothing cancels on the contours,
-  so they run in double precision, and no part of the cost grows with r.
-  Once an order's tables are built, this path calls no Bessel kernel.
-* in z = r s, [0, a] and the legs from a are one path at every radius, so
-  the evaluator and hankel_sweep build it once per term, at the smallest
-  of their radii on this path, and carry it to the others by a factor per
-  node (``_TermIntegral.steepest_descent``).
+  the Bessel kernel (specfun.hankel_scaled_grid), at |z| >= r.  Nothing
+  cancels on them, so they run in double precision, and no part of the
+  cost grows with r;
+* the seam zone S, the origin zone [0, a] and the legs from a: moved onto
+  the imaginary axis it is an integral of K_nu, and integrated term by
+  term it is the paper's origin ladder, sum_k T_k(r) with
+  T_k ~ r^-(lam+2k+1), whose remainder after K terms has the closed-form
+  bound B_K (``_TermIntegral.origin_ladder``).  One Gamma pair gives
+  T_0, T_(k+1)/T_k is rational, and at r >= 60 a handful of terms bring
+  B_K below 1e-6 of the target times S's absolute mass.  Where the ladder is
+  excluded ((lam - nu - 1)/2 a nonnegative integer), S is 0 and F is the
+  edge legs alone.
+
+This path calls no Bessel kernel.
 
 Panels, below the seam and for cutoff profiles at every r:
 
@@ -55,19 +53,17 @@ origin).  A closed-form end term is one more node.  On the panel path
 nothing in a node set depends on r, so the evaluator sums them at one r at
 a time, and hankel_sweep's panel path sums the same sets over a whole grid
 of r.
-The same builder makes the steepest-descent origin zone's sets in x = r s,
-where the kernel values come from the tables above.
 
 The evaluator runs each path once at two resolutions, with no mesh
 refinement: 32 and 16 nodes per panel and, at the default 1e-10 target,
-18 and 10 Laguerre nodes per contour leg.  The fine sum is the value; its
+18 and 10 Laguerre nodes per edge leg.  The fine sum is the value; its
 distance from the coarse sum, plus the rounding and bounds of the pieces,
 is the error estimate.  On the contour path each term runs
 ``steepest_descent`` once, at both resolutions, over all the grid's radii
 there, so a value moves within its estimate with the grid it is part of.
-That pass evaluates the seam legs, the per-node factor that carries them
-to each radius, and the edge legs once on both rules' nodes, and sums
-each rule on its own, which costs little more than one resolution.  On
+That pass evaluates the edge legs once on both rules' nodes and sums each
+rule on its own, which costs little more than one resolution; S, the same
+for both, adds its bound B_K and its rounding instead of a difference.  On
 the panel path each radius runs alone: the node sets of every term at
 both resolutions are built first, and ``_kernel_terms`` gets all their
 kernel values from one call of each extended-precision kernel, plain and
@@ -80,21 +76,17 @@ the absolute mass of the integrand (panel values alternate in sign), so
 every node value, weight and partial sum of a panel is kept in 80-bit
 extended precision; in double the cancellation noise floor alone would
 exceed the 1e-10 default tolerance by r ~ 500.  Extended precision thus
-serves the panel path and the origin zone [0, a] of the steepest-descent
-path, which cancels against the contours from a.  The kernel values
-there are within 6e-16 of J_nu's envelope: the extended-precision kernel
-runs its ascending series only up to x = 2, where it cannot cancel, and
-Miller's recurrence above it up to where the large-argument expansion is
-accurate to its rounding (29 for nu = 0 and 1, 318 for nu = 29).
+serves the panel path.  The kernel values there are within 6e-16 of
+J_nu's envelope: the extended-precision kernel runs its ascending series
+only up to x = 2, where it cannot cancel, and Miller's recurrence above
+it up to where the large-argument expansion is accurate to its rounding
+(29 for nu = 0 and 1, 318 for nu = 29).
 
 The batch sweep, hankel_sweep, takes each radius down the evaluator's
 path and returns no per-point error estimate.  It runs term
 by term, each term over all its radii at once.  From twice the seam phase
 on, it runs the evaluator's steepest-descent path, at its fine rules
-only: the origin zone and seam legs are built once, at the smallest
-of those radii, with their extended-precision sum there, and only the
-per-node factor's step from 1 and the edge legs are evaluated per radius,
-in double precision.  Its cost per radius is flat in r.  Below that, and
+only, in double precision, with a cost per radius flat in r.  Below that, and
 for cutoff profiles, it trades accuracy for speed: the panel node sets
 are built per window of r (below), for the window's largest r, or for
 r = 300 if that is larger and the profile has the cutoff, with 12 nodes
@@ -112,11 +104,11 @@ are cut into windows in one pass, and a window holding more radii than
 its point count is swept at its Chebyshev points only and interpolated
 onto its radii in barycentric form (Berrut & Trefethen, SIAM Rev. 46
 (2004)).  On the contour path a term is the seam zone S(r) plus the
-edge legs e^(ir) A+(r) and e^(-ir) A-(r).  Neither S r^(Re lam+1) nor
-A+- r^(Re rho+1/2) oscillates, and their nearest singularities, at
-r = x <= seam and at r = -+i tau for the edge legs' nodes tau, lie far
-outside a window [a, b] with b <= 4 a in log r.  So such a window is
-sampled at 32 Chebyshev points in log r, the three functions of every
+edge legs e^(ir) A+(r) and e^(-ir) A-(r).  S is summed at every radius,
+which costs a few multiply-adds.  A+- r^(Re rho+1/2) does not oscillate,
+and its nearest singularities, at r = -+i tau for the edge legs' nodes
+tau, lie far outside a window [a, b] with b <= 4 a in log r.  So such a
+window is sampled at 32 Chebyshev points in log r, the two legs of every
 term share one barycentric matrix, and the powers of r and e^(+-ir) go
 back at each radius.  On the panel path F itself, of exponential type u
 (1, or 2/3 for cutoff profiles), is sampled at ceil(u h) + 40 points in
@@ -133,14 +125,15 @@ cutoff is not analytic, so those profiles never leave the real axis.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 from scipy.special import roots_genlaguerre, roots_jacobi
 
+from .asymptotics import ladder_factor
 from .errors import DomainError, SmoothnessBudgetError, check_radii, check_radius
 from .profiles import (
     RadialProfile,
@@ -148,7 +141,7 @@ from .profiles import (
     differentiate_power_terms,
 )
 from .specfun import (bessel_j_grid, bessel_j_scaled_grid, hankel_scaled_grid, _asym_pq, _asym_terms,
-                      _expansion_start, _gamma_real_ld)
+                      _expansion_start, _gamma_real_ld, _sinpi)
 
 _LD = np.longdouble
 _CLD = np.clongdouble
@@ -182,12 +175,12 @@ _CONTOUR_POINTS = 32
 # (radius, node) pairs per chunk of either sweep over many radii, and
 # (radius, point) pairs per chunk of the interpolant, so their largest
 # temporaries hold at most 8 MB (16 MB for steepest_descent's edge legs,
-# which hold both legs).  steepest_descent chunks by the node count of
-# its widest part over all its rules.  A real-exponent term's 160
-# origin-zone nodes at the default target, the sweep's one rule, take
-# 3,276 radii per chunk, so the 96 Chebyshev points of a C7 sweep's 3
-# contour windows are 1 chunk, and an interpolant at 32 points takes
-# 16,384 radii per chunk, more than any window of that sweep holds.
+# which hold both legs).  steepest_descent chunks by the edge legs' node
+# count over all its rules.  The sweep's one rule has 18 nodes per leg for
+# a real rho at the default target, so 29,127 radii per chunk, and the 96
+# Chebyshev points of a C7 sweep's 3 contour windows are 1 chunk; an
+# interpolant at 32 points takes 16,384 radii per chunk, more than any
+# window of that sweep holds.
 # panel_sweep chunks each node set by its own size.  With 12 nodes per
 # panel, a C7 cutoff sweep (lam = 1, rho = 3.5) has 16 windows, 15 of 83
 # Chebyshev points and the last of 55, on meshes of 396 nodes (built for
@@ -200,6 +193,14 @@ _ASYM_BLOCK = 1 << 14
 # relative accuracy of a double-precision contour sum: the Laguerre rules'
 # low moments are good to about 4e-15 when alpha = rho - 1 is near -1
 _CONTOUR_ROUNDING = 4e-15
+# share of the target that a bound times a contour-path term's absolute mass
+# may take: the mass can exceed the transform by several orders
+_MASS_SHARE = 1e-6
+# error of an origin-ladder sum per unit of sum |T_k|: against a 40-digit sum
+# of the same terms, 800 random terms (Re lam up to 6, |Im lam|, |Im rho| up
+# to 0.3, r from 60 to 4e4) read at most 5.4e-15, of which the complex Gamma
+# pair of ladder_factor takes up to 2.2e-15
+_LADDER_ROUNDING = 1e-14
 # error of a Gauss-Jacobi sum per unit of its absolute mass, measured against
 # mpmath on e^(i(c u + theta)), c <= 4, for 12 to 32 nodes: at most 4.4e-16
 # for exponents e >= -0.8, growing like 7.5e-17 / (1 + e) toward e = -1
@@ -292,8 +293,8 @@ def _gauss_laguerre(n: int, alpha: float):
 def _laguerre_nodes(tol: float) -> int:
     """Coarse contour rule size for a relative target ``tol``.
 
-    On the contours the nearest singularity of the integrand (s = 0) sits
-    at distance r*a >= 30 in the Laguerre variable, and the rules gain about
+    On the edge legs the nearest singularity of the integrand (s = 0) sits
+    at distance r >= 60 in the Laguerre variable, and the rules gain about
     1.5 digits per node there: 10 nodes reach the rounding floor.
     """
     return max(8, math.ceil(-math.log10(tol)))
@@ -304,12 +305,11 @@ def _seam_phase(nu: float, tol: float):
     """Phase r*a above which [a, 1] is deformed, or None if there is none.
 
     The first of 30, 45, 67.5, ... up to 500 at which the Hankel expansion's
-    remainder bound is below 1e-6 * tol: the contour mass can exceed the
-    transform by several orders, and the bound multiplies that mass.
+    remainder bound is below ``_MASS_SHARE`` * tol.
     """
     phase = _SEAM_PHASE
     while phase <= 500.0:
-        if hankel_scaled_grid(nu, np.array([phase]))[1] <= 1e-6 * tol:
+        if hankel_scaled_grid(nu, np.array([phase]))[1] <= _MASS_SHARE * tol:
             return phase
         phase *= 1.5
     return None
@@ -349,13 +349,13 @@ def _matvec(m: np.ndarray, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _middle_edges(lo: float, hi: float, osc_width: float, forced=(), unit: float = 1.0) -> np.ndarray:
-    """Breakpoints on [lo, hi] in v = unit * s: oscillation-limited width,
-    graded at both ends."""
+def _middle_edges(lo: float, hi: float, osc_width: float, forced=()) -> np.ndarray:
+    """Breakpoints on [lo, hi]: oscillation-limited width, graded at both
+    ends."""
     edges = [lo]
     s = lo
     while s < hi:
-        w = min(osc_width, 0.6 * s, 0.5 * (unit - s), 0.18 * unit)
+        w = min(osc_width, 0.6 * s, 0.5 * (1.0 - s), 0.18)
         w = max(w, 1e-12)
         s = min(s + w, hi)
         edges.append(s)
@@ -363,17 +363,6 @@ def _middle_edges(lo: float, hi: float, osc_width: float, forced=(), unit: float
     if forced:
         pts = np.union1d(pts, [f for f in forced if lo < f < hi])
     return pts
-
-
-@lru_cache(maxsize=16)
-def _phase_edges(seam: float) -> tuple:
-    """Edges of the steepest-descent origin zone's Legendre panels on
-    [8, seam] in x = r s.  Below x = seam the caps of ``_middle_edges`` at
-    the edge s = 1 reach no further than 0.5 (r - x) >= seam / 2 and
-    0.18 r >= 0.36 seam, both above 2 pi once r >= 2 seam, so these are the
-    edges at every radius of the path: {8, 12.8, 19.08, 25.37, 30} for a
-    seam of 30."""
-    return tuple(_middle_edges(_ENDPOINT_PHASE, seam, 2.0 * math.pi, unit=2.0 * seam).tolist())
 
 
 def _panel_nodes(edges, n: int):
@@ -385,56 +374,6 @@ def _panel_nodes(edges, n: int):
     mid = ((e[1:] + e[:-1]) / 2)[:, None]
     half = ((e[1:] - e[:-1]) / 2)[:, None]
     return mid, half * x[None, :], half * w[None, :]
-
-
-def _frozen(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
-# Kernel tables of the steepest-descent origin zone and seam legs.  In
-# x = r s their nodes are the same at every radius, so each table is built
-# once, lazily, in extended precision through this module's Bessel names,
-# and every radius of every term of that order reads it.
-
-
-@lru_cache(maxsize=64)
-def _phase_panels(nu: float, edges: tuple, n: int):
-    """Legendre panels between ``edges`` in x: (nodes, half-width times
-    rule weight, J_nu at the nodes), a row per panel, read-only."""
-    mid, hx, hw = _panel_nodes(edges, n)
-    x = mid + hx
-    return _frozen(x, hw, bessel_j_grid(nu, x, longdouble=True))
-
-
-@lru_cache(maxsize=256)
-def _phase_origin(nu: float, b: float, x_a: float, n: int):
-    """The origin rule on [0, x_a] in x with weight x^b: (nodes, weights
-    with (x_a / 2)^(b+1), J_nu(x)/x^nu at the nodes), one row, read-only."""
-    t, w = _gauss_jacobi(n, 0.0, b)
-    h = _LD(x_a) / 2
-    x = (h * (1 + t))[None, :]
-    return _frozen(x, (w * h ** _LD(b + 1.0))[None, :], bessel_j_scaled_grid(nu, x, longdouble=True))
-
-
-@lru_cache(maxsize=64)
-def _seam_hankel(nu: float, seam: float, nls: tuple):
-    """The seam legs' nodes for each Laguerre rule size nl of ``nls``, rule
-    by rule: nl nodes tau on the H1 leg z = seam + i tau, then on the H2 leg
-    z = seam - i tau, as (sigma = +-1, tau, rule weight, z,
-    e^(-+iz) H^(1,2)(z), truncation bound plus contour rounding floor),
-    read-only.  For real nu, H2 at conj(z) is the conjugate of H1 at z
-    (DLMF 10.11.9), so one ``hankel_scaled_grid`` call per rule serves both
-    legs."""
-    parts = []
-    for nl in nls:
-        tau, w = _gauss_laguerre(nl, 0.0)
-        h, bound = hankel_scaled_grid(nu, seam + 1j * tau)
-        parts.append((np.repeat([1.0, -1.0], nl), np.tile(tau, 2), np.tile(w, 2), np.concatenate([h, h.conj()]),
-                      np.full(2 * nl, bound + _CONTOUR_ROUNDING)))
-    sigma, tau, w, h, per_mass = map(np.concatenate, zip(*parts))
-    return _frozen(sigma, tau, w, seam + 1j * sigma * tau, h, per_mass)
 
 
 def _smooth_cutoff_ld(s: np.ndarray) -> np.ndarray:
@@ -472,23 +411,19 @@ class _NodeSet:
     Rows of ``s`` and ``w`` are panels.  ``w`` holds the profile factor,
     the rule weight and the panel half-width.  The kernel is
     J_nu(r s), or r^nu J_nu(x)/x^nu at x = r s when ``scaled``; such a set
-    is valid at every r.  A set built in x = r s instead carries its
-    kernel values, J_nu(x) or J_nu(x)/x^nu, from a per-order table in
-    ``kernel``, and its weights hold this term's r^-(lam+1).
-    ``rounding`` is the kernel's error plus the rule's, per unit of
-    absolute mass |w k|.
+    is valid at every r.  ``rounding`` is the kernel's error plus the
+    rule's, per unit of absolute mass |w k|.
     """
 
     s: np.ndarray
     w: np.ndarray
     scaled: bool = False
     rounding: float = _KERNEL_ROUNDING
-    kernel: np.ndarray | None = None
 
 
-def _single_node(s: float, w: complex, scaled: bool, kernel=None) -> _NodeSet:
+def _single_node(s: float, w: complex, scaled: bool) -> _NodeSet:
     """A closed-form piece as one node: its weight times the kernel at s."""
-    return _NodeSet(np.full((1, 1), s, dtype=_LD), np.full((1, 1), w, dtype=_CLD), scaled, kernel=kernel)
+    return _NodeSet(np.full((1, 1), s, dtype=_LD), np.full((1, 1), w, dtype=_CLD), scaled)
 
 
 class _TermIntegral:
@@ -524,31 +459,25 @@ class _TermIntegral:
 
     # -- node sets -------------------------------------------------------
 
-    def node_sets(self, edges, n: int, tol: float, in_phase: bool = False):
+    def node_sets(self, edges, n: int, tol: float):
         """The term on [0, edges[-1]], and on [edges[-1], 1] unless it has the
-        cutoff or ``in_phase``, as n-point node sets: Legendre panels between
-        the edges, and an endpoint zone each side.  A real exponent there is
+        cutoff, as n-point node sets: Legendre panels between the edges, and
+        an endpoint zone each side.  A real exponent there is
         absorbed by a Gauss-Jacobi rule; a complex one oscillates in log s,
         which no fixed polynomial weight absorbs, so geometrically graded
         panels cover the zone, a single node carries the leading term of the
         discarded end piece in closed form, and the rest is bounded.  Returns (sets, bound
         on the discarded end pieces).
-
-        With ``in_phase`` the edges are in x = r s and the nodes are fixed
-        in x, so their kernel values come from the per-order tables
-        ``_phase_panels`` and ``_phase_origin``; only the profile factor at
-        s = x / r is evaluated.  This serves the origin zone of the
-        steepest-descent path, which has no edge zone.
         """
-        sets = [self._legendre(edges, n, in_phase=in_phase)]
+        sets = [self._legendre(edges, n)]
         s_a = float(edges[0])
         if self.lam.imag == 0.0:
-            sets.append(self._origin_jacobi(s_a, n, in_phase))
+            sets.append(self._origin_jacobi(s_a, n))
             tail = 0.0
         else:
-            graded, tail = self._origin_graded(s_a, n, tol, in_phase)
+            graded, tail = self._origin_graded(s_a, n, tol)
             sets += graded
-        if not (self.cutoff or in_phase):
+        if not self.cutoff:
             d_top = 1.0 - float(edges[-1])
             if self.rho.imag == 0.0:
                 sets.append(self._boundary_jacobi(d_top, n))
@@ -564,15 +493,9 @@ class _TermIntegral:
             f = f * _smooth_cutoff_ld(s)
         return f
 
-    def _legendre(self, edges, n: int, from_u: bool = False, in_phase: bool = False) -> _NodeSet:
+    def _legendre(self, edges, n: int, from_u: bool = False) -> _NodeSet:
         """Legendre panels between ascending ``edges`` in s, or with ``from_u``
-        in u = 1 - s, where 1 - s stays exact next to s = 1, or with
-        ``in_phase`` in x = r s, with J_nu from the order's table."""
-        if in_phase:
-            x, hw, kernel = _phase_panels(self.nu, tuple(edges), n)
-            r = _LD(self.r)
-            s = x / r
-            return _NodeSet(s, self._factor(s, 1 - s) * (hw / r), kernel=kernel)
+        in u = 1 - s, where 1 - s stays exact next to s = 1."""
         mid, hx, hw = _panel_nodes(edges, n)
         t = mid + hx
         if from_u:
@@ -581,26 +504,18 @@ class _TermIntegral:
             s, dist1 = t, (1 - mid) - hx
         return _NodeSet(s, self._factor(s, dist1, from_u) * hw)
 
-    def _origin_jacobi(self, s_a: float, n: int, in_phase: bool = False) -> _NodeSet:
-        """[0, s_a] with weight s^(lam+nu) after peeling J_nu(x)/x^nu; with
-        ``in_phase`` [0, x_a = s_a] in x = r s, with the nodes, weights and
-        kernel from the table of (nu, lam + nu, n) and r^-(lam+1) overall."""
+    def _origin_jacobi(self, s_a: float, n: int) -> _NodeSet:
+        """[0, s_a] with weight s^(lam+nu) after peeling J_nu(x)/x^nu."""
         b = self.lam.real + self.nu
-        if in_phase:
-            x, w, kernel = _phase_origin(self.nu, b, s_a, n)
-            s = x / _LD(self.r)
-            scale = np.exp(-_LD(self.lam.real + 1.0) * np.log(_LD(self.r)))
-        else:
-            x, w = _gauss_jacobi(n, 0.0, b)
-            h = _LD(s_a) / 2
-            s = (h * (1 + x))[None, :]
-            w, scale, kernel = w[None, :], h ** _LD(b + 1.0), None
+        x, w = _gauss_jacobi(n, 0.0, b)
+        h = _LD(s_a) / 2
+        s = (h * (1 + x))[None, :]
         f = np.exp(_LD(self.rho.real - 1.0) * np.log1p(-s * s)) if self.rho.imag == 0.0 \
             else np.exp((complex(self.rho) - 1.0) * np.log1p(-(s * s).astype(_CLD)))
         if self.cutoff:
             f = f * _smooth_cutoff_ld(s)
         rounding = _KERNEL_ROUNDING + _JACOBI_ROUNDING / min(1.0, 1.0 + b)
-        return _NodeSet(s, w * f * scale, True, rounding, kernel)
+        return _NodeSet(s, w[None, :] * f * h ** _LD(b + 1.0), True, rounding)
 
     def _boundary_jacobi(self, d_b: float, n: int) -> _NodeSet:
         """[1 - d_b, 1] with weight (1-s)^(rho-1)."""
@@ -614,7 +529,7 @@ class _TermIntegral:
         rounding = _KERNEL_ROUNDING + _JACOBI_ROUNDING / min(1.0, 1.0 + a)
         return _NodeSet((1 - u)[None, :], w[None, :], False, rounding)
 
-    def _origin_graded(self, s_top: float, n: int, tol: float, in_phase: bool = False):
+    def _origin_graded(self, s_top: float, n: int, tol: float):
         """Fallback for complex lam: geometric panels down to delta, then [0, delta].
 
         There the integrand is (r/2)^nu s^(lam+nu) / Gamma(nu+1) times 1 + E(s),
@@ -623,29 +538,19 @@ class _TermIntegral:
         delta^p / p, p = lam+nu+1, and the E part is bounded.  Next to a
         transform of size r^-(lam+1), that bound is about (r delta)^(p1+2), so
         the depth brings r*delta (at least 2*delta) down to
-        (tol/100)^(1/(p1+2)).  With ``in_phase``, s_top and the edges are in
-        x = r s: the depth is the same at every r, and the node at 0 takes
-        J_nu(x)/x^nu = 2^-nu / Gamma(nu+1) in closed form, as the Bessel
-        series gives it.  Returns (node sets, bound).
+        (tol/100)^(1/(p1+2)).  Returns (node sets, bound).
         """
         p1 = self.lam.real + self.nu + 1.0
         ratio = _graded_ratio(n)
         k = (self.r / 2) ** 2 / (self.nu + 1.0) + abs(self.rho - 1.0)
-        top = s_top if in_phase else max(self.r, 2.0) * s_top
-        reach = math.log(max(tol, 1e-30) * 1e-2) / (p1 + 2.0) - math.log(top)
+        reach = math.log(max(tol, 1e-30) * 1e-2) / (p1 + 2.0) - math.log(max(self.r, 2.0) * s_top)
         depth = min(220, max(4, math.ceil(reach / math.log(ratio))))
         edges = np.sort(s_top * ratio ** np.arange(depth + 1, dtype=np.float64))
         delta = float(edges[0])
         p = self.lam + self.nu + 1.0
-        if in_phase:
-            w = np.exp(p * math.log(delta) - (self.lam + 1.0) * math.log(self.r)) / p
-            k0 = _LD(2.0) ** _LD(-self.nu) / _gamma_real_ld(self.nu + 1.0)
-            lead = _single_node(0.0, w, True, np.full((1, 1), k0))
-            delta /= self.r
-        else:
-            lead = _single_node(0.0, np.exp(p * math.log(delta)) / p, True)
+        lead = _single_node(0.0, np.exp(p * math.log(delta)) / p, True)
         scale = (self.r / 2) ** self.nu / float(_gamma_real_ld(self.nu + 1.0))
-        sets = [self._legendre(edges, n, in_phase=in_phase), lead]
+        sets = [self._legendre(edges, n), lead]
         return sets, 2.0 * scale * k * delta ** (p1 + 2.0) / (p1 + 2.0)
 
     def _boundary_graded(self, d_top: float, n: int, tol: float):
@@ -670,57 +575,81 @@ class _TermIntegral:
 
     # -- steepest-descent contours ------------------------------------------
 
-    def _leg_seam(self, seam: float, nls: tuple):
-        """sigma (i/2) int_0^inf f(a + i sigma t) H(r (a + i sigma t)) dt,
-        a = seam / r, for sigma = +1 and -1 and each Laguerre rule size in
-        ``nls``.
+    def _ladder_bound(self, k: int, r):
+        """B_k at r: the bound on the origin ladder's remainder after k terms,
+        (2/pi) |cos(pi (lam - nu)/2)| |C(rho-1, k)| 2^(c-1)
+        Gamma((c+1+nu)/2) Gamma((c+1-nu)/2) r^-(c+1), c = Re lam + 2k, for
+        an admissible k (``origin_ladder``)."""
+        lam, rho, nu = self.lam, self.rho, self.nu
+        c = lam.real + 2.0 * k
+        scale = abs(_sinpi((lam - nu + 1.0) / 2.0)) * math.prod(abs(rho - 1.0 - j) / (j + 1.0) for j in range(k))
+        if scale == 0.0:
+            return np.zeros(np.shape(r))
+        log = (math.log(2.0 / math.pi * scale) + (c - 1.0) * math.log(2.0)
+               + math.lgamma((c + 1.0 + nu) / 2.0) + math.lgamma((c + 1.0 - nu) / 2.0))
+        return np.exp(log - (c + 1.0) * np.log(r))
 
-        H is H1 for sigma = +1 and H2 for sigma = -1, so the kernel decays
-        like e^(-r t); tau = r t carries the Laguerre rule, and H's argument
-        seam + i sigma tau is the same at every r, so H comes from the table
-        ``_seam_hankel``.  Returns the nodes as z = r s, in the table's
-        order, the term of each node, whose sum over a rule is both its
-        legs, and each term's error per unit of its modulus.
+    def origin_ladder(self, radii: np.ndarray, seam: float, tol: float):
+        """The seam zone S, the origin zone [0, a] and the contours from a,
+        a = seam / r, at every radius of ``radii``, each at least 2 seam:
+        (values, bounds).
+
+        Moved onto the imaginary axis (K_nu from DLMF 10.27.8), S is
+        (2/pi) cos(pi (lam - nu)/2) times the integral of
+        tau^lam (1 + tau^2)^(rho-1) K_nu(r tau) over (0, inf).  Expanding the
+        binomial and integrating term by term (DLMF 10.43.19) gives the
+        origin ladder: S is the sum over k < K of
+        T_k(r) = C(rho-1, k) (-1)^k ladder_factor(lam + 2k, nu) r^-(lam+2k+1)
+        to within ``_ladder_bound`` B_K, for an admissible K: K >= Re rho - 1,
+        so that |(1 + x)^(rho-1-K)| <= 1 for x >= 0 in the Cauchy form of
+        the binomial remainder, and Re lam + 2K > nu - 1, so that the
+        remainder's integral converges (for Re lam < nu - 1 the ladder is
+        S's analytic continuation in lam).  Where (lam - nu - 1)/2 is an
+        integer, cos(pi (lam - nu)/2) = 0 and so is every B_K: the ladder
+        ends, and where that integer is nonnegative, T_0 = 0 and S = 0.
+
+        T_0 takes one Gamma pair, and T_(k+1)/T_k is rational.  K is chosen
+        at the smallest radius r0: the smallest admissible K whose B_K there
+        is at most ``_MASS_SHARE`` tol times sum_(k<K) |T_k|.  The terms
+        fall until k ~ (r - Re lam)/2, to about e^-(r - Re lam) of the
+        first, so for moderate lam that K comes before k = seam <= r/2.
+        Where it does not (Re lam = 30 at r = 60, say), K is the admissible
+        value up to seam past the smallest with the smallest B_K, which the
+        bound then charges: the estimate reports what the ladder reached.
+        Every radius takes that K, since B_K falls like
+        r^-(Re lam + 2K + 1), and sums T_k(r0) (r0/r)^(lam+2k+1) by Horner's
+        rule in (r0/r)^2.  The bound adds B_K(r) and ``_LADDER_ROUNDING``
+        times sum_(k<K) |T_k(r0)| (r0/r)^(Re lam+1), which is at least
+        sum_(k<K) |T_k(r)|.
         """
-        r = self.r
-        a = seam / r
-        sigma, x, w, z, h, per_mass = _seam_hankel(self.nu, seam, nls)
-        d = 1j * sigma * x / r  # s - a
-        g = np.exp(
-            self.lam * np.log1p(d / a)
-            + (self.rho - 1.0) * np.log1p(-d * (2.0 * a + d) / (1.0 - a * a))
-        )
-        # f(a) e^(i sigma seam) in extended precision: this leg cancels
-        # against the origin zone, and exp of a large exponent loses digits
-        la, l1 = np.log(_LD(a)), np.log1p(-_LD(a) * _LD(a))
-        pre = _cexp_ld(
-            self.lam.real * la + (self.rho.real - 1.0) * l1,
-            self.lam.imag * la + self.rho.imag * l1 + np.array([1.0, -1.0]) * _LD(seam),
-        )
-        coef = np.where(sigma > 0, *(s * 0.5j / r * p for s, p in zip((1.0, -1.0), pre)))
-        return z, coef * (w * g * h), per_mass
-
-    def _origin_zone(self, seam: float, ns, tol: float):
-        """The origin zone [0, a], a = seam / r, at this term's r, as nodes
-        z = r s, with n nodes per panel for each n of ``ns``.
-
-        It is built in x = r s, where its nodes are the same at every
-        radius: the origin rule on [0, 8] and Legendre panels on the fixed
-        edges ``_phase_edges(seam)`` up to the seam, with the kernel values
-        read from tables built once per order and per (nu, Re lam + nu, n)
-        (``node_sets`` with ``in_phase``).  Per radius only the profile
-        factor at s = x / r, r^-(lam+1) and the bounds are evaluated.
-        Returns (z, term of each node, error per unit of each term's
-        modulus) over every rule's nodes, rule by rule, and per rule (nodes,
-        bound on the discarded origin piece, panels).  The terms stay in
-        extended precision: their sum cancels against the seam legs.
-        """
-        built = [self.node_sets(_phase_edges(seam), n, tol, in_phase=True) for n in ns]
-        sets = [s for b, _ in built for s in b]
-        z = self.r * np.concatenate([np.asarray(s.s, dtype=np.float64).ravel() for s in sets])
-        t = np.concatenate([(s.w * s.kernel).ravel() for s in sets])
-        rounding = np.repeat([s.rounding for s in sets], [s.s.size for s in sets])
-        return (z, t, rounding), [(sum(s.s.size for s in b), tail, sum(s.s.shape[0] for s in b)) for b, tail in built]
+        lam, rho, nu = self.lam, self.rho, self.nu
+        r0 = float(np.min(radii))
+        t = ladder_factor(lam, nu) * r0 ** -(lam.real + 1.0) * cmath.exp(-1j * lam.imag * math.log(r0))
+        kmin = max(0, math.ceil(rho.real - 1.0), math.floor((nu - 1.0 - lam.real) / 2.0) + 1)
+        terms, mass, best = [], 0.0, (math.inf, kmin)
+        bound = float(self._ladder_bound(kmin, r0))
+        for k in range(kmin + math.ceil(seam) + 1):
+            if k >= kmin:
+                if bound <= _MASS_SHARE * tol * mass:
+                    break
+                best = min(best, (bound, k))
+                c = lam.real + 2.0 * k
+                bound *= abs(rho - 1.0 - k) / (k + 1.0) * (c + 1.0 + nu) * (c + 1.0 - nu) / (r0 * r0)
+            terms.append(t)
+            mass += abs(t)
+            mu = lam + 2.0 * k
+            t *= (rho - 1.0 - k) * (mu + 1.0 + nu) * (mu + 1.0 - nu) / ((k + 1.0) * r0 * r0)
+        else:
+            del terms[best[1]:]
+        ratio = r0 / radii
+        y, values = ratio * ratio, np.zeros(radii.size, dtype=np.complex128)
+        for t in reversed(terms):
+            values = values * y + t
+        power = ratio ** (lam.real + 1.0)
+        rounding = _LADDER_ROUNDING * sum(map(abs, terms)) * power
+        if lam.imag:
+            power = power * np.exp(1j * lam.imag * np.log(ratio))
+        return values * power, self._ladder_bound(len(terms), radii) + rounding
 
     def _edge_rule(self, nl: int, n: int, tol: float):
         """Nodes and weights in tau = r t of both edge legs, with the weight
@@ -803,72 +732,42 @@ class _TermIntegral:
         return out
 
     def steepest_descent(self, radii: np.ndarray, seam: float, rules, tol: float):
-        """The term at every radius of ``radii``, each at least this term's
-        r, which is at least 2 seam, with each rule (n, nl) of ``rules``: n
-        nodes per panel and nl per contour leg.  Returns per rule (values,
-        error bounds, panels, parts).  The rows of ``parts`` are the seam
-        zone S (origin zone and seam legs) and the edge legs e^(ir) A+ and
-        e^(-ir) A-, in the order the values sum them.
+        """The term at every radius of ``radii``, each at least 2 seam, with
+        each rule (n, nl) of ``rules``: n nodes per graded panel and nl per
+        edge leg.  Returns per rule (values, error bounds, panels, parts).
+        The rows of ``parts`` are the seam zone S and the edge legs
+        e^(ir) A+ and e^(-ir) A-, in the order the values sum them.
 
-        On [a, 1], J_nu = (H1 + H2)/2, H1 moves to a + it and 1 + it and H2
-        to a - it and 1 - it.  In z = r s the origin zone [0, a] and the
-        seam legs from a = seam / r are one path at every radius, and the
-        term there is r^-(lam+1) times the integral of
-        z^lam (1 - z^2/r^2)^(rho-1) J_nu(z) (H on the legs) along it.  So
-        ``_origin_zone`` and ``_leg_seam`` build them in z, with their
-        kernel values from the order's tables and only the profile factor
-        evaluated at r, once, at this term's r = r0, and they are carried
-        to each radius by the factor ((1 - z^2/r^2) / (1 - z^2/r0^2))^(rho-1)
-        per node, taken as the sum at r0 plus the terms times the factor
-        minus 1, and by (r0/r)^(lam+1) overall.  The origin tail bound
-        scales by (r0/r)^(Re lam+1), which over-covers its |rho - 1| part.
-        Only the edge legs are evaluated per radius.  The bounds add each
-        node's absolute mass times its set's rounding, the truncation
-        bounds and tails, and a rounding floor from the absolute contour
-        mass (the seam legs cancel against the origin zone).
+        On [a, 1], a = seam / r, J_nu = (H1 + H2)/2, H1 moves to a + it and
+        1 + it and H2 to a - it and 1 - it.  The origin zone [0, a] and the
+        contours from a are S, which ``origin_ladder`` sums in closed form;
+        only the edge legs from 1 are integrated (``_leg_edge``).  The
+        bounds add the edge legs' truncation bounds and tails, a rounding
+        floor from their absolute mass, and S's bound.
 
-        The rules share one pass: the seam legs, the carrying factor and
-        the edge legs are evaluated once on the nodes of all of them, and
-        only the sums are taken per rule.  A rule's values and bounds are
-        those of a call with it alone, except where the edge legs' shared
+        The rules share one pass: the edge legs are evaluated once on the
+        nodes of all of them, and only the sums are taken per rule.  S is
+        the same for every rule.  A rule's edge legs and their
+        bounds are those of a call with it alone, except where the shared
         ``hankel_scaled_grid`` call, at the smallest |z| of every rule's
         nodes, takes other expansion terms or another omitted-term bound
         than the rule's own nodes would.
         """
-        zone, counts = self._origin_zone(seam, [n for n, _ in rules], tol)
         edges = [self._edge_rule(nl, n, tol) for n, nl in rules]
-        # a real exponent keeps the real-axis factors real
-        rho1 = self.rho.real - 1.0 if self.rho.imag == 0.0 else self.rho - 1.0
-        paths = []  # the real axis and the seam legs, each over every rule's nodes
-        for (z, t, per_mass), sizes in ((zone, [c[0] for c in counts]),
-                                        (self._leg_seam(seam, tuple(nl for _, nl in rules)), [2 * nl for _, nl in rules])):
-            ends = [0, *accumulate(sizes)]
-            cols = [slice(i, j) for i, j in zip(ends, ends[1:])]
-            t128 = np.asarray(t, dtype=np.complex128)
-            paths.append((z, np.log1p(-((z / self.r) ** 2)), t128, per_mass * np.abs(t128), cols,
-                          [complex(np.sum(t[c])) for c in cols]))
-        split = np.empty((len(rules), 3, radii.size), dtype=np.complex128)
-        bounds = np.empty((len(rules), radii.size))
-        rows = max(1, _SWEEP_ELEMS // max(paths[0][0].size, paths[1][0].size, sum(e[0].size for e in edges)))
+        legs = np.empty((len(rules), 2, radii.size), dtype=np.complex128)
+        charge = np.empty((len(rules), radii.size))
+        rows = max(1, _SWEEP_ELEMS // sum(e[0].size for e in edges))
         for i0 in range(0, radii.size, rows):
-            r = radii[i0 : i0 + rows]
-            v, e = [0j] * len(rules), [tail for _, tail, _ in counts]
-            for z, base, t, charged, cols, totals in paths:
-                step = np.expm1(rho1 * (np.log1p(-((z / r[:, None]) ** 2)) - base))
-                mag = np.abs(1.0 + step)
-                for k, c in enumerate(cols):
-                    v[k] = v[k] + (totals[k] + _matvec(step[:, c], t[c]))
-                    e[k] = e[k] + mag[:, c] @ charged[c]
-            lr = np.log(r / self.r)
-            carry, carry_abs = np.exp(-(self.lam + 1.0) * lr), np.exp(-(self.lam.real + 1.0) * lr)
-            for k, (values, mass, bound) in enumerate(self._leg_edge(r, edges)):
-                split[k, 0, i0 : i0 + rows] = v[k] * carry
-                split[k, 1:, i0 : i0 + rows] = values
-                e[k] = e[k] * carry_abs
-                for leg in (0, 1):
-                    e[k] += bound[leg] + _CONTOUR_ROUNDING * mass[leg]
-                bounds[k, i0 : i0 + rows] = e[k]
-        return [(p[0] + p[1] + p[2], b, c[2] + 2 + 2 * edge[4], p) for p, b, c, edge in zip(split, bounds, counts, edges)]
+            part = slice(i0, i0 + rows)
+            for k, (values, m, bound) in enumerate(self._leg_edge(radii[part], edges)):
+                legs[k, :, part] = values
+                charge[k, part] = bound[0] + _CONTOUR_ROUNDING * m[0] + bound[1] + _CONTOUR_ROUNDING * m[1]
+        zone, zone_bound = self.origin_ladder(radii, seam, tol)
+        out = []
+        for values, bound, edge in zip(legs, charge, edges):
+            parts = np.vstack([zone, values])
+            out.append((parts[0] + parts[1] + parts[2], zone_bound + bound, 2 * edge[4], parts))
+        return out
 
     # -- panel sweep -----------------------------------------------------
 
@@ -1020,8 +919,8 @@ def _transform(terms, nu: float, radii: np.ndarray, cutoff: bool, cfg: Quadratur
     at every radius of ``radii``: (values, estimates, panels), one per radius.
 
     From twice the seam phase on, each term runs ``steepest_descent`` once
-    over all those radii, built at the smallest of them, with two rules:
-    32 nodes per panel and nl + 8 per contour leg, and 16 and nl.  The fine
+    over all those radii, with two rules: 32 nodes per graded panel and
+    nl + 8 per edge leg, and 16 and nl.  The fine
     values are the values; the estimate adds their distance from the
     coarse ones to the fine rule's bounds.  Below it and where there is no seam, each radius runs
     ``_panel_path``, every term in one pass.
@@ -1165,7 +1064,7 @@ def _barycentric(x: np.ndarray, w: np.ndarray, f: np.ndarray, t: np.ndarray) -> 
     return p
 
 
-def _windowed(r: np.ndarray, sweep, reach, count, flat=None) -> np.ndarray:
+def _windowed(r: np.ndarray, sweep, reach, count, flat=None, rest=None) -> np.ndarray:
     """``sweep`` at every radius of r, with r on one path of the sweep.
 
     In one pass over the sorted radii, each window starts at the smallest
@@ -1179,11 +1078,12 @@ def _windowed(r: np.ndarray, sweep, reach, count, flat=None) -> np.ndarray:
 
     Without ``flat``, ``sweep`` gives F, the points are Chebyshev in r and
     F is interpolated.  With it, ``sweep`` gives (F, P), P a row of parts
-    per radius whose sum is F, the points are Chebyshev in log r, and
-    G = P ``flat``(radii, unit) is interpolated, smooth in log r; an
-    interpolated radius takes the sum of G / ``flat`` there.  unit, the
-    power of 2 just above the window's first point, keeps r / unit exact
-    and the powers in ``flat`` finite where F itself underflows.
+    per radius whose sum is F less ``rest``, the points are Chebyshev in
+    log r, and G = P ``flat``(radii, unit) is interpolated, smooth in
+    log r; an interpolated radius takes the sum of G / ``flat`` there plus
+    ``rest`` evaluated there.  unit, the power of 2 just above the
+    window's first point, keeps r / unit exact and the powers in ``flat``
+    finite where F itself underflows.
     """
     order = np.argsort(r)
     ascending = r[order]
@@ -1213,7 +1113,7 @@ def _windowed(r: np.ndarray, sweep, reach, count, flat=None) -> np.ndarray:
         if flat:
             unit = math.ldexp(1.0, math.frexp(y[0])[1])
             g = _barycentric(x, w, f * flat(y, unit), np.log(t))
-            out[inside] = np.sum(g / flat(t, unit), axis=1)
+            out[inside] = np.sum(g / flat(t, unit), axis=1) + rest(t)
         else:
             out[inside] = _barycentric(x, w, f, t)
         at += x.size
@@ -1228,12 +1128,11 @@ def hankel_sweep(
 
     Each radius takes the path of the grid evaluator ``_transform``, one
     term at a time.  From twice the seam phase on, a term runs
-    ``_TermIntegral.steepest_descent`` once over all those radii, built at
-    the smallest of them, as ``_transform`` does, but with its fine rule
-    only (32 nodes per panel, nl + 8 per contour leg).  These values agree with
-    finite_hankel to within its estimate, so with the closed form to about
-    1e-12 relative wherever that estimate is certified, with no absolute
-    floor.
+    ``_TermIntegral.steepest_descent`` once over all those radii, as
+    ``_transform`` does, but with its fine rule only (nl + 8 nodes per edge
+    leg).  These values agree with finite_hankel to within its estimate,
+    so with the closed form to about 1e-12 relative wherever that estimate
+    is certified, with no absolute floor.
     Below that, and for cutoff profiles at every r, the term runs
     ``_TermIntegral.panel_sweep`` once per window of r (below), on node
     sets built for the window's largest radius with 12 nodes per panel, or
@@ -1258,12 +1157,13 @@ def hankel_sweep(
     than its Chebyshev points is swept at those points only and
     interpolated onto its radii.  On the contour path b <= 4 a, with
     ``_CONTOUR_POINTS`` = 32 points in log r, and what is interpolated is
-    the ``parts`` of ``steepest_descent`` per term, made smooth by
-    r^(Re lam+1) and r^(Re rho+1/2) e^(-+ir), which are put back at each
-    radius.  On the [60, 2006] grid of step pi/16 this is within 2.3e-15 of
-    the direct sweep's local envelope of |F|, except where the direct
-    sweep is noisier itself: it cancels at (1, 3) and (2.5, 3), and is
-    3e-15 off mpmath at (0.5, 6), which reads 4.8e-15.  On the
+    each term's edge legs, the last two ``parts`` of ``steepest_descent``,
+    made smooth by r^(Re rho+1/2) e^(-+ir), which are put back at each
+    radius; the seam zone is summed there by ``origin_ladder``.  On the
+    [60, 2006] grid of step pi/16 this is within 1.3e-15 of the direct
+    sweep's envelope of |F| within +-pi, for (0, 0.1), (1, 0.5),
+    (2.5, 1), (1, 3), (2.5, 3), (0.5, 6), n = 30 and two profiles with a
+    complex rho.  On the
     panel path b <= min(a + ``_WINDOW``, a ``_WINDOW_RANGE`` **
     (1 / (nu + 2))): r^-(nu + 2) changes by at most 16 across it, which
     narrows windows near r = 0 and, for large orders, over the first few
@@ -1291,15 +1191,21 @@ def hankel_sweep(
             ti = _TermIntegral(t.lam, t.rho, nu, float(np.min(radii)), False)
             (v, _, _, parts), = ti.steepest_descent(radii, seam, ((_NODES, _laguerre_nodes(tol) + 8),), tol)
             out += t.coeff * v
-            split.append(t.coeff * parts)
+            split.append(t.coeff * parts[1:])
         return out, np.concatenate(split).T
 
     def flat(radii, unit):
-        # per term (r/unit)^(Re lam+1) for the seam zone, (r/unit)^(Re rho+1/2) e^(-+ir) for the edge legs
+        # per term (r/unit)^(Re rho+1/2) e^(-+ir) for the edge legs
         rc, turn = (radii / unit)[:, None], np.exp(1j * radii)[:, None]
         turn = np.hstack([turn.conj(), turn])
-        return np.hstack([x for t in profile.terms
-                          for x in (rc ** (t.lam.real + 1.0), rc ** (t.rho.real + 0.5) * turn)])
+        return np.hstack([rc ** (t.rho.real + 0.5) * turn for t in profile.terms])
+
+    def seam_zones(radii):
+        out = np.zeros(radii.size, dtype=np.complex128)
+        for t in profile.terms:
+            out += t.coeff * _TermIntegral(t.lam, t.rho, nu, float(np.min(radii)), False).origin_ladder(
+                radii, seam, tol)[0]
+        return out
 
     def panels(radii, window):
         out = np.zeros(radii.size, dtype=np.complex128)
@@ -1314,7 +1220,7 @@ def hankel_sweep(
     out = np.zeros(r.size, dtype=np.complex128)
     upper, ratio = _CUT_HI if cutoff else 1.0, _WINDOW_RANGE ** (1.0 / (nu + 2.0))
     if on.any():
-        out[on] = _windowed(r[on], contours, lambda a: 4.0 * a, lambda a, b: _CONTOUR_POINTS, flat)
+        out[on] = _windowed(r[on], contours, lambda a: 4.0 * a, lambda a, b: _CONTOUR_POINTS, flat, seam_zones)
     if not on.all():
         out[~on] = _windowed(r[~on], panels, lambda a: min(a + _WINDOW, a * ratio),
                              lambda a, b: math.ceil(upper * (b - a) / 2) + _WINDOW_MARGIN)

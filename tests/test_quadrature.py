@@ -3,12 +3,13 @@
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finhankel import quadrature
+from finhankel import quadrature, specfun
 from finhankel.asymptotics import evaluate_prediction, predict
 from finhankel.errors import DomainError, SmoothnessBudgetError, check_radii, check_radius
 from finhankel.profiles import ProfileTerm, RadialProfile
@@ -775,11 +776,11 @@ class TestConfig:
             QuadratureConfig(target_rel_tol=2.0)
 
     def test_determinism(self):
-        """Bitwise the same results whatever the contour path's kernel tables
-        hold: nothing, this profile's tables from another radius, or those
-        of another profile of the same order."""
+        """Bitwise the same results whatever the cached rules and tables of
+        quadrature and specfun hold: nothing, this profile's from another
+        radius, or those of other profiles of the same order."""
         p = single(0.5, 6.0)
-        tables = (quadrature._phase_panels, quadrature._phase_origin, quadrature._seam_hankel)
+        tables = {f for module in (quadrature, specfun) for f in vars(module).values() if hasattr(f, "cache_clear")}
 
         def evaluate():
             return finite_hankel(p, 321.0), iterated_transform(p, 1, 321.0)
@@ -830,22 +831,26 @@ class TestGradedTails:
 
 class TestSteepestDescent:
     def test_warm_call_evaluates_no_kernel(self, monkeypatch):
-        """The origin zone is built in x = r s from per-order tables, so once
-        a profile has been evaluated on the contour path, another radius
-        there calls no Bessel kernel."""
+        """The seam zone is the origin ladder in closed form, and the edge
+        legs take the Hankel expansion, so a contour-path call evaluates no
+        Bessel kernel, with every cache cold or warm, on one radius or a
+        grid, for real and complex exponents."""
         calls = []
-        for name in ("bessel_j_grid", "bessel_j_scaled_grid"):
-            kernel = getattr(quadrature, name)
+        for module in (quadrature, specfun):
+            for name in ("bessel_j_grid", "bessel_j_scaled_grid"):
+                kernel = getattr(module, name)
 
-            def counted(*args, kernel=kernel, **kwargs):
-                calls.append(args[0])
-                return kernel(*args, **kwargs)
+                def counted(*args, kernel=kernel, **kwargs):
+                    calls.append(args[0])
+                    return kernel(*args, **kwargs)
 
-            monkeypatch.setattr(quadrature, name, counted)
-        p = single(0.5, 6.0)
-        finite_hankel(p, 500.0)
-        calls.clear()
-        finite_hankel(p, 2000.0)
+                monkeypatch.setattr(module, name, counted)
+        for f in {f for module in (quadrature, specfun) for f in vars(module).values() if hasattr(f, "cache_clear")}:
+            f.cache_clear()
+        for p in (single(0.5, 6.0), single(complex(-0.4, 0.3), 2.5, n=3), single(1.0, complex(1.5, 0.4), n=4)):
+            finite_hankel(p, 500.0)
+            finite_hankel(p, 2000.0)
+            _finite_hankel_grid(p, np.geomspace(60.0, 1e4, 9), QuadratureConfig())
         assert calls == []
 
     def test_path_follows_seam(self):
@@ -880,11 +885,13 @@ class TestSteepestDescent:
     def test_fused_rules_match_single_rule_calls(self, lam, rho, n, radii):
         """Each rule of the evaluator's two-rule call returns what a call
         with that rule alone returns: values, bounds, panels and parts,
-        bitwise.  The one allowed exception is the coarse rule where the
-        edge legs' shared ``hankel_scaled_grid`` call, at the smallest |z|
-        of both rules' nodes, takes other expansion terms or another
-        omitted-term bound than the coarse nodes alone would; there it
-        stays within 1e-3 of the evaluator's estimate."""
+        bitwise.  The seam zone, the first row of the parts, is
+        ``origin_ladder``'s, the same for every rule.  The one allowed
+        exception is the coarse rule's edge legs where their shared
+        ``hankel_scaled_grid`` call, at the smallest |z| of both rules'
+        nodes, takes other expansion terms or another omitted-term bound
+        than the coarse nodes alone would; there it stays within 1e-3 of
+        the evaluator's estimate."""
         tol = QuadratureConfig().target_rel_tol
         nu, nl = n / 2.0 - 1.0, _laguerre_nodes(tol)
         seam = _seam_phase(nu, tol)
@@ -901,9 +908,11 @@ class TestSteepestDescent:
             """_asym_terms as hankel_scaled_grid takes it on edge nodes x."""
             return _asym_terms(nu, float(np.min(np.abs(r[:, None] + 1j * x))), math.ceil(nu - 0.5))
 
+        zone = ti.origin_ladder(r, seam, tol)[0]
         for k, rule in enumerate(rules):
             (value, bnd, panels, parts), = ti.steepest_descent(r, seam, (rule,), tol)
             assert both[k][2] == panels
+            assert np.array_equal(both[k][3][0], zone) and np.array_equal(parts[0], zone)
             for got, alone in zip((both[k][0], both[k][1], both[k][3]), (value, bnd, parts)):
                 if not np.array_equal(got, alone):
                     assert k == 1 and terms(edge[1]) != terms(np.concatenate(edge))
@@ -917,8 +926,14 @@ class TestSteepestDescent:
         st.sampled_from([2, 3, 4]),
         st.floats(math.log(60.0), math.log(1e4)),
     )
+    # Re lam below nu - 1, where the origin ladder is S's analytic continuation
+    @example(0.6, 0.0, 0.7, 0.0, 4, math.log(60.0))
+    @example(0.4, 0.2, 1.5, 0.3, 3, math.log(500.0))
     @settings(max_examples=6, deadline=None)
     def test_agrees_with_panels_and_oracle(self, gap, lam_im, rho_re, rho_im, n, log_r):
+        """The contour path agrees with the panel path within both
+        estimates, and with the closed form within its own, for real and
+        complex exponents and Re lam on either side of nu - 1."""
         nu = n / 2.0 - 1.0
         lam = complex(gap - 1.0 - nu, lam_im)
         rho = complex(rho_re, rho_im)
@@ -928,8 +943,66 @@ class TestSteepestDescent:
         (a,), (est_a,), _ = _transform([(1.0, lam, rho)], nu, np.array([r]), False, cfg)
         b, est_b, _ = _panel_path([ti], ti.nu, ti.r, cfg.target_rel_tol)[0]
         assert abs(a - b) <= est_a + est_b
+        assert abs(a - mp_term_transform(lam, rho, nu, r)) <= est_a
+
+
+class TestOriginLadder:
+    """The seam zone S (the origin zone and the contours from a) is the
+    origin ladder's sum in closed form, within the remainder bound B_K."""
+
+    @pytest.mark.parametrize("lam,rho,n,r", [(1.0, 11.0, 2, 3000.0), (1.0, 3.5, 2, 1000.0), (2.0, 4.0, 4, 500.0)])
+    def test_excluded_ladder_leaves_the_edge_legs(self, lam, rho, n, r):
+        """Where (lam - nu - 1)/2 is a nonnegative integer, S is 0 with no
+        bound, so F is the edge legs alone and nothing cancels.  At
+        (1, 11), n = 2, r = 3000, |F| = 2.5e-31, and S's quadrature, with a
+        cancelling mass of 2.4e-7, returned about 5e-23 under an estimate
+        of 1.5e-20; at the other two it was off by 5e-11 and 1.5e-11
+        relative, uncertified."""
+        nu, tol = n / 2.0 - 1.0, QuadratureConfig().target_rel_tol
+        zone, bound = _TermIntegral(lam, rho, nu, r, False).origin_ladder(np.array([r]), _seam_phase(nu, tol), tol)
+        assert zone[0] == 0 and bound[0] == 0
+        res = finite_hankel(single(lam, rho, n=n), r)
         ref = mp_term_transform(lam, rho, nu, r)
-        assert abs(a - ref) <= max(est_a, cfg.target_rel_tol * abs(ref))
+        assert abs(res.value - ref) <= 1e-12 * abs(ref)
+        assert abs(res.value - ref) <= res.error_estimate <= tol * abs(res.value)
+
+    @pytest.mark.parametrize("lam,rho,n", [
+        (0.5, 2.5, 3), (complex(1.3, 0.2), 0.6, 3), (2.877, 3.697, 3),
+        # Re lam < nu - 1: the ladder is S's analytic continuation in lam
+        (-1.4, 0.7, 4),
+    ])
+    def test_bound_covers_the_tail(self, lam, rho, n):
+        """B_K bounds S - sum_(k<K) T_k at r = 60 for the two smallest
+        admissible K, and nearly attains it.  The tail is
+        (2/pi) cos(pi (lam - nu)/2) C(rho-1, K) times the integral of
+        tau^(lam+2K) 2F1(K+1-rho, 1; K+1; -tau^2) K_nu(r tau) over (0, inf),
+        the binomial's remainder in closed form, here through the Pfaff
+        transformation, integrated in mpmath up to 120 / r.  Both K give
+        the same S, and origin_ladder is within its bound of it."""
+        nu, r, tol = n / 2.0 - 1.0, 60.0, QuadratureConfig().target_rel_tol
+        ti = _TermIntegral(lam, rho, nu, r, False)
+        kmin = max(0, math.ceil(complex(rho).real - 1.0), math.floor((nu - 1.0 - complex(lam).real) / 2.0) + 1)
+        with mp.workdps(20):
+            lm, rh, nm, rr = mp.mpc(lam), mp.mpc(rho), mp.mpf(nu), mp.mpf(r)
+
+            def term(k):
+                mu = lm + 2 * k
+                return (mp.binomial(rh - 1, k) * (-1) ** k * 2 ** mu * mp.gamma((nm + mu + 1) / 2)
+                        * mp.rgamma((nm - mu + 1) / 2) * rr ** (-mu - 1))
+
+            totals = []
+            for k in (kmin, kmin + 1):
+                with mp.workdps(15):
+                    f = lambda t: (t ** (lm + 2 * k) / (1 + t * t) * mp.hyp2f1(rh, 1, k + 1, t * t / (1 + t * t))
+                                   * mp.besselk(nm, rr * t))
+                    tail = complex(2 / mp.pi * mp.cos(mp.pi * (lm - nm) / 2) * mp.binomial(rh - 1, k)
+                                   * mp.quad(f, [0, 8 / rr, 40 / rr, 120 / rr]))
+                bound = float(ti._ladder_bound(k, r))
+                assert 0.9 * bound <= abs(tail) <= bound, k
+                totals.append(complex(sum(term(j) for j in range(k))) + tail)
+        assert abs(totals[1] - totals[0]) <= 1e-13 * abs(totals[0])
+        value, estimate = ti.origin_ladder(np.array([r]), _seam_phase(nu, tol), tol)
+        assert abs(value[0] - totals[0]) <= estimate[0]
 
 
 class TestGrid:
