@@ -907,11 +907,38 @@ def _panel_path(integrals, nu: float, r: float, tol: float) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _contour_seam(nu: float, cutoff: bool, cfg: QuadratureConfig) -> float | None:
-    """The seam phase of the steepest-descent path, which every radius
-    r >= 2 seam takes (a = seam/r at most 1/2), or None where no radius
-    does: cutoff profiles are not analytic, and some orders have no seam."""
-    return None if cutoff else _seam_phase(float(nu), cfg.target_rel_tol)
+def _contour_start(terms, nu: float, cutoff: bool, cfg: QuadratureConfig):
+    """(seam, start): the seam phase of the steepest-descent path and the
+    smallest radius from which the terms (c, lam, rho) of ``terms`` take it,
+    or (None, inf) where no radius does: cutoff profiles are not analytic,
+    and some orders have no seam.
+
+    The edge legs need only |r + i tau| >= seam, so the path can start at
+    r = seam; the start is raised for terms whose exponents the legs'
+    Laguerre rule cannot resolve there, and the profile takes the largest
+    start over its terms.  The legs' factor g(tau) = (1 + i tau/r)^lam
+    (1 + i tau/(2r))^(rho-1) has log-derivative about i u / r at tau = 0,
+    u = |lam| + |rho - 1|/2.  A rule of nl = ceil(-log10 tol) nodes with
+    weight tau^alpha e^-tau, alpha = Re rho - 1, integrates e^(i omega tau)
+    to tol only while omega sqrt(alpha + 4) <= 1.22 (measured on the rule:
+    1.17-1.24 at alpha = 0 and 0.97-1.31 at alpha = 14.5 for nl from 6 to
+    13), so the legs need r >= 0.82 u sqrt(alpha + 4).  For large Re rho
+    the legs' share of F shrinks and that factor is capped at 2.6: the
+    start of a term is
+    max(seam, u min(0.82 sqrt(max(alpha, 0) + 4), 2.6)).
+    Fitted against where the contour path's estimate drops below the larger
+    of the panel path's and 1% of the target (default target, n = 2 and 4,
+    Re lam from -1.85 to 35, Re rho from 0.02 to 61, r on a 4% grid up to
+    400), it stays at or above every crossover but for grid resolution, and
+    leaves r = seam to Re lam <= 3.5 with Re rho <= 6.6.  The order does not
+    enter: n = 2 and 4 crossed within a grid step of each other.
+    """
+    seam = None if cutoff else _seam_phase(float(nu), cfg.target_rel_tol)
+    if seam is None:
+        return None, math.inf
+    return seam, max([seam] + [
+        (abs(lam) + abs(rho - 1.0) / 2.0) * min(0.82 * math.sqrt(max(rho.real - 1.0, 0.0) + 4.0), 2.6)
+        for _, lam, rho in terms])
 
 
 def _transform(terms, nu: float, radii: np.ndarray, cutoff: bool, cfg: QuadratureConfig):
@@ -926,12 +953,12 @@ def _transform(terms, nu: float, radii: np.ndarray, cutoff: bool, cfg: Quadratur
     ``_panel_path``, every term in one pass.
     """
     tol = cfg.target_rel_tol
-    seam = _contour_seam(nu, cutoff, cfg)
     terms = list(terms)
+    seam, start = _contour_start(terms, nu, cutoff, cfg)
     values = np.zeros(radii.size, dtype=np.complex128)
     errors = np.zeros(radii.size)
     panels = np.zeros(radii.size, dtype=np.int64)
-    on = np.zeros(radii.size, dtype=bool) if seam is None else radii >= 2.0 * seam
+    on = radii >= start
     if on.any():
         r, nl = radii[on], _laguerre_nodes(tol)
         v, e, p = 0j, 0.0, 0
@@ -1182,8 +1209,8 @@ def hankel_sweep(
     r = check_radii(r, "hankel_sweep")
     tol = cfg.target_rel_tol
     nu, cutoff = profile.nu, profile.vanishes_near_one
-    seam = _contour_seam(nu, cutoff, cfg)
-    on = np.zeros(r.size, dtype=bool) if seam is None else r >= 2.0 * seam
+    seam, start = _contour_start(((t.coeff, t.lam, t.rho) for t in profile.terms), nu, cutoff, cfg)
+    on = r >= start
 
     def contours(radii, _):
         out, split = np.zeros(radii.size, dtype=np.complex128), []

@@ -38,6 +38,13 @@ def single(lam, rho, n=2, c=1, **kw):
     return RadialProfile(n, (ProfileTerm(coeff=c, lam=lam, rho=rho),), **kw)
 
 
+def contour_start(profile, cfg=None):
+    """(seam, start) of the profile's contour path, from the evaluator's own
+    helper."""
+    terms = [(t.coeff, t.lam, t.rho) for t in profile.terms]
+    return quadrature._contour_start(terms, profile.nu, profile.vanishes_near_one, cfg or QuadratureConfig())
+
+
 def sonine_rhs(nu, alpha, r):
     return 2.0 ** alpha * math.gamma(alpha + 1.0) * r ** -(alpha + 1.0) * bessel_j(
         nu + alpha + 1.0, r
@@ -407,9 +414,9 @@ class TestSweep:
             assert abs(value - ref) <= 1e-11 * abs(ref), r
 
     def test_dispatch_and_scatter(self):
-        """An unsorted grid across 2 seam = 60: every radius takes
-        finite_hankel's path and lands in its own slot."""
-        grid = np.array([75.0, 41.0, 59.9, 60.0, 60.1, 1800.0, 44.0])
+        """An unsorted grid across the contour start, seam = 30: every radius
+        takes finite_hankel's path and lands in its own slot."""
+        grid = np.array([75.0, 21.0, 29.9, 30.0, 30.1, 1800.0, 24.0])
         mixed = RadialProfile(3, (
             ProfileTerm(coeff=1.0, lam=0.5, rho=2.5),
             ProfileTerm(coeff=complex(-0.4, 0.3), lam=1.5, rho=complex(1.5, 0.4)),
@@ -482,7 +489,7 @@ class TestSweep:
         return sizes
 
     @pytest.mark.parametrize("profile,lo,hi,share", [
-        (single(0.0, 1.0, n=3), 40.0, 200.0, 0.5),  # windows either side of 2 seam = 60
+        (single(0.0, 1.0, n=3), 20.0, 200.0, 0.5),  # windows either side of the start, 30
         # near r = 0 windows are narrowed until r^-(nu + 2) changes by at
         # most 16 across each, and most of them hold too few radii to sample
         (single(0.0, 1.0, n=5), math.pi / 16, 30.0, 1.0),
@@ -502,7 +509,7 @@ class TestSweep:
         """On a grid of step pi/16 the windows are swept at their Chebyshev
         points, and the interpolant agrees with finite_hankel and with the
         closed form; the per-term sweeps are given under share of the grid's
-        radii.  On the panel path (r < 60 and cutoff profiles) this bound
+        radii.  On the panel path (r < 30 and cutoff profiles) this bound
         sits near the double-precision panel sweep's own floor, which it
         holds for these profiles."""
         sizes = self.swept(monkeypatch)
@@ -552,7 +559,7 @@ class TestSweep:
         """Each sampled panel window [a, b] keeps (b / a)^(nu + 2) within
         _WINDOW_RANGE and b - a within _WINDOW.  Each sampled contour
         window, the one kind with _CONTOUR_POINTS points, is Chebyshev in
-        log r with b / a <= 4, from 2 seam on.  On both paths its ends are
+        log r with b / a <= 4, from the contour start on.  On both paths its ends are
         radii of the grid: the interval that is interpolated is the span of
         the radii it serves."""
         spans = []
@@ -564,14 +571,16 @@ class TestSweep:
 
         monkeypatch.setattr(quadrature, "_chebyshev_window", recorded)
         p = single(1.0, 1.5, n=n)
-        grid = np.arange(math.pi / 16, 400.0, math.pi / 16)
+        # step pi/64, so that at n = 20 (windows at most 16^(1/11) = 1.29
+        # wide) some panel window below the start, 30, is sampled
+        grid = np.arange(math.pi / 64, 400.0, math.pi / 64)
         hankel_sweep(p, grid)
-        seam = quadrature._contour_seam(p.nu, False, QuadratureConfig())
+        _, start = contour_start(p)
         contour = [(lo, hi) for lo, hi, m in spans if m == quadrature._CONTOUR_POINTS]
         panel = [(lo, hi) for lo, hi, m in spans if m != quadrature._CONTOUR_POINTS]
         assert contour and panel
         for lo, hi in contour:
-            assert hi - lo <= math.log(4.0) + 1e-12 and math.exp(lo) >= 2.0 * seam * (1 - 1e-12), (lo, hi)
+            assert hi - lo <= math.log(4.0) + 1e-12 and math.exp(lo) >= start * (1 - 1e-12), (lo, hi)
             for end in (lo, hi):
                 assert np.min(np.abs(grid - math.exp(end))) <= 1e-13 * math.exp(end), (lo, hi)
         for lo, hi in panel:
@@ -587,15 +596,15 @@ class TestSweep:
         """On the contour path the sweep interpolates, per term, the seam
         zone times r^(Re lam + 1) and each edge leg with e^(+-ir) taken out
         times r^(Re rho + 1/2), none of which oscillates, at 32 Chebyshev
-        points in log r per window.  At every radius of the grid from 2 seam
-        on it stays within 5e-15 of the direct sweep's local envelope.
+        points in log r per window.  At every radius of the grid from the
+        contour start on it stays within 5e-15 of the direct sweep's local envelope.
         Interpolating the oscillating F at ceil(h) + 40 points per window
         128 wide read 1.6e-14 to 2.8e-14 on the first three and on the
         complex rho.  The direct sweep runs at every fourth radius from
-        2 seam on, built at the same first radius, and its envelope is the
+        the start on, built at the same first radius, and its envelope is the
         largest |F| among those within pi (a few % under the full grid's)."""
-        grid = np.arange(60.0, 2006.0, math.pi / 16)
-        on = grid >= 2.0 * quadrature._contour_seam(profile.nu, False, QuadratureConfig())
+        grid = np.arange(30.0, 2006.0, math.pi / 16)
+        on = grid >= contour_start(profile)[1]
         sw = hankel_sweep(profile, grid)[on][::4]
         monkeypatch.setattr(quadrature, "_CONTOUR_POINTS", 10**9)  # every contour radius is swept
         direct = hankel_sweep(profile, grid[on][::4])
@@ -665,23 +674,25 @@ class TestSweep:
     def test_sparse_grid_is_swept_directly(self):
         """A grid with fewer radii per window than Chebyshev points gives
         bitwise what the direct per-term sweeps give on its radii: the
-        contour sweep built at the smallest radius from 2 seam = 60 on, and
-        the panel sweep of each window on node sets for that window's
-        largest radius, or for _CUTOFF_MESH_R = 300 if that is larger and
-        the profile has the cutoff.  The panel windows are predicted from
-        the rule of ``_windowed``.  Below 60 the two-term profile's radii
-        form one window, and from 60 on its 60 log-spaced radii put at most
-        25 in each contour window (b / a <= 4), under the 32 points; the
-        cutoff profile's radii, 4 apart, form 15, the first [41, 161]
-        (r^-2 changes by at most 16 across it), the others up to 128 wide."""
+        contour sweep built at the smallest radius from the contour start
+        (30) on, and the panel sweep of each window on node sets for that
+        window's largest radius, or for _CUTOFF_MESH_R = 300 if that is
+        larger and the profile has the cutoff.  The panel windows are
+        predicted from the rule of ``_windowed``.  Below 30 the two-term
+        profile's radii form one window, and from 30 on its 60 log-spaced
+        radii put at most 21 in each contour window (b / a <= 4), under the
+        32 points; the cutoff profile's radii, 4 apart, form 15, the first
+        [41, 161] (r^-2 changes by at most 16 across it), the others up to
+        128 wide."""
         rng = np.random.default_rng(3)
-        spaced = rng.permutation(np.append(np.arange(41.0, 60.0, 4.0), np.geomspace(61.0, 2000.0, 60)))
+        spaced = rng.permutation(np.append(np.arange(11.0, 30.0, 4.0), np.geomspace(31.0, 2000.0, 60)))
         cfg = QuadratureConfig()
         tol = cfg.target_rel_tol
         for p, grid in ((self.MIXED, spaced),
                         (single(0.0, 1.0, vanishes_near_one=True), rng.permutation(np.arange(41.0, 2000.0, 4.0)))):
-            seam = quadrature._contour_seam(p.nu, p.vanishes_near_one, cfg)
-            on = np.zeros(grid.size, dtype=bool) if seam is None else grid >= 2.0 * seam
+            seam, start = contour_start(p, cfg)
+            assert start == (math.inf if p.vanishes_near_one else 30.0)
+            on = grid >= start
             windows = self.windows(grid[~on], p.nu)
             assert len(windows) == (15 if p.vanishes_near_one else 1)
             expect = np.zeros(grid.size, dtype=np.complex128)
@@ -713,12 +724,13 @@ class TestSweep:
         assert (with_outlier[:-1] == alone).all()
         assert np.isfinite(with_outlier[-1])
 
-    @pytest.mark.parametrize("n,rs", [(30, (50.0, 70.0, 89.0)), (60, (50.0, 100.0, 150.0, 400.0))])
+    @pytest.mark.parametrize("n,rs", [(30, (30.0, 38.0, 44.0)), (60, (50.0, 100.0, 150.0, 400.0))])
     def test_high_order_panel_radii(self, n, rs):
-        """At n = 30 the radii below 2 seam = 90, and at n = 60, which has no
-        seam, every radius, take the panel sweep.  With the double-precision
-        series running up to 1.8 nu, these were off by 5e-10 relative at
-        n = 30, and by 4e-2 to 2.2 at n = 60, with no signal."""
+        """At n = 30 the radii below its seam, 45, and at n = 60, which has
+        no seam, every radius, take the panel sweep.  With the
+        double-precision series running up to 1.8 nu, radii 50, 70 and 89 at
+        n = 30 were off by 5e-10 relative on that sweep, and those of n = 60
+        by 4e-2 to 2.2, with no signal."""
         p = single(1.0, 1.5, n=n)
         for value, r in zip(hankel_sweep(p, np.array(rs)), rs):
             ref = mp_term_transform(1.0, 1.5, p.nu, r)
@@ -757,11 +769,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("lam,rho", [(2.5, 3.0), (0.0, 0.5)])
     def test_sub_seam_radii_of_the_window_check(self, lam, rho):
-        """The window check's grid (step pi/16 on [43.7, 2006.6]) below
-        2 seam = 60 is one window of 83 radii, swept at 49 Chebyshev points
-        on a mesh built for about 60.  Every one of those radii is within
-        finite_hankel's estimate + 1e-12 |F|; the double-precision series
-        on the mesh for r = 2006 missed that by up to 3.8x at (2.5, 3)."""
+        """The window check's grid (step pi/16 on [43.7, 2006.6]) lies above
+        the contour start, 30, so its 83 radii below 60, once a panel window
+        swept at 49 Chebyshev points, take the contour sweep.  Every one of
+        them is within finite_hankel's estimate + 1e-12 |F|; the
+        double-precision series on the mesh for r = 2006 missed that by up
+        to 3.8x at (2.5, 3)."""
         p = single(lam, rho)
         grid = np.arange(50.0 - 2.0 * math.pi, 2000.0 + 2.0 * math.pi + math.pi / 16, math.pi / 16)
         sw = hankel_sweep(p, grid)
@@ -854,24 +867,65 @@ class TestSteepestDescent:
         assert calls == []
 
     def test_path_follows_seam(self):
-        """Contours from r = 2 * seam on, panels below it and for cutoff
-        profiles at every r."""
+        """Contours from the contour start on, panels below it and for
+        cutoff profiles at every r.  For (1, 3.5) the start is the seam, 30;
+        for (30, 61.5) it is raised past 60, where the edge legs' Laguerre
+        rule cannot resolve that term."""
         cfg = QuadratureConfig()
         seam = _seam_phase(0.0, cfg.target_rel_tol)
         assert seam == 30.0
-        for r, cutoff, contour in ((60.0, False, True), (59.0, False, False), (1000.0, True, False)):
-            ti = _TermIntegral(1.0, 3.5, 0.0, r, cutoff)
+        assert quadrature._contour_start([(1.0, 1.0, 3.5)], 0.0, False, cfg) == (seam, seam)
+        assert quadrature._contour_start([(1.0, 1.0, 3.5)], 0.0, True, cfg) == (None, math.inf)
+        assert quadrature._contour_start([(1.0, 1.0, 3.5), (1.0, 30.0, 61.5)], 0.0, False, cfg)[1] > 60.0
+        for lam, rho, r, cutoff, contour in ((1.0, 3.5, 30.0, False, True), (1.0, 3.5, 29.9, False, False),
+                                             (1.0, 3.5, 1000.0, True, False), (30.0, 61.5, 60.0, False, False)):
+            ti = _TermIntegral(lam, rho, 0.0, r, cutoff)
             if contour:
-                (value,), (estimate,), _ = _transform([(1.0, 1.0, 3.5)], 0.0, np.array([r]), cutoff, cfg)
+                (value,), (estimate,), _ = _transform([(1.0, lam, rho)], 0.0, np.array([r]), cutoff, cfg)
                 fine = ti.steepest_descent(np.array([r]), seam, ((_NODES, _laguerre_nodes(cfg.target_rel_tol) + 8),),
                                            cfg.target_rel_tol)[0][0]
                 assert value == fine[0]
             else:
                 value, estimate, _ = _panel_path([ti], ti.nu, ti.r, cfg.target_rel_tol)[0]
-            res = finite_hankel(single(1.0, 3.5, vanishes_near_one=cutoff), r)
+            res = finite_hankel(single(lam, rho, vanishes_near_one=cutoff), r)
             assert (res.value, res.error_estimate) == (value, estimate)
             # plain Python numbers on either path, as QuadratureResult declares
             assert (type(res.value), type(res.error_estimate)) == (complex, float)
+
+    @pytest.mark.parametrize("lam,rho,r,panel_err", [
+        (20.0, 41.5, 60.0, 1.6e-15), (30.0, 31.5, 60.0, 2.0e-15), (30.0, 61.5, 100.0, 3.9e-13),
+    ])
+    def test_large_exponents_stay_on_panels(self, lam, rho, r, panel_err):
+        """Terms whose exponents the edge legs' Laguerre rule cannot resolve
+        keep the panel path past twice the seam.  On the contour path these
+        were off by 9.5e-6, 6.7e-5 and 0.28 relative, under estimates of
+        2.4e3, 1.8e3 and 6.6e4; on panels they are within their estimates
+        and read panel_err relative.  The first two are certified.  At
+        (30, 61.5), r = 100, |F| is about 1e-9 of the integrand's absolute
+        mass, and the panels' rounding charge on that mass leaves the
+        estimate at 7.4e-9 relative, uncertified."""
+        res = finite_hankel(single(lam, rho), r)
+        ref = mp_term_transform(lam, rho, 0.0, r)
+        assert abs(res.value - ref) <= res.error_estimate
+        assert abs(res.value - ref) <= 10.0 * panel_err * abs(ref)
+        if rho < 60.0:
+            assert res.error_estimate <= QuadratureConfig().target_rel_tol * abs(res.value)
+
+    @pytest.mark.parametrize("n", [2, 4, 39, 43])
+    @pytest.mark.parametrize("lam,rho", [(0.5, 2.5), (22.0, 1.5), (1.0, 1.0)])
+    @pytest.mark.parametrize("factor", [1.01, 1.5])
+    def test_at_the_new_start(self, n, lam, rho, factor):
+        """Just above the seam and at 1.5 seam, once panel radii: error within
+        the estimate, and certified.  At n = 39 and 43 the Hankel expansion
+        terminates, so the seam is 30 and the edge legs sit at |z| = 30,
+        where the expansion's rounding is largest."""
+        nu, cfg = n / 2.0 - 1.0, QuadratureConfig()
+        seam = _seam_phase(nu, cfg.target_rel_tol)
+        assert seam == 30.0
+        r = factor * seam
+        res = finite_hankel(single(lam, rho, n=n), r)
+        ref = mp_term_transform(lam, rho, nu, r)
+        assert abs(res.value - ref) <= res.error_estimate <= cfg.target_rel_tol * abs(res.value)
 
     @pytest.mark.parametrize("lam,rho,n,radii", [
         (0.5, 6.0, 2, (500.0,)),
@@ -896,7 +950,7 @@ class TestSteepestDescent:
         nu, nl = n / 2.0 - 1.0, _laguerre_nodes(tol)
         seam = _seam_phase(nu, tol)
         r = np.array(radii)
-        assert r.min() >= 2.0 * seam
+        assert r.min() >= contour_start(single(lam, rho, n=n))[1]
         ti = _TermIntegral(lam, rho, nu, float(r.min()), False)
         rules = ((_NODES, nl + 8), (_NODES // 2, nl))
         both = ti.steepest_descent(r, seam, rules, tol)
@@ -924,7 +978,7 @@ class TestSteepestDescent:
         st.floats(0.05, 8.0),
         st.one_of(st.just(0.0), st.floats(-0.3, 0.3)),
         st.sampled_from([2, 3, 4]),
-        st.floats(math.log(60.0), math.log(1e4)),
+        st.floats(math.log(30.0), math.log(1e4)),
     )
     # Re lam below nu - 1, where the origin ladder is S's analytic continuation
     @example(0.6, 0.0, 0.7, 0.0, 4, math.log(60.0))
@@ -937,7 +991,7 @@ class TestSteepestDescent:
         nu = n / 2.0 - 1.0
         lam = complex(gap - 1.0 - nu, lam_im)
         rho = complex(rho_re, rho_im)
-        r = max(math.exp(log_r), 60.0)  # exp(log(60)) rounds to just below the contour path
+        r = max(math.exp(log_r), 30.0)  # exp(log(30)) rounds to just below the contour path
         cfg = QuadratureConfig()
         ti = _TermIntegral(lam, rho, nu, r, False)
         (a,), (est_a,), _ = _transform([(1.0, lam, rho)], nu, np.array([r]), False, cfg)
@@ -1007,7 +1061,7 @@ class TestOriginLadder:
 
 class TestGrid:
     """The grid evaluator against one radius at a time, on grids that
-    straddle 2 * seam = 60, where the contour path starts."""
+    straddle the seam, 30, where the contour path starts."""
 
     def test_profile_within_point_estimates(self):
         """The contour radii share one path built at the smallest of them,
