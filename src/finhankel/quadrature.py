@@ -6,9 +6,10 @@ algebraic singularity at each endpoint with oscillation of wavelength
 ``finite_hankel`` is its one-radius case.  It picks one of two paths per
 radius and term from r, nu, the target and the cutoff flag alone.
 
-Steepest descent, once r is at least twice the seam phase (30 at the
-default target for orders nu up to about 9, so r >= 60), for every profile
-without ``vanishes_near_one``:
+Steepest descent, from the contour start on, for every profile without
+``vanishes_near_one``: the seam phase (30 at the default target for orders
+nu up to about 9), raised for terms with exponents in the tens, which the
+edge legs' Laguerre rule cannot resolve there (``_contour_start``):
 
 * on [a, 1], a = seam / r, J_nu = (H1 + H2)/2.  The H1 part moves onto
   a + it and 1 + it, the H2 part onto a - it and 1 - it (t >= 0), where
@@ -25,10 +26,12 @@ without ``vanishes_near_one``:
   term it is the paper's origin ladder, sum_k T_k(r) with
   T_k ~ r^-(lam+2k+1), whose remainder after K terms has the closed-form
   bound B_K (``_TermIntegral.origin_ladder``).  One Gamma pair gives
-  T_0, T_(k+1)/T_k is rational, and at r >= 60 a handful of terms bring
-  B_K below 1e-6 of the target times S's absolute mass.  Where the ladder is
-  excluded ((lam - nu - 1)/2 a nonnegative integer), S is 0 and F is the
-  edge legs alone.
+  T_0, T_(k+1)/T_k is rational, and from r = 45 on a handful of terms
+  bring B_K below 1e-6 of the target times S's absolute mass.  At r = 30
+  some ladders turn first, and their smallest B_K is charged: 1.2e-13 of
+  |S| for (2.877, 3.697), n = 3, and 1.9e-12 for (1.3 + 0.2i, 0.6).  Where
+  the ladder is excluded ((lam - nu - 1)/2 a nonnegative integer), S is 0
+  and F is the edge legs alone.
 
 This path calls no Bessel kernel.
 
@@ -84,7 +87,7 @@ it up to where the large-argument expansion is accurate to its rounding
 
 The batch sweep, hankel_sweep, takes each radius down the evaluator's
 path and returns no per-point error estimate.  It runs term
-by term, each term over all its radii at once.  From twice the seam phase
+by term, each term over all its radii at once.  From the contour start
 on, it runs the evaluator's steepest-descent path, at its fine rules
 only, in double precision, with a cost per radius flat in r.  Below that, and
 for cutoff profiles, it trades accuracy for speed: the panel node sets
@@ -294,8 +297,9 @@ def _laguerre_nodes(tol: float) -> int:
     """Coarse contour rule size for a relative target ``tol``.
 
     On the edge legs the nearest singularity of the integrand (s = 0) sits
-    at distance r >= 60 in the Laguerre variable, and the rules gain about
-    1.5 digits per node there: 10 nodes reach the rounding floor.
+    at distance r >= seam = 30 in the Laguerre variable.  There 8 nodes
+    reach the rounding floor (6e-16 of a 60-node rule's legs) for (lam, rho)
+    = (0.5, 2.5), (3, 6), (-0.9, 0.1) and (2.877, 3.697), and 6 leave 7e-14.
     """
     return max(8, math.ceil(-math.log10(tol)))
 
@@ -591,7 +595,7 @@ class _TermIntegral:
 
     def origin_ladder(self, radii: np.ndarray, seam: float, tol: float):
         """The seam zone S, the origin zone [0, a] and the contours from a,
-        a = seam / r, at every radius of ``radii``, each at least 2 seam:
+        a = seam / r, at every radius of ``radii``, each at least seam:
         (values, bounds).
 
         Moved onto the imaginary axis (K_nu from DLMF 10.27.8), S is
@@ -612,9 +616,10 @@ class _TermIntegral:
         at the smallest radius r0: the smallest admissible K whose B_K there
         is at most ``_MASS_SHARE`` tol times sum_(k<K) |T_k|.  The terms
         fall until k ~ (r - Re lam)/2, to about e^-(r - Re lam) of the
-        first, so for moderate lam that K comes before k = seam <= r/2.
-        Where it does not (Re lam = 30 at r = 60, say), K is the admissible
-        value up to seam past the smallest with the smallest B_K, which the
+        first, so for moderate lam and r >= 45 that K comes before they
+        turn.  Where it does not (Re lam = 30 at r = 60, or some terms at
+        r = seam = 30), K is the admissible value up to seam past the
+        smallest with the smallest B_K, which the
         bound then charges: the estimate reports what the ladder reached.
         Every radius takes that K, since B_K falls like
         r^-(Re lam + 2K + 1), and sums T_k(r0) (r0/r)^(lam+2k+1) by Horner's
@@ -732,7 +737,7 @@ class _TermIntegral:
         return out
 
     def steepest_descent(self, radii: np.ndarray, seam: float, rules, tol: float):
-        """The term at every radius of ``radii``, each at least 2 seam, with
+        """The term at every radius of ``radii``, each at least seam, with
         each rule (n, nl) of ``rules``: n nodes per graded panel and nl per
         edge leg.  Returns per rule (values, error bounds, panels, parts).
         The rows of ``parts`` are the seam zone S and the edge legs
@@ -909,29 +914,26 @@ def _panel_path(integrals, nu: float, r: float, tol: float) -> list:
 
 def _contour_start(terms, nu: float, cutoff: bool, cfg: QuadratureConfig):
     """(seam, start): the seam phase of the steepest-descent path and the
-    smallest radius from which the terms (c, lam, rho) of ``terms`` take it,
+    smallest radius at which the terms (c, lam, rho) of ``terms`` take it,
     or (None, inf) where no radius does: cutoff profiles are not analytic,
     and some orders have no seam.
 
-    The edge legs need only |r + i tau| >= seam, so the path can start at
-    r = seam; the start is raised for terms whose exponents the legs'
-    Laguerre rule cannot resolve there, and the profile takes the largest
-    start over its terms.  The legs' factor g(tau) = (1 + i tau/r)^lam
-    (1 + i tau/(2r))^(rho-1) has log-derivative about i u / r at tau = 0,
-    u = |lam| + |rho - 1|/2.  A rule of nl = ceil(-log10 tol) nodes with
-    weight tau^alpha e^-tau, alpha = Re rho - 1, integrates e^(i omega tau)
-    to tol only while omega sqrt(alpha + 4) <= 1.22 (measured on the rule:
-    1.17-1.24 at alpha = 0 and 0.97-1.31 at alpha = 14.5 for nl from 6 to
-    13), so the legs need r >= 0.82 u sqrt(alpha + 4).  For large Re rho
-    the legs' share of F shrinks and that factor is capped at 2.6: the
-    start of a term is
-    max(seam, u min(0.82 sqrt(max(alpha, 0) + 4), 2.6)).
-    Fitted against where the contour path's estimate drops below the larger
-    of the panel path's and 1% of the target (default target, n = 2 and 4,
-    Re lam from -1.85 to 35, Re rho from 0.02 to 61, r on a 4% grid up to
-    400), it stays at or above every crossover but for grid resolution, and
-    leaves r = seam to Re lam <= 3.5 with Re rho <= 6.6.  The order does not
-    enter: n = 2 and 4 crossed within a grid step of each other.
+    The edge legs need only |r + i tau| >= seam, so a term starts at
+    max(seam, u min(0.82 sqrt(max(Re rho - 1, 0) + 4), 2.6)),
+    u = |lam| + |rho - 1|/2, and the profile at its terms' largest start.
+    The legs' factor (1 + i tau/r)^lam (1 + i tau/(2r))^(rho-1) has
+    log-derivative about i u/r near tau = 0, and their rule of
+    nl = ceil(-log10 tol) nodes, weight tau^alpha e^-tau with
+    alpha = Re rho - 1, integrates e^(i omega tau) to tol only while
+    omega sqrt(alpha + 4) <= 1.22 (1.17-1.24 at alpha = 0, 0.97-1.31 at
+    alpha = 14.5, for nl from 6 to 13): hence 0.82 = 1/1.22, and no nl.
+    For large Re rho the crossovers below grow more slowly than that, and
+    the cap 2.6 fits them.  Against the radius from which the contour
+    path's estimate stays below the larger of the panel path's and 1% of
+    the target (n = 2 and 4, Re lam from -1.85 to 35, Re rho from 0.02 to
+    61, r on a 4% grid from 30 to 400), this start is never more than a
+    grid step early; n = 2 and 4 crossed within a step of each other.
+    Every term with |lam| <= 3.5 and |rho - 1| <= 5.6 starts at the seam.
     """
     seam = None if cutoff else _seam_phase(float(nu), cfg.target_rel_tol)
     if seam is None:
@@ -945,12 +947,12 @@ def _transform(terms, nu: float, radii: np.ndarray, cutoff: bool, cfg: Quadratur
     """Sum of c * (integral of s^lam (1-s^2)^(rho-1) J_nu(r s)) over (c, lam, rho)
     at every radius of ``radii``: (values, estimates, panels), one per radius.
 
-    From twice the seam phase on, each term runs ``steepest_descent`` once
-    over all those radii, with two rules: 32 nodes per graded panel and
-    nl + 8 per edge leg, and 16 and nl.  The fine
-    values are the values; the estimate adds their distance from the
-    coarse ones to the fine rule's bounds.  Below it and where there is no seam, each radius runs
-    ``_panel_path``, every term in one pass.
+    From the contour start on (``_contour_start``), each term runs
+    ``steepest_descent`` once over all those radii, with two rules: 32
+    nodes per graded panel and nl + 8 per edge leg, and 16 and nl.  The
+    fine values are the values; the estimate adds their distance from the
+    coarse ones to the fine rule's bounds.  Below it and where there is no
+    seam, each radius runs ``_panel_path``, every term in one pass.
     """
     tol = cfg.target_rel_tol
     terms = list(terms)
@@ -1154,7 +1156,7 @@ def hankel_sweep(
     estimates; intended for slow-decrease sweeps.
 
     Each radius takes the path of the grid evaluator ``_transform``, one
-    term at a time.  From twice the seam phase on, a term runs
+    term at a time.  From the contour start on, a term runs
     ``_TermIntegral.steepest_descent`` once over all those radii, as
     ``_transform`` does, but with its fine rule only (nl + 8 nodes per edge
     leg).  These values agree with finite_hankel to within its estimate,
@@ -1165,22 +1167,21 @@ def hankel_sweep(
     sets built for the window's largest radius with 12 nodes per panel, or
     for r = ``_CUTOFF_MESH_R`` = 300 if that is larger and the profile has
     the cutoff, whose ramp on [1/3, 2/3] a smaller mesh does not resolve.
-    So an outlying radius costs only its own window, and the 49 sub-seam
-    points of a C7 window check take 120 nodes for lam = 0.5, rho = 6, not
-    the 3,840 of a mesh for r ~ 2006.  Each node set is summed in double
-    precision as one kernel matrix per chunk of ``_SWEEP_ELEMS`` // nodes
-    radii.  Oscillation panels past the double kernel's expansion start
+    So an outlying radius costs only its own window, and 49 points below
+    r = 60 take 120 nodes for lam = 0.5, rho = 6, not the 3,840 of a mesh
+    for r ~ 2006.  Each node set is summed in double precision as one
+    kernel matrix per chunk of ``_SWEEP_ELEMS`` // nodes radii.  Oscillation panels past the double kernel's expansion start
     sum that expansion with its phase factored per panel
     (``_asym_panel_sums``); elsewhere r s is one long-double product
     rounded once to double, and the kernel is within 4.3e-15 of J_nu's
-    envelope.  So on the C7 radii below 60 the sweep stays within a fifth
-    of finite_hankel's estimate + 1e-12 |F|, on the cutoff (0, 1) over
-    [1800, 2006) within 0.003 of it, and at n = 30 and 60 within 1.8e-14
-    of the closed form.
+    envelope.  So on the radii [43.7, 60) of a C7 check, when they took
+    this path, the sweep stayed within a fifth of finite_hankel's estimate
+    + 1e-12 |F|, on the cutoff (0, 1) over [1800, 2006) within 0.003 of
+    it, and at n = 30 and 60 within 1.8e-14 of the closed form.
 
     Dense grids are not swept radius by radius.  The sorted radii of each
-    path, so that no window straddles twice the seam, are cut in one pass
-    into windows [a, b] (``_windowed``).  A window that holds more radii
+    path, so that no window straddles the contour start, are cut in one
+    pass into windows [a, b] (``_windowed``).  A window that holds more radii
     than its Chebyshev points is swept at those points only and
     interpolated onto its radii.  On the contour path b <= 4 a, with
     ``_CONTOUR_POINTS`` = 32 points in log r, and what is interpolated is
@@ -1198,9 +1199,9 @@ def hankel_sweep(
     (half-width h, support [0, u]).  There the interpolant resamples the
     panel sweep's own error, amplified by at most the Lebesgue constant,
     about 4.  A C7 grid of 9,997 radii on [43.7, 2006] is swept at 96
-    contour points and 49 panel points for a regular profile, and at
-    1,300 panel points for a cutoff one.  Every other window, and so every
-    grid sparser than that, is swept exactly as its radii are given.
+    contour points for a regular profile, and at 1,300 panel points for a
+    cutoff one.  Every other window, and so every grid sparser than that,
+    is swept exactly as its radii are given.
     """
     cfg = cfg or _DEFAULT_CFG
     r = np.asarray(r_values)
