@@ -267,6 +267,18 @@ def _classify_vanishing(profile, origin, kk, trace) -> Verdict:
 # ---------------------------------------------------------------------------
 
 
+def _window_max(q: np.ndarray, half: int) -> np.ndarray:
+    """max(q[i - half], ..., q[i + half]) at every i, samples outside q read
+    as 0, by doubling: after it, m[i] is the maximum of the 2^j samples from
+    i, and two such spans cover each window.  np.maximum propagates NaN, so a
+    window that holds a NaN reads NaN."""
+    size = 2 * half + 1
+    m, span = np.pad(q, (half, half), constant_values=0.0), 1
+    while 2 * span <= size:
+        m, span = np.maximum(m[:-span], m[span:]), 2 * span
+    return np.maximum(m[: q.size], m[size - span : size - span + q.size])
+
+
 def slow_decrease_check(
     sampler,
     params: SlowDecreaseParams,
@@ -295,8 +307,7 @@ def slow_decrease_check(
 
     # strict window |y - x| < B: the farthest included sample sits half steps away
     half = max(1, math.ceil(params.B / grid_step) - 1)
-    padded = np.pad(q, (half, half), constant_values=0.0)
-    sup = np.maximum.reduce([padded[k : k + q.size] for k in range(2 * half + 1)])
+    sup = _window_max(q, half)
 
     centers = (grid >= r_min) & (grid <= r_max)
     if not centers.any():

@@ -54,8 +54,8 @@ count into these pieces as node sets: nodes, weights with the profile
 factor folded in, and a kernel kind (J_nu(r s), or r^nu J_nu(x)/x^nu at the
 origin).  A closed-form end term is one more node.  On the panel path
 nothing in a node set depends on r, so the evaluator sums them at one r at
-a time, and hankel_sweep's panel path sums the same sets over a whole grid
-of r.
+a time, and hankel_sweep's panel path sums such sets over a whole grid of
+r, its oscillation panels past the double kernel's expansion start wider.
 
 The evaluator runs each path once at two resolutions, with no mesh
 refinement: 32 and 16 nodes per panel and, at the default 1e-10 target,
@@ -92,15 +92,16 @@ on, it runs the evaluator's steepest-descent path, at its fine rules
 only, in double precision, with a cost per radius flat in r.  Below that, and
 for cutoff profiles, it trades accuracy for speed: the panel node sets
 are built per window of r (below), for the window's largest r, or for
-r = 300 if that is larger and the profile has the cutoff, with 12 nodes
-per panel, and each is summed as one double-precision kernel matrix per
-chunk of radii, the chunks of every node set held to one budget of
-(radius, node) pairs.  Oscillation panels past the double kernel's
-expansion start sum that expansion with its phase factored per panel
-(``_asym_panel_sums``).  Elsewhere the phase r s is one long-double
-product rounded once to double, and the double-precision kernel runs
-Miller's recurrence where the ascending series would cancel.  With both,
-a mesh built for the window's own radii is accurate to about 1e-12
+r = 300 if that is larger and the profile has the cutoff.  Oscillation
+panels past the double kernel's expansion start are 8 periods wide with
+40 nodes, and sum that expansion with its phase factored per panel
+(``_asym_panel_sums``).  The endpoint zones and the panels below the
+start, 12 nodes each, are double-precision kernel matrices at r s, one
+long-double product rounded once to double, and the node sets of every
+window and term share one kernel call per node kind (``_KernelSums``)
+within one budget of (radius, node) pairs; the double-precision kernel
+runs Miller's recurrence where the ascending series would cancel.  With
+both, a mesh built for the window's own radii is accurate to about 1e-12
 relative.
 A dense grid is not swept radius by radius.  Each path's sorted radii
 are cut into windows in one pass, and a window holding more radii than
@@ -144,7 +145,7 @@ from .profiles import (
     differentiate_power_terms,
 )
 from .specfun import (bessel_j_grid, bessel_j_scaled_grid, hankel_scaled_grid, _asym_pq, _asym_terms,
-                      _expansion_start, _gamma_real_ld, _sinpi)
+                      _DOUBLE_FLOOR, _expansion_start, _gamma_real_ld, _sinpi)
 
 _LD = np.longdouble
 _CLD = np.clongdouble
@@ -153,12 +154,22 @@ _CUT_LO, _CUT_HI = 1.0 / 3.0, 2.0 / 3.0
 _SEAM_PHASE = 30.0  # smallest r*a at which [a, 1] is deformed onto contours
 _NODES = 32  # nodes per panel of the evaluator; half as many for its check
 _MAX_PANELS = 20000  # oscillation panels per mesh before they are widened
-_SWEEP_NODES = 12  # nodes per panel of the panel sweep
+# nodes per panel of the panel sweep in its endpoint zones and on its
+# oscillation panels below the double kernel's expansion start
+_SWEEP_NODES = 12
+# periods per oscillation panel, and nodes per panel, of the panel sweep past
+# the expansion start, where the panels take no kernel call; on a cutoff
+# profile a panel also spans at most a quarter of the ramp [1/3, 2/3], whose
+# ends 40 nodes on half of it missed by up to 0.38 of finite_hankel's
+# estimate at r ~ 300.  Against finite_hankel's estimate + 1e-12 |F| these
+# panels read at most 0.094 on six cutoff terms at 12 radii in [44, 2005]
+# (0.095 with 1-period, 12-node panels), and 4 periods of 24 nodes 0.68
+_WIDE_PERIODS, _WIDE_NODES = 8, 40
 # smallest radius a cutoff profile's panel-sweep mesh is built for: below it
 # 12 nodes per panel do not resolve the smooth cutoff's ramp on [1/3, 2/3].
 # For the cutoff (0, 1) on r in [43.7, 75], against finite_hankel, a mesh
-# built for r = 75 is off by 4e-10 relative, one for 171 by 6e-14, and one
-# for 250 to 2006 by 3e-15
+# built for r = 75 is off by 2.3e-10 relative, one for 171 by 4.8e-14, and
+# one for 250 to 2006 by at most 8e-16
 _CUTOFF_MESH_R = 300.0
 # hankel_sweep's panel-path windows of r: at most _WINDOW wide, and sampled at
 # ceil(u h) + _WINDOW_MARGIN Chebyshev points for half-width h and support [0, u]
@@ -184,14 +195,17 @@ _CONTOUR_POINTS = 32
 # Chebyshev points of a C7 sweep's 3 contour windows are 1 chunk; an
 # interpolant at 32 points takes 16,384 radii per chunk, more than any
 # window of that sweep holds.
-# panel_sweep chunks each node set by its own size.  With 12 nodes per
-# panel, a C7 cutoff sweep (lam = 1, rho = 3.5) has 16 windows, 15 of 83
-# Chebyshev points and the last of 55, on meshes of 396 nodes (built for
-# 300) to 2,568 (for 2006), so every window is 1 chunk, of whose 1.87 M
-# pairs only 0.10 M, below the expansion start, form a kernel matrix
+# The panel sweep's kernel matrices, of every window and term, are evaluated
+# in batches of at most this many pairs, one kernel call per node kind and
+# batch (_KernelSums).  A C7 cutoff sweep (lam = 1, rho = 3.5) has 16
+# windows, 15 of 83 Chebyshev points and the last of 55, on meshes of 396
+# nodes (built for 300) to 2,568 (for 2006).  Its 0.10 M kernel pairs
+# (85,644 plain, below the expansion start, and 15,600 scaled, in the origin
+# zone) are 1 batch; its 0.87 M pairs on wide panels past the start take no
+# kernel call
 _SWEEP_ELEMS = 1 << 19
 # (radius, node) pairs per block of _asym_panel_sums, whose temporaries
-# then stay in cache: 16 panels of 12 nodes for a window of 83 radii
+# then stay in cache: 4 panels of 40 nodes for a window of 83 radii
 _ASYM_BLOCK = 1 << 14
 # relative accuracy of a double-precision contour sum: the Laguerre rules'
 # low moments are good to about 4e-15 when alpha = rho - 1 is near -1
@@ -337,6 +351,15 @@ def _cexp_ld(re, im):
     return (mag * np.cos(im)).astype(np.float64) + 1j * (mag * np.sin(im)).astype(np.float64)
 
 
+def _cis_ld(theta: np.ndarray) -> np.ndarray:
+    """e^(i theta) for a long-double theta, reduced modulo 2 pi and then
+    rounded once to double, so that it carries the rounding of a double
+    below about pi; elementwise over arrays.  The multiple of 2 pi is taken
+    from theta rounded to double, which is cheaper than from theta."""
+    k = np.rint(theta.astype(np.float64) * (0.5 / np.pi))
+    return np.exp(1j * (theta - 4 * _HALF_PI_LD * k).astype(np.float64))
+
+
 def _matvec(m: np.ndarray, t: np.ndarray) -> np.ndarray:
     """m @ t for a complex vector or matrix t.  A real m meets the real and
     imaginary parts of t as real columns, read in place from t's memory: a
@@ -443,38 +466,50 @@ class _TermIntegral:
 
     # -- mesh -----------------------------------------------------------
 
-    def build_mesh(self) -> np.ndarray:
-        """Edges of the oscillation panels.
+    def build_mesh(self, periods: int = 1, lo: float | None = None) -> np.ndarray:
+        """Edges of the oscillation panels, each at most ``periods``
+        oscillation periods wide, from ``lo`` (by default the top of the
+        origin zone) to the bottom of the boundary zone.
 
-        The endpoint zones below edges[0] and above edges[-1] carry at most
-        ``_ENDPOINT_PHASE`` of Bessel phase.  The panel budget is honoured
-        by widening the oscillation panels; accuracy loss then shows up in
-        the two-resolution error estimate, never as an error.
+        The endpoint zones below the default lo and above edges[-1] carry at
+        most ``_ENDPOINT_PHASE`` of Bessel phase.  The panel budget is
+        honoured by widening the oscillation panels; accuracy loss then
+        shows up in the two-resolution error estimate, never as an error.
         """
         r = max(self.r, 1e-30)
-        lo = min(0.35, _ENDPOINT_PHASE / r)
+        bottom = min(0.35, _ENDPOINT_PHASE / r)
         d_top = 0.0 if self.cutoff else min(0.3, _ENDPOINT_PHASE / r)
         osc = 2.0 * math.pi / r
-        span = self.upper - d_top - lo
+        span = self.upper - d_top - bottom
         if span / osc > _MAX_PANELS - 60:
             osc = span / (_MAX_PANELS - 60)
-        forced = (_CUT_LO,) if self.cutoff else ()
-        return _middle_edges(lo, self.upper - d_top, osc, forced)
+        width, forced = periods * osc, ()
+        if self.cutoff:
+            # wider panels span at most a quarter of the cutoff's ramp
+            width, forced = min(width, max(osc, (_CUT_HI - _CUT_LO) / 4.0)), (_CUT_LO,)
+        return _middle_edges(bottom if lo is None else lo, self.upper - d_top, width, forced)
 
     # -- node sets -------------------------------------------------------
 
     def node_sets(self, edges, n: int, tol: float):
         """The term on [0, edges[-1]], and on [edges[-1], 1] unless it has the
         cutoff, as n-point node sets: Legendre panels between the edges, and
-        an endpoint zone each side.  A real exponent there is
-        absorbed by a Gauss-Jacobi rule; a complex one oscillates in log s,
-        which no fixed polynomial weight absorbs, so geometrically graded
-        panels cover the zone, a single node carries the leading term of the
-        discarded end piece in closed form, and the rest is bounded.  Returns (sets, bound
+        an endpoint zone each side (``end_sets``).  Returns (sets, bound on
+        the discarded end pieces).
+        """
+        sets, tail = self.end_sets(float(edges[0]), float(edges[-1]), n, tol)
+        return [self._legendre(edges, n)] + sets, tail
+
+    def end_sets(self, s_a: float, s_b: float, n: int, tol: float):
+        """The term on [0, s_a], and on [s_b, 1] unless it has the cutoff, as
+        n-point node sets.  A real exponent there is absorbed by a
+        Gauss-Jacobi rule; a complex one oscillates in log s, which no fixed
+        polynomial weight absorbs, so geometrically graded panels cover the
+        zone, a single node carries the leading term of the discarded end
+        piece in closed form, and the rest is bounded.  Returns (sets, bound
         on the discarded end pieces).
         """
-        sets = [self._legendre(edges, n)]
-        s_a = float(edges[0])
+        sets = []
         if self.lam.imag == 0.0:
             sets.append(self._origin_jacobi(s_a, n))
             tail = 0.0
@@ -482,7 +517,7 @@ class _TermIntegral:
             graded, tail = self._origin_graded(s_a, n, tol)
             sets += graded
         if not self.cutoff:
-            d_top = 1.0 - float(edges[-1])
+            d_top = 1.0 - s_b
             if self.rho.imag == 0.0:
                 sets.append(self._boundary_jacobi(d_top, n))
             else:
@@ -776,43 +811,85 @@ class _TermIntegral:
 
     # -- panel sweep -----------------------------------------------------
 
-    def panel_sweep(self, radii: np.ndarray, n: int, tol: float) -> np.ndarray:
+    def panel_sweep(self, radii: np.ndarray, n: int, tol: float, kernels: _KernelSums) -> np.ndarray:
         """The term at every radius of ``radii``, each at most this term's r,
-        on the panel path in double precision.
+        on the panel path in double precision, complete once ``kernels``
+        has been flushed.
 
-        The node sets come from ``node_sets`` on this term's ``build_mesh``
-        with n nodes per panel and serve every radius: the profile factor
+        The node sets come from this term's ``build_mesh``, n nodes per
+        panel, and ``end_sets``, and serve every radius: the profile factor
         is evaluated once and only the kernel is recomputed per radius.
         Complex exponents get the same graded end zones and closed-form end
-        terms as the evaluator, with depths set by ``tol``.
-        Each node set is summed as one kernel matrix per chunk of
-        ``_SWEEP_ELEMS`` // nodes radii.  Oscillation panels whose every
-        r s, at the chunk's smallest radius, is past the double kernel's
-        expansion start go to ``_asym_panel_sums``; the other nodes take
-        the kernel at r s, one long-double product rounded once to double.
+        terms as the evaluator, with depths set by ``tol``.  The
+        oscillation panels past the double kernel's expansion start, their
+        left edge times the smallest radius at or past it, are rebuilt
+        ``_WIDE_PERIODS`` periods wide with ``_WIDE_NODES`` nodes each and
+        summed here by ``_asym_panel_sums``.  The other nodes, the panels
+        below the start and the endpoint zones, go to ``kernels`` as kernel
+        matrices at r s, one long-double product rounded once to double,
+        whose sums it adds to the values returned.
         """
         edges = self.build_mesh()
-        sets, _ = self.node_sets(edges, n, tol)
-        start = _expansion_start(self.nu, False)
+        sets, _ = self.end_sets(float(edges[0]), float(edges[-1]), n, tol)
         values = np.zeros(radii.size, dtype=np.complex128)
+        first = int(np.searchsorted(edges * float(np.min(radii)), _expansion_start(self.nu, False)))
+        if first < edges.size - 1:
+            wide = self.build_mesh(_WIDE_PERIODS, float(edges[first]))
+            values += _asym_panel_sums(self.nu, radii, wide, self._legendre(wide, _WIDE_NODES).w)
+        if first > 0:
+            sets.insert(0, self._legendre(edges[: first + 1], n))
         for ns in sets:
-            s = ns.s.ravel()
-            w = np.asarray(ns.w, dtype=np.complex128).ravel()
-            rows = max(1, _SWEEP_ELEMS // s.size)
-            for i0 in range(0, radii.size, rows):
-                r = radii[i0 : i0 + rows]
-                cols = s.size
-                if ns is sets[0]:  # the oscillation panels
-                    first = int(np.searchsorted(np.asarray(ns.s[:, 0], dtype=np.float64) * r.min(), start, "right"))
-                    if first < ns.s.shape[0]:
-                        values[i0 : i0 + rows] += _asym_panel_sums(self.nu, r, edges[first:], ns.w[first:])
-                    cols = first * ns.s.shape[1]
-                x = (r.astype(_LD)[:, None] * s[:cols]).astype(np.float64)
-                if ns.scaled:
-                    values[i0 : i0 + rows] += _matvec(bessel_j_scaled_grid(self.nu, x), w) * r**self.nu
-                elif cols:
-                    values[i0 : i0 + rows] += _matvec(bessel_j_grid(self.nu, x), w[:cols])
+            kernels.add(values, radii, ns.s.ravel(), np.asarray(ns.w, dtype=np.complex128).ravel(), ns.scaled)
         return values
+
+
+class _KernelSums:
+    """The panel sweep's kernel matrices, over the node sets of every
+    window and term of a sweep.
+
+    ``add`` queues, for a node set (s, w) and radii r, the sums
+    sum_k w_k K(r s_k) over its nodes at each radius, ``_SWEEP_ELEMS`` //
+    nodes radii per entry, and ``flush`` evaluates the queue: one
+    ``bessel_j_grid`` call over every plain entry's x = r s and one
+    ``bessel_j_scaled_grid`` call over every scaled one's (times r^nu),
+    then each entry's matrix product, added to its values in the order
+    queued.  ``add`` flushes first when the queue would pass
+    ``_SWEEP_ELEMS`` (radius, node) pairs, so no call and no queue holds
+    more.  The kernel's value at an element depends on its x only, so an
+    entry's sums are those of a flush of it alone.
+    """
+
+    def __init__(self, nu: float):
+        self.nu = nu
+        self.queue, self.pairs = [], 0
+
+    def add(self, values: np.ndarray, r: np.ndarray, s: np.ndarray, w: np.ndarray, scaled: bool):
+        """Queue values[i] += sum_k w[k] K(r[i] s[k]) for every radius."""
+        rows = max(1, _SWEEP_ELEMS // s.size)
+        for i0 in range(0, r.size, rows):
+            part = r[i0 : i0 + rows]
+            if self.pairs + part.size * s.size > _SWEEP_ELEMS:
+                self.flush()
+            self.queue.append((values[i0 : i0 + rows], part, s, w, scaled))
+            self.pairs += part.size * s.size
+
+    def flush(self):
+        """Evaluate every queued sum."""
+        kernel_values = {}
+        for scaled, kernel in ((False, bessel_j_grid), (True, bessel_j_scaled_grid)):
+            todo = [(r, s) for _, r, s, _, kind in self.queue if kind == scaled]
+            if not todo:
+                continue
+            x, at = np.empty(sum(r.size * s.size for r, s in todo)), 0
+            for r, s in todo:
+                x[at : at + r.size * s.size].reshape(r.size, s.size)[...] = r.astype(_LD)[:, None] * s
+                at += r.size * s.size
+            k = kernel(self.nu, x)
+            kernel_values[scaled] = iter(np.split(k, np.cumsum([r.size * s.size for r, s in todo])[:-1]))
+        for values, r, s, w, scaled in self.queue:
+            k = next(kernel_values[scaled]).reshape(r.size, s.size)
+            values += _matvec(k, w) * r**self.nu if scaled else _matvec(k, w)
+        self.queue, self.pairs = [], 0
 
 
 def _asym_panel_sums(nu: float, r: np.ndarray, edges, w) -> np.ndarray:
@@ -825,20 +902,26 @@ def _asym_panel_sums(nu: float, r: np.ndarray, edges, w) -> np.ndarray:
     and half-width h, s = m + h t and e^(i omega) is
     e^(i (r m - (nu/2 + 1/4) pi)), one long-double product per radius and
     panel reduced modulo 2 pi and rounded once to double, times
-    e^(i r h t), one per radius, distinct half-width and rule node, with
-    r h t at most pi on a mesh built for r or more: a phase is rounded as a
-    double below pi, not as one near r s.  ``_asym_pq`` sums P and Q at
-    1/x = (1/r)(1/s), with the terms ``_asym_terms`` takes at each block's
-    smallest x, in blocks of about ``_ASYM_BLOCK`` (radius, node) pairs.
+    e^(i r h t), one per radius, distinct half-width and rule node, r h t
+    likewise a long-double product reduced and rounded once (``_cis_ld``):
+    on a mesh of ``_WIDE_PERIODS`` periods per panel built for r or more it
+    reaches 8 pi, where a double's rounding is 8 times that below pi.  So
+    every phase is rounded as a double below pi, not as one near r s.
+    ``_asym_pq`` sums P and Q at 1/x = (1/r)(1/s), with the terms
+    ``_asym_terms`` takes at each block's smallest x down to the double
+    floor, in blocks of about ``_ASYM_BLOCK`` (radius, node) pairs.
     1/sqrt(s) goes into the weights and sqrt(2 / (pi r)) onto the sums.
     """
     mid, hx, _ = _panel_nodes(edges, w.shape[1])
     _, first, kind = np.unique(hx[:, -1], return_index=True, return_inverse=True)
     s = mid + hx
     inv_s, w = (1 / s).astype(np.float64), np.asarray(w / np.sqrt(s), dtype=np.complex128)
-    theta = r.astype(_LD)[:, None] * mid[:, 0] - (_LD(0.5 * nu) + _LD(0.25)) * (2 * _HALF_PI_LD)
-    phase = np.exp(1j * (theta - 4 * _HALF_PI_LD * np.round(theta / (4 * _HALF_PI_LD))).astype(np.float64))
-    turn = np.exp(1j * (r[:, None, None] * np.asarray(hx[first], dtype=np.float64)))
+    r_ld = r.astype(_LD)
+    phase = _cis_ld(r_ld[:, None] * mid[:, 0] - (_LD(0.5 * nu) + _LD(0.25)) * (2 * _HALF_PI_LD))
+    # the rule's nodes are symmetric about 0, so the turns of the upper half
+    # are the conjugates of the lower half's
+    turn = _cis_ld(r_ld[:, None, None] * hx[first, : (hx.shape[1] + 1) // 2])
+    turn = np.concatenate([turn, turn[..., : hx.shape[1] // 2][..., ::-1].conj()], axis=-1)
     out = np.zeros(r.size, dtype=np.complex128)
     panels = max(1, _ASYM_BLOCK // (s.shape[1] * r.size))
     rows = max(1, _ASYM_BLOCK // (s.shape[1] * panels))
@@ -847,7 +930,7 @@ def _asym_panel_sums(nu: float, r: np.ndarray, edges, w) -> np.ndarray:
         for j0 in range(0, s.shape[0], panels):
             pj = slice(j0, j0 + panels)
             e = phase[ri, pj, None] * np.take(turn[ri], kind[pj], axis=1)
-            count, _ = _asym_terms(nu, float(np.min(r[ri])) * float(s[j0, 0]))
+            count, _ = _asym_terms(nu, float(np.min(r[ri])) * float(s[j0, 0]), floor=_DOUBLE_FLOOR)
             p, q = _asym_pq(nu, (1 / r[ri])[:, None, None] * inv_s[pj], count, np.float64)
             out[ri] += _matvec((e.real * p - e.imag * q).reshape(e.shape[0], -1), w[pj].ravel())
     return out * np.sqrt(2 / (np.pi * r))
@@ -1169,15 +1252,17 @@ def hankel_sweep(
     the cutoff, whose ramp on [1/3, 2/3] a smaller mesh does not resolve.
     So an outlying radius costs only its own window, and 49 points below
     r = 60 take 120 nodes for lam = 0.5, rho = 6, not the 3,840 of a mesh
-    for r ~ 2006.  Each node set is summed in double precision as one
-    kernel matrix per chunk of ``_SWEEP_ELEMS`` // nodes radii.  Oscillation panels past the double kernel's expansion start
-    sum that expansion with its phase factored per panel
-    (``_asym_panel_sums``); elsewhere r s is one long-double product
-    rounded once to double, and the kernel is within 4.3e-15 of J_nu's
-    envelope.  So on the radii [43.7, 60) of a C7 check, when they took
-    this path, the sweep stayed within a fifth of finite_hankel's estimate
-    + 1e-12 |F|, on the cutoff (0, 1) over [1800, 2006) within 0.003 of
-    it, and at n = 30 and 60 within 1.8e-14 of the closed form.
+    for r ~ 2006.  Oscillation panels past the double kernel's expansion
+    start, rebuilt 8 periods wide with 40 nodes, sum that expansion with
+    its phase factored per panel (``_asym_panel_sums``).  The other node
+    sets of every window and term are double-precision kernel matrices,
+    r s one long-double product rounded once to double, evaluated by one
+    kernel call per node kind (``_KernelSums``), and the kernel is within
+    4.3e-15 of J_nu's envelope.  So on the radii [43.7, 60) of a C7 check,
+    when they took this path, the sweep stayed within a fifth of
+    finite_hankel's estimate + 1e-12 |F|, on the cutoff (0, 1) over
+    [1800, 2006) within 0.0023 of it, and at n = 30 and 60 within 1.8e-14
+    of the closed form.
 
     Dense grids are not swept radius by radius.  The sorted radii of each
     path, so that no window straddles the contour start, are cut in one
@@ -1236,13 +1321,16 @@ def hankel_sweep(
         return out
 
     def panels(radii, window):
-        out = np.zeros(radii.size, dtype=np.complex128)
+        out, kernels, swept = np.zeros(radii.size, dtype=np.complex128), _KernelSums(nu), []
         for j in np.unique(window):
-            part = window == j
+            part = np.flatnonzero(window == j)
             mesh_r = max(float(np.max(radii[part])), _CUTOFF_MESH_R if cutoff else 0.0)
             for t in profile.terms:
                 ti = _TermIntegral(t.lam, t.rho, nu, mesh_r, cutoff)
-                out[part] += t.coeff * ti.panel_sweep(radii[part], _SWEEP_NODES, tol)
+                swept.append((part, t.coeff, ti.panel_sweep(radii[part], _SWEEP_NODES, tol, kernels)))
+        kernels.flush()
+        for part, c, values in swept:
+            out[part] += c * values
         return out
 
     out = np.zeros(r.size, dtype=np.complex128)

@@ -187,13 +187,21 @@ def _bessel_series(nu: float, x: np.ndarray, scaled: bool, longdouble: bool) -> 
     return acc
 
 
-def _asym_terms(nu: float, zmin: float, at_least: int = 0) -> tuple[int, float]:
+# size of the last term a double-precision sum of the large-argument
+# expansion takes, and of its first omitted term from the expansion start on:
+# about a tenth of an ulp.  At nu = 0 that is 10 terms at x = 100 and 6 at
+# x = 1000, where extended precision's 1e-21 takes 13 and 8
+_DOUBLE_FLOOR = 1e-17
+
+
+def _asym_terms(nu: float, zmin: float, at_least: int = 0, floor: float = 1e-21) -> tuple[int, float]:
     """Number of correction terms of the large-argument expansion to use at
     |z| >= zmin, and |a_l(nu)| / zmin^l for the first term l left out.
 
-    Terms are taken until they reach the floor (but at least ``at_least``
+    Terms are taken until they reach ``floor`` (but at least ``at_least``
     of them) or start growing, capped at 20 for the cosine and sine series
-    together.
+    together.  The default floor serves extended precision; a double sum
+    needs only ``_DOUBLE_FLOOR``.
     """
     fournu2 = 4.0 * nu * nu
 
@@ -208,7 +216,7 @@ def _asym_terms(nu: float, zmin: float, at_least: int = 0) -> tuple[int, float]:
             return k - 1, mag * rk  # divergent tail reached
         shrinking = shrinking or rk < 1.0
         mag *= rk
-        if mag < 1e-21 and k >= at_least:
+        if mag < floor and k >= at_least:
             return k, mag * ratio(k + 1)
     return 20, mag * ratio(21)
 
@@ -236,11 +244,11 @@ def _asym_pq(nu: float, inv_z: np.ndarray, count: int, dt):
 
 def _bessel_asym(nu: float, x: np.ndarray, longdouble: bool, zmin: float) -> np.ndarray:
     """Large-argument cosine/sine expansion at x >= zmin, with the terms
-    ``_asym_terms`` takes at zmin."""
+    ``_asym_terms`` takes at zmin, down to ``_DOUBLE_FLOOR`` in double."""
     dt = _LD if longdouble else np.float64
     pi = _PI_LD if longdouble else np.pi
     x = np.asarray(x, dtype=dt)
-    count, _ = _asym_terms(nu, zmin)
+    count, _ = _asym_terms(nu, zmin) if longdouble else _asym_terms(nu, zmin, floor=_DOUBLE_FLOOR)
     p, qs = _asym_pq(nu, 1.0 / x, count, dt)
     shift = (dt(0.5 * nu) + dt(0.25)) * pi
     omega = x - shift
@@ -293,7 +301,7 @@ def _expansion_start(nu: float, longdouble: bool) -> float:
     318 for nu = 29.  At nu = 1/2 and 3/2 the expansion terminates and
     holds from _SERIES_TOP on.
     """
-    floor = 1e-19 if longdouble else 1e-17
+    floor = 1e-19 if longdouble else _DOUBLE_FLOOR
     fournu2 = 4.0 * nu * nu
     x = _SERIES_TOP
     while True:

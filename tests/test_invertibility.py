@@ -164,6 +164,36 @@ class TestSlowDecreaseCheck:
         assert math.isnan(rep.worst_margin)
         assert json.loads(json.dumps(rep.to_dict(), allow_nan=False))["worst_margin"] is None
 
+    @pytest.mark.parametrize("with_nan", [True, False])
+    def test_window_supremum_is_the_brute_force_max(self, with_nan):
+        """The window supremum, taken by doubling, is the largest sample y of
+        the check's grid with |y - x| < B for each window centre x, NaN
+        where one of those samples is NaN, as a brute-force max over the
+        grid reads it.  The samples are sparse spikes, so a window that
+        reaches one sample too far or too short changes the count."""
+        rng = np.random.default_rng(7)
+        params = SlowDecreaseParams(A=1.0, B=2 * math.pi, C=0.5)
+        seen = {}
+
+        def sampler(r):
+            q = np.where(rng.random(r.size) < 0.01, rng.random(r.size), 0.0)
+            q[rng.random(r.size) < (0.002 if with_nan else 0.0)] = math.nan
+            seen["r"], seen["q"] = r, q
+            return q
+
+        rep = slow_decrease_check(sampler, params, (50.0, 400.0), 0.1)
+        r, q = seen["r"], seen["q"]
+        x = r[(r >= 50.0) & (r <= 400.0)]
+        sup = np.array([np.max(q[np.abs(r - c) < params.B]) for c in x])
+        margins = sup / (params.C * x ** -params.A)
+        assert (sup == 0).any() and bool(np.isnan(sup).any()) == with_nan
+        assert rep.windows == x.size
+        assert rep.failures == np.count_nonzero(~(margins > 1.0))
+        if with_nan:
+            assert math.isnan(rep.worst_margin)
+        else:
+            assert rep.worst_margin == np.min(margins)
+
     def test_grid_step_guard(self):
         with pytest.raises(DomainError):
             slow_decrease_check(

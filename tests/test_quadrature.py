@@ -707,7 +707,10 @@ class TestSweep:
                     if p.vanishes_near_one:
                         mesh_r = max(mesh_r, quadrature._CUTOFF_MESH_R)
                     ti = _TermIntegral(t.lam, t.rho, p.nu, mesh_r, p.vanishes_near_one)
-                    expect[part] += t.coeff * ti.panel_sweep(grid[part], quadrature._SWEEP_NODES, tol)
+                    kernels = quadrature._KernelSums(p.nu)
+                    values = ti.panel_sweep(grid[part], quadrature._SWEEP_NODES, tol, kernels)
+                    kernels.flush()
+                    expect[part] += t.coeff * values
             assert (hankel_sweep(p, grid) == expect).all()
 
     @pytest.mark.parametrize("profile", [MIXED, single(0.0, 1.0, vanishes_near_one=True)],
@@ -743,14 +746,15 @@ class TestSweep:
         (single(1.0, complex(1.5, 0.4), n=60), (300.0, 350.0, 400.0)),
     ], ids=["nu0_cutoff", "nu0.5", "nu14", "nu29_complex_rho"])
     def test_panel_sweep_splits_at_the_expansion_start(self, profile, radii):
-        """The panel sweep sums the oscillation panels whose every r s is
-        past the double kernel's expansion start (at the smallest radius)
-        from the large-argument expansion with the phase factored per
-        panel, and the rest with the kernel itself.  Here r s straddles
-        the expansion start (2 at nu = 1/2, 23.6 at nu = 0, 38 at nu = 14,
-        256 at nu = 29), and the sweep agrees with the plain matrix sum of
-        every node set, J_nu at r s rounded once to double, within 1e-14
-        of that sum's absolute mass."""
+        """The panel sweep sums the oscillation panels past the double
+        kernel's expansion start (their left edge at the smallest radius),
+        rebuilt 8 periods wide with 40 nodes, from the large-argument
+        expansion with the phase factored per panel, and the rest with the
+        kernel itself.  Here r s straddles the expansion start (2 at
+        nu = 1/2, 23.6 at nu = 0, 38 at nu = 14, 256 at nu = 29), and the
+        sweep agrees with the plain matrix sum of every 12-node set of the
+        evaluator's builder, J_nu at r s rounded once to double, within
+        1e-14 of that sum's absolute mass."""
         (t,), nu, r = profile.terms, profile.nu, np.array(radii)
         tol, n = QuadratureConfig().target_rel_tol, quadrature._SWEEP_NODES
         ti = _TermIntegral(t.lam, t.rho, nu, float(r.max()), profile.vanishes_near_one)
@@ -764,8 +768,90 @@ class TestSweep:
             terms = k * np.asarray(ns.w, dtype=np.complex128).ravel()
             ref += terms.sum(axis=1)
             mass += np.abs(terms).sum(axis=1)
-        err = np.abs(ti.panel_sweep(r, n, tol) - ref)
+        kernels = quadrature._KernelSums(nu)
+        values = ti.panel_sweep(r, n, tol, kernels)
+        kernels.flush()
+        err = np.abs(values - ref)
         assert (err <= 1e-14 * mass).all(), err / mass
+
+    @given(lam=st.floats(-0.9, 3.0), rho=st.floats(0.1, 6.0), n=st.sampled_from([2, 3, 4]),
+           radii=st.lists(st.floats(43.7, 2006.0), min_size=1, max_size=3))
+    @settings(max_examples=6, deadline=None)
+    # 8 periods at r = 300 span half the cutoff's ramp, and 40 nodes on
+    # [1/3, 0.49] and [0.51, 2/3] read 0.26 and 0.38 of the estimate
+    @example(lam=1.9601241744799922, rho=2.5067205809646804, n=2, radii=[314.5683797515288])
+    @example(lam=2.142472676265992, rho=0.410153887429081, n=4, radii=[297.8279141788426])
+    def test_cutoff_sweep_within_a_fifth_of_the_estimate(self, lam, rho, n, radii):
+        """A cutoff profile's sweep, its oscillation panels past the double
+        kernel's expansion start _WIDE_PERIODS periods wide with
+        _WIDE_NODES nodes, and at most a quarter of the ramp, is within a
+        fifth of finite_hankel's estimate + 1e-12 |F| at each radius."""
+        p = single(lam, rho, n=n, vanishes_near_one=True)
+        for value, r in zip(hankel_sweep(p, np.array(radii)), radii):
+            res = finite_hankel(p, r)
+            assert abs(value - res.value) <= 0.2 * res.error_estimate + 1e-12 * abs(res.value), r
+
+    def test_turn_is_rounded_below_pi(self):
+        """_cis_ld reduces a long-double phase modulo 2 pi before it rounds
+        it to double, so on [-8 pi, 8 pi], the turns r h t of the sweep's
+        wide panels, e^(i theta) is within 2.5e-16 of extended-precision
+        cos and sin (3e-16 charged).  Rounded unreduced it is off by up to
+        1.8e-15, which read 0.13 of finite_hankel's estimate on the cutoff
+        (1.93, 3.96) at r = 1745.6, against 0.004."""
+        theta = np.linspace(-8.0 * math.pi, 8.0 * math.pi, 20001).astype(np.longdouble) * np.longdouble(1 + 1e-10)
+        turn = quadrature._cis_ld(theta)
+        assert np.abs(turn.real - np.cos(theta)).max() <= 3e-16
+        assert np.abs(turn.imag - np.sin(theta)).max() <= 3e-16
+
+    def test_wide_panels_past_the_expansion_start(self):
+        """Past the expansion start a cutoff mesh's panels are _WIDE_PERIODS
+        periods wide, but at most a quarter of the ramp [1/3, 2/3]: at
+        r = 2006 most are 8 periods wide, and at r = 300, where 8 periods
+        are half the ramp, the ramp takes 5 panels, the first cut at 1/3.
+        1/3 stays an edge, and the mesh ends where the default one does."""
+        for mesh_r, lo, inside in ((300.0, 0.08, 4), (2006.0, 0.0126, 13)):
+            ti = _TermIntegral(0.0, 1.0, 0.0, mesh_r, True)
+            edges, wide = ti.build_mesh(), ti.build_mesh(quadrature._WIDE_PERIODS, lo)
+            width = min(quadrature._WIDE_PERIODS * 2.0 * math.pi / mesh_r, 1.0 / 12.0)
+            assert wide[0] == lo and wide[-1] == edges[-1] and 1.0 / 3.0 in wide
+            assert np.diff(wide).max() == pytest.approx(width, rel=1e-12)
+            assert np.count_nonzero((wide > 1.0 / 3.0) & (wide < 2.0 / 3.0)) == inside
+        assert np.median(np.diff(wide)) == pytest.approx(width, rel=1e-12)
+
+    def test_one_kernel_call_per_node_kind(self, monkeypatch):
+        """A sweep's panel path builds the node sets of every window and term
+        first, and then makes one bessel_j_grid call and one
+        bessel_j_scaled_grid call over all of them: their arguments and
+        values are, bitwise, those of one _KernelSums flush per window and
+        term.  With a budget of 2^12 (radius, node) pairs no call holds more,
+        and the sweep moves by at most 1e-15 of its largest |F|."""
+        calls = []
+        for name in ("bessel_j_grid", "bessel_j_scaled_grid"):
+            def recorded(nu, x, kernel=getattr(quadrature, name), name=name):
+                calls.append((name, x.copy(), kernel(nu, x)))
+                return calls[-1][2]
+            monkeypatch.setattr(quadrature, name, recorded)
+        p = RadialProfile(3, self.MIXED.terms, vanishes_near_one=True)
+        grid, tol = np.arange(41.0, 2000.0, 4.0), QuadratureConfig().target_rel_tol
+        sw = hankel_sweep(p, grid)
+        batched = calls[:]
+        assert [name for name, *_ in batched] == ["bessel_j_grid", "bessel_j_scaled_grid"]
+        calls.clear()
+        for window in self.windows(grid, p.nu):
+            for t in p.terms:
+                ti = _TermIntegral(t.lam, t.rho, p.nu, max(float(window[-1]), quadrature._CUTOFF_MESH_R), True)
+                kernels = quadrature._KernelSums(p.nu)
+                ti.panel_sweep(window, quadrature._SWEEP_NODES, tol, kernels)
+                kernels.flush()
+        for name, x, k in batched:
+            alone = [c for c in calls if c[0] == name]
+            assert (np.concatenate([c[1] for c in alone]) == x).all()
+            assert (np.concatenate([c[2] for c in alone]) == k).all()
+        calls.clear()
+        monkeypatch.setattr(quadrature, "_SWEEP_ELEMS", 1 << 12)
+        small = hankel_sweep(p, grid)
+        assert len(calls) > 2 and max(x.size for _, x, _ in calls) <= 1 << 12
+        assert np.abs(small - sw).max() <= 1e-15 * np.abs(sw).max()
 
     @pytest.mark.parametrize("lam,rho", [(2.5, 3.0), (0.0, 0.5)])
     def test_sub_seam_radii_of_the_window_check(self, lam, rho):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from finhankel import specfun
 from finhankel.errors import DomainError, PoleError
 from finhankel.specfun import (
     bessel_j,
@@ -123,6 +124,33 @@ def test_kernel_elements_do_not_depend_on_the_batch(nu):
             batch = kernel(nu, x, longdouble=longdouble)
             alone = [kernel(nu, x[i : i + 1], longdouble=longdouble)[0] for i in range(x.size)]
             assert (np.array(alone, dtype=batch.dtype) == batch).all()
+
+
+def test_double_sums_stop_at_the_double_floor(monkeypatch):
+    """The double-precision kernel sums the large-argument expansion until a
+    term falls below _DOUBLE_FLOOR, about a tenth of an ulp: at nu = 0 that
+    is 10 terms at x = 100 and 6 at x = 1000, where extended precision's
+    floor takes 13 and 8.  The first term left out is below the floor.  The
+    extended-precision kernel and hankel_scaled_grid keep their terms."""
+    for x, double, extended in ((100.0, 10, 13), (1000.0, 6, 8)):
+        taken, omitted = specfun._asym_terms(0.0, x, floor=specfun._DOUBLE_FLOOR)
+        assert (taken, specfun._asym_terms(0.0, x)[0]) == (double, extended)
+        assert omitted < specfun._DOUBLE_FLOOR
+    counts = []
+    pq = specfun._asym_pq
+
+    def recorded(nu, inv_z, count, dt):
+        counts.append(count)
+        return pq(nu, inv_z, count, dt)
+
+    monkeypatch.setattr(specfun, "_asym_pq", recorded)
+    x = np.array([5000.0])
+    bessel_j_grid(0.0, x)
+    bessel_j_grid(0.0, x, longdouble=True)
+    hankel_scaled_grid(0.0, x.astype(complex))
+    lowest = [12.0 * specfun._expansion_start(0.0, ld) for ld in (False, True)]
+    assert counts == [specfun._asym_terms(0.0, lowest[0], floor=specfun._DOUBLE_FLOOR)[0],
+                      specfun._asym_terms(0.0, lowest[1])[0], specfun._asym_terms(0.0, 5000.0)[0]]
 
 
 def test_bessel_leading_form():
