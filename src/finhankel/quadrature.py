@@ -145,7 +145,7 @@ from .profiles import (
     differentiate_power_terms,
 )
 from .specfun import (bessel_j_grid, bessel_j_scaled_grid, hankel_scaled_grid, _asym_pq, _asym_terms,
-                      _DOUBLE_FLOOR, _expansion_start, _gamma_real_ld, _sinpi)
+                      _DOUBLE_FLOOR, _expansion_start, _gamma_real_ld, _hankel_truncation, _sinpi)
 
 _LD = np.longdouble
 _CLD = np.clongdouble
@@ -186,15 +186,12 @@ _WINDOW_RANGE = 16.0
 # Chebyshev points in log r per window [a, b], b <= 4 a, of hankel_sweep's
 # contour path
 _CONTOUR_POINTS = 32
-# (radius, node) pairs per chunk of either sweep over many radii, and
-# (radius, point) pairs per chunk of the interpolant, so their largest
-# temporaries hold at most 8 MB (16 MB for steepest_descent's edge legs,
-# which hold both legs).  steepest_descent chunks by the edge legs' node
-# count over all its rules.  The sweep's one rule has 18 nodes per leg for
-# a real rho at the default target, so 29,127 radii per chunk, and the 96
-# Chebyshev points of a C7 sweep's 3 contour windows are 1 chunk; an
-# interpolant at 32 points takes 16,384 radii per chunk, more than any
-# window of that sweep holds.
+# (radius, node) pairs per chunk of either sweep over many radii, so their
+# largest temporaries hold at most 8 MB (16 MB for steepest_descent's edge
+# legs, which hold both legs).  steepest_descent chunks by the edge legs'
+# node count over all its rules.  The sweep's one rule has 18 nodes per leg
+# for a real rho at the default target, so 29,127 radii per chunk, and the
+# 96 Chebyshev points of a C7 sweep's 3 contour windows are 1 chunk.
 # The panel sweep's kernel matrices, of every window and term, are evaluated
 # in batches of at most this many pairs, one kernel call per node kind and
 # batch (_KernelSums).  A C7 cutoff sweep (lam = 1, rho = 3.5) has 16
@@ -204,6 +201,12 @@ _CONTOUR_POINTS = 32
 # zone) are 1 batch; its 0.87 M pairs on wide panels past the start take no
 # kernel call
 _SWEEP_ELEMS = 1 << 19
+# (radius, point) pairs per block of the interpolant (_barycentric): its one
+# buffer of them holds 96 KiB, and every temporary stays under glibc's
+# default 128 KiB mmap threshold, so none is mapped afresh per block.  A
+# window of 32 points takes 384 radii per block, and a warm regular C7 check
+# takes no page fault, against 790 with blocks of 2^19 pairs
+_BARY_BLOCK = 12 * 1024
 # (radius, node) pairs per block of _asym_panel_sums, whose temporaries
 # then stay in cache: 4 panels of 40 nodes for a window of 83 radii
 _ASYM_BLOCK = 1 << 14
@@ -323,11 +326,13 @@ def _seam_phase(nu: float, tol: float):
     """Phase r*a above which [a, 1] is deformed, or None if there is none.
 
     The first of 30, 45, 67.5, ... up to 500 at which the Hankel expansion's
-    remainder bound is below ``_MASS_SHARE`` * tol.
+    truncation bound is below ``_MASS_SHARE`` * tol; its rounding is charged
+    to the edge legs as ``hankel_scaled_grid``'s bound and
+    ``_CONTOUR_ROUNDING``.
     """
     phase = _SEAM_PHASE
     while phase <= 500.0:
-        if hankel_scaled_grid(nu, np.array([phase]))[1] <= _MASS_SHARE * tol:
+        if _hankel_truncation(nu, phase)[1] <= _MASS_SHARE * tol:
             return phase
         phase *= 1.5
     return None
@@ -376,15 +381,20 @@ def _matvec(m: np.ndarray, t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _middle_edges(lo: float, hi: float, osc_width: float, forced=()) -> np.ndarray:
+def _middle_edges(lo: float, hi: float, osc_width: float, forced=(), quantum: float = 0.0) -> np.ndarray:
     """Breakpoints on [lo, hi]: oscillation-limited width, graded at both
-    ends."""
+    ends.  With a ``quantum``, a power of 2 that divides osc_width, every
+    edge between lo and hi is rounded to a multiple of it; below 1 such sums
+    are exact, so the panels of the uniform run are bitwise one width."""
     edges = [lo]
     s = lo
     while s < hi:
         w = min(osc_width, 0.6 * s, 0.5 * (1.0 - s), 0.18)
         w = max(w, 1e-12)
-        s = min(s + w, hi)
+        s = s + w
+        if quantum:
+            s = round(s / quantum) * quantum
+        s = min(s, hi)
         edges.append(s)
     pts = np.array(edges)
     if forced:
@@ -483,11 +493,16 @@ class _TermIntegral:
         span = self.upper - d_top - bottom
         if span / osc > _MAX_PANELS - 60:
             osc = span / (_MAX_PANELS - 60)
-        width, forced = periods * osc, ()
+        width, forced, quantum = periods * osc, (), 0.0
         if self.cutoff:
             # wider panels span at most a quarter of the cutoff's ramp
             width, forced = min(width, max(osc, (_CUT_HI - _CUT_LO) / 4.0)), (_CUT_LO,)
-        return _middle_edges(bottom if lo is None else lo, self.upper - d_top, width, forced)
+        if periods > 1:
+            # a multiple of 2^-52: lo + k width is then exact below 1, and the
+            # panels of the uniform run share one half-width
+            quantum = 2.0**-52
+            width = math.floor(width / quantum) * quantum
+        return _middle_edges(bottom if lo is None else lo, self.upper - d_top, width, forced, quantum)
 
     # -- node sets -------------------------------------------------------
 
@@ -902,8 +917,9 @@ def _asym_panel_sums(nu: float, r: np.ndarray, edges, w) -> np.ndarray:
     and half-width h, s = m + h t and e^(i omega) is
     e^(i (r m - (nu/2 + 1/4) pi)), one long-double product per radius and
     panel reduced modulo 2 pi and rounded once to double, times
-    e^(i r h t), one per radius, distinct half-width and rule node, r h t
-    likewise a long-double product reduced and rounded once (``_cis_ld``):
+    e^(i r h t), one per radius, distinct half-width and rule node (a wide
+    mesh's uniform run is one half-width), r h t likewise a long-double
+    product reduced and rounded once (``_cis_ld``):
     on a mesh of ``_WIDE_PERIODS`` periods per panel built for r or more it
     reaches 8 pi, where a double's rounding is 8 times that below pi.  So
     every phase is rounded as a double below pi, not as one near r s.
@@ -1158,18 +1174,29 @@ def _chebyshev_window(lo: float, hi: float, m: int):
 
 def _barycentric(x: np.ndarray, w: np.ndarray, f: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The interpolant through (x, f), x ascending, with barycentric weights
-    w, at t, in the second (true) barycentric form; t - x_j is taken in
-    absolute coordinates, against the points actually sampled.  The columns
-    of a matrix f share one barycentric matrix.  A t equal to some x_j
-    takes f_j.  t is taken ``_SWEEP_ELEMS`` // x.size at a time, like the
-    sweeps' chunks."""
+    w, at t, in the second (true) barycentric form (Berrut and Trefethen,
+    SIAM Rev. 46, 2004); t - x_j is taken in absolute coordinates, against
+    the points actually sampled.  f is a vector or has a column per
+    function.  t is taken in blocks of at most ``_BARY_BLOCK`` (radius,
+    point) pairs: w / (t - x_j) is written into one reused buffer, and one
+    real product of it with f's real and imaginary columns and a column of
+    ones gives every numerator and the denominator, divided once per row.
+    A t equal to some x_j takes f_j; a non-finite f_j spreads to every
+    other t."""
+    cols = np.ascontiguousarray(f, dtype=np.complex128).reshape(x.size, -1).view(np.float64)
+    g = np.empty((x.size, cols.shape[1] + 1))
+    g[:, :-1], g[:, -1] = cols, 1.0
     p = np.empty((t.size, *f.shape[1:]), dtype=np.complex128)
-    rows = max(1, _SWEEP_ELEMS // x.size)
-    for i0 in range(0, t.size, rows):
-        ti = t[i0 : i0 + rows]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = w / (ti[:, None] - x[None, :])
-            p[i0 : i0 + rows] = (_matvec(q, f).T / np.sum(q, axis=1)).T
+    out = p.reshape(t.size, -1).view(np.float64)
+    rows = max(1, min(t.size, _BARY_BLOCK // x.size))
+    q, sums = np.empty((rows, x.size)), np.empty((rows, g.shape[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i0 in range(0, t.size, rows):
+            n = min(rows, t.size - i0)
+            np.subtract(t[i0 : i0 + n, None], x, out=q[:n])
+            np.divide(w, q[:n], out=q[:n])
+            np.matmul(q[:n], g, out=sums[:n])
+            np.divide(sums[:n, :-1], sums[:n, -1:], out=out[i0 : i0 + n])
     j = np.minimum(np.searchsorted(x, t), x.size - 1)
     hit = x[j] == t
     p[hit] = f[j[hit]]
@@ -1253,8 +1280,10 @@ def hankel_sweep(
     So an outlying radius costs only its own window, and 49 points below
     r = 60 take 120 nodes for lam = 0.5, rho = 6, not the 3,840 of a mesh
     for r ~ 2006.  Oscillation panels past the double kernel's expansion
-    start, rebuilt 8 periods wide with 40 nodes, sum that expansion with
-    its phase factored per panel (``_asym_panel_sums``).  The other node
+    start, rebuilt 8 periods wide with 40 nodes, their width and inner
+    edges multiples of 2^-52 so that their uniform run is bitwise one
+    width, sum that expansion with its phase factored per panel
+    (``_asym_panel_sums``).  The other node
     sets of every window and term are double-precision kernel matrices,
     r s one long-double product rounded once to double, evaluated by one
     kernel call per node kind (``_KernelSums``), and the kernel is within
@@ -1268,7 +1297,10 @@ def hankel_sweep(
     path, so that no window straddles the contour start, are cut in one
     pass into windows [a, b] (``_windowed``).  A window that holds more radii
     than its Chebyshev points is swept at those points only and
-    interpolated onto its radii.  On the contour path b <= 4 a, with
+    interpolated onto its radii (``_barycentric``, one real product per
+    block of at most ``_BARY_BLOCK`` (radius, point) pairs, so that no
+    temporary of the interpolant reaches 128 KiB and a warm regular window
+    check takes no page fault).  On the contour path b <= 4 a, with
     ``_CONTOUR_POINTS`` = 32 points in log r, and what is interpolated is
     each term's edge legs, the last two ``parts`` of ``steepest_descent``,
     made smooth by r^(Re rho+1/2) e^(-+ir), which are put back at each

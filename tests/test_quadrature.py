@@ -652,11 +652,37 @@ class TestSweep:
         p = quadrature._barycentric(x, w, f, t)
         assert (p[:3] == f[[0, 7, 29]]).all()
         assert np.allclose(p[3:], np.cos(t[3:]) + 1j * np.sin(0.5 * t[3:]), rtol=0, atol=1e-12)
-        monkeypatch.setattr(quadrature, "_SWEEP_ELEMS", 4 * x.size)
+        monkeypatch.setattr(quadrature, "_BARY_BLOCK", 4 * x.size)
         assert np.allclose(quadrature._barycentric(x, w, f, t), p, rtol=1e-14, atol=0)
         f[4] = math.nan
         q = quadrature._barycentric(x, w, f, t)
         assert (q[:3] == f[[0, 7, 29]]).all() and np.isnan(q[3:]).all()
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_barycentric_blocks_match_long_double(self, monkeypatch, rows):
+        """Blocks of 1 row, 7 rows and the default ``_BARY_BLOCK``, the last
+        block partial, with f a vector and a matrix of 3 columns: every
+        value is within 1.5e-15 of max |f| of the second form summed in
+        extended precision, and radii at the first and the last point take
+        those samples.  That is the second form's own rounding: here it
+        reads 1.06e-15, and up to 1.2e-15 over 5,000 radii; with the
+        denominator summed pairwise apart from the product, as numpy's sum
+        does, 0.71e-15 and 1.04e-15."""
+        x, w = quadrature._chebyshev_window(-1.5, 2.5, 32)
+        f = np.exp(1j * x[:, None] * [1.0, -3.0, 0.5]) * [1.0, 2.0, 0.3] + [0.0, 0.5j, 1.0]
+        t = np.concatenate([x[[0, -1]], np.linspace(-1.5, 2.5, 1001)])
+        if rows is not None:
+            monkeypatch.setattr(quadrature, "_BARY_BLOCK", rows * x.size)
+        assert rows == 1 or t.size % (quadrature._BARY_BLOCK // x.size) != 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = w.astype(np.longdouble) / (t.astype(np.longdouble)[:, None] - x)
+            ref = (q @ f.astype(np.clongdouble)) / np.sum(q, axis=1)[:, None]
+        ref[:2] = f[[0, -1]]
+        for g, want in ((f, ref), (f[:, 1], ref[:, 1])):
+            p = quadrature._barycentric(x, w, g, t)
+            assert p.shape == want.shape
+            assert (p[:2] == g[[0, -1]]).all()
+            assert np.abs(p - want).max() <= 1.5e-15 * np.abs(g).max()
 
     def test_interpolant_uses_the_sampled_points(self):
         """The barycentric weights and differences r - x_j come from the
@@ -817,6 +843,21 @@ class TestSweep:
             assert np.diff(wide).max() == pytest.approx(width, rel=1e-12)
             assert np.count_nonzero((wide > 1.0 / 3.0) & (wide < 2.0 / 3.0)) == inside
         assert np.median(np.diff(wide)) == pytest.approx(width, rel=1e-12)
+
+    def test_wide_mesh_run_has_one_half_width(self):
+        """A wide mesh's panels of the full width are bitwise one width, so
+        _asym_panel_sums forms the turns e^(i r h t) for one half-width
+        there; only the graded panels, the two either side of 1/3 and the
+        last one differ.  Built by repeated addition, a mesh for r = 2006
+        had 9 distinct half-widths on 29 panels."""
+        for mesh_r, lo in ((300.0, 0.08), (1000.0, 0.0253), (2006.0, 0.0126)):
+            ti = _TermIntegral(0.0, 1.0, 0.0, mesh_r, True)
+            wide = ti.build_mesh(quadrature._WIDE_PERIODS, lo)
+            _, hx, _ = quadrature._panel_nodes(wide, quadrature._WIDE_NODES)
+            widths = np.diff(wide)
+            full = widths[widths >= (1.0 - 1e-12) * widths.max()]
+            assert full.size >= 4 and (full == widths.max()).all()
+            assert np.unique(hx[:, -1]).size <= widths.size - full.size + 1
 
     def test_one_kernel_call_per_node_kind(self, monkeypatch):
         """A sweep's panel path builds the node sets of every window and term
