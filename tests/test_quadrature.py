@@ -848,8 +848,9 @@ class TestSweep:
         """A wide mesh's panels of the full width are bitwise one width, so
         _asym_panel_sums forms the turns e^(i r h t) for one half-width
         there; only the graded panels, the two either side of 1/3 and the
-        last one differ.  Built by repeated addition, a mesh for r = 2006
-        had 9 distinct half-widths on 29 panels."""
+        last one differ.  Built by repeated addition, the wide meshes of a
+        C7 cutoff sweep had up to 9 distinct half-widths, 3 of them the
+        full width."""
         for mesh_r, lo in ((300.0, 0.08), (1000.0, 0.0253), (2006.0, 0.0126)):
             ti = _TermIntegral(0.0, 1.0, 0.0, mesh_r, True)
             wide = ti.build_mesh(quadrature._WIDE_PERIODS, lo)
