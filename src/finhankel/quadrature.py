@@ -94,8 +94,9 @@ for cutoff profiles, it trades accuracy for speed: the panel node sets
 are built per window of r (below), for the window's largest r, or for
 r = 300 if that is larger and the profile has the cutoff.  Oscillation
 panels past the double kernel's expansion start are 8 periods wide with
-40 nodes, and sum that expansion with its phase factored per panel
-(``_asym_panel_sums``).  The endpoint zones and the panels below the
+40 nodes, and sum that expansion with its phase factored per panel and
+its terms carried by the nodes, one real product per block of radii and
+panels (``_asym_panel_sums``).  The endpoint zones and the panels below the
 start, 12 nodes each, are double-precision kernel matrices at r s, one
 long-double product rounded once to double, and the node sets of every
 window and term share one kernel call per node kind (``_KernelSums``)
@@ -144,7 +145,7 @@ from .profiles import (
     boundary_power_terms,
     differentiate_power_terms,
 )
-from .specfun import (bessel_j_grid, bessel_j_scaled_grid, hankel_scaled_grid, _asym_pq, _asym_terms,
+from .specfun import (bessel_j_grid, bessel_j_scaled_grid, hankel_scaled_grid, _asym_terms,
                       _DOUBLE_FLOOR, _expansion_start, _gamma_real_ld, _hankel_truncation, _sinpi)
 
 _LD = np.longdouble
@@ -198,8 +199,10 @@ _CONTOUR_POINTS = 32
 # windows, 15 of 83 Chebyshev points and the last of 55, on meshes of 396
 # nodes (built for 300) to 2,568 (for 2006).  Its 0.10 M kernel pairs
 # (85,644 plain, below the expansion start, and 15,600 scaled, in the origin
-# zone) are 1 batch; its 0.87 M pairs on wide panels past the start take no
-# kernel call
+# zone) are 1 batch, whose temporaries of 0.10 M elements take most of a
+# warm cutoff check's page faults; its 0.87 M pairs on wide panels past the
+# start take no kernel call, and go through _asym_panel_sums in blocks of
+# _ASYM_BLOCK pairs
 _SWEEP_ELEMS = 1 << 19
 # (radius, point) pairs per block of the interpolant (_barycentric): its one
 # buffer of them holds 96 KiB, and every temporary stays under glibc's
@@ -207,9 +210,15 @@ _SWEEP_ELEMS = 1 << 19
 # window of 32 points takes 384 radii per block, and a warm regular C7 check
 # takes no page fault, against 790 with blocks of 2^19 pairs
 _BARY_BLOCK = 12 * 1024
-# (radius, node) pairs per block of _asym_panel_sums, whose temporaries
-# then stay in cache: 4 panels of 40 nodes for a window of 83 radii
-_ASYM_BLOCK = 1 << 14
+# (radius, node) pairs per block of _asym_panel_sums' e = e^(i omega), and
+# at most as many (node, column) pairs of its columns, (panel, radius) pairs
+# of its phases and (node, radius) pairs of its turns: e's one buffer holds
+# 64 KiB, and every temporary stays under glibc's 128 KiB mmap threshold.
+# With 21 columns (nu = 0), a block is 4 panels of 40 nodes at 25 radii.
+# Blocks of 7 K pairs read about 40 page faults per warm C7 cutoff check;
+# blocks of 2^14 pairs, taken per (radius, node) pair as P and Q sums,
+# read 5,400
+_ASYM_BLOCK = 4 * 1024
 # relative accuracy of a double-precision contour sum: the Laguerre rules'
 # low moments are good to about 4e-15 when alpha = rho - 1 is near -1
 _CONTOUR_ROUNDING = 4e-15
@@ -385,12 +394,32 @@ def _middle_edges(lo: float, hi: float, osc_width: float, forced=(), quantum: fl
     """Breakpoints on [lo, hi]: oscillation-limited width, graded at both
     ends.  With a ``quantum``, a power of 2 that divides osc_width, every
     edge between lo and hi is rounded to a multiple of it; below 1 such sums
-    are exact, so the panels of the uniform run are bitwise one width."""
-    edges = [lo]
-    s = lo
+    are exact, so the panels of the uniform run are bitwise one width.
+
+    The graded ends are stepped one edge at a time.  The uniform run, where
+    the width is osc_width, is one ``np.add.accumulate`` from its first
+    edge, which adds in the same order; with a quantum that edge is a
+    multiple of it, so the run's sums are exact and need no rounding.
+    Either way the edges are bitwise those of the stepping alone."""
+    def width(s):
+        return max(min(osc_width, 0.6 * s, 0.5 * (1.0 - s), 0.18), 1e-12)
+
+    edges, s = [lo], lo
     while s < hi:
-        w = min(osc_width, 0.6 * s, 0.5 * (1.0 - s), 0.18)
-        w = max(w, 1e-12)
+        w = width(s)
+        if w == osc_width and (not quantum or s == round(s / quantum) * quantum):
+            # edges s + k osc_width, kept while the width at the edge before
+            # each is osc_width and they stay below hi.  Past s, 0.6 s only
+            # grows, so the width holds while 0.5 (1 - s) does
+            steps = max(1, int((min(hi, 1.0 - 2.0 * osc_width) - s) / osc_width) + 2)
+            run = np.full(steps + 1, osc_width)
+            run[0] = s
+            np.add.accumulate(run, out=run)
+            count = np.count_nonzero((0.5 * (1.0 - run[:-1]) >= osc_width) & (run[1:] < hi))
+            if count:
+                edges.extend(run[1 : count + 1].tolist())
+                s = edges[-1]
+                continue
         s = s + w
         if quantum:
             s = round(s / quantum) * quantum
@@ -839,7 +868,9 @@ class _TermIntegral:
         oscillation panels past the double kernel's expansion start, their
         left edge times the smallest radius at or past it, are rebuilt
         ``_WIDE_PERIODS`` periods wide with ``_WIDE_NODES`` nodes each and
-        summed here by ``_asym_panel_sums``.  The other nodes, the panels
+        summed here by ``_asym_panel_sums``, the expansion's terms carried
+        by the nodes and one real product per block of radii and panels.
+        The other nodes, the panels
         below the start and the endpoint zones, go to ``kernels`` as kernel
         matrices at r s, one long-double product rounded once to double,
         whose sums it adds to the values returned.
@@ -912,43 +943,83 @@ def _asym_panel_sums(nu: float, r: np.ndarray, edges, w) -> np.ndarray:
     between ``edges`` (``w`` a row per panel) at every radius of r, each
     r s past ``_expansion_start(nu, False)``.
 
-    There J_nu(x) = sqrt(2 / (pi x)) Re(e^(i omega) (P + i Q)) with
-    omega = x - (nu/2 + 1/4) pi (DLMF 10.17.3).  On a panel of midpoint m
-    and half-width h, s = m + h t and e^(i omega) is
-    e^(i (r m - (nu/2 + 1/4) pi)), one long-double product per radius and
-    panel reduced modulo 2 pi and rounded once to double, times
+    There J_nu(x) = sqrt(2 / (pi x)) Re(e^(i omega) sum_m i^m a_m x^-m)
+    with omega = x - (nu/2 + 1/4) pi (DLMF 10.17.3), so the sum is
+    sqrt(2 / (pi r)) sum_m r^-m sum_k c_km Re(i^m e_k), with
+    e_k = e^(i omega_k) and columns c_km = a_m w_k s_k^(-1/2-m): the
+    expansion's m-sum is carried by the nodes, and per radius only by one
+    Horner sum in 1/r.  Its terms are those ``_asym_terms`` takes at the
+    smallest r s, down to the double floor.  Each block of panels is one
+    real product of the columns against e's (cos omega, sin omega) pairs,
+    which gives sum_k c_km cos omega_k and sum_k c_km sin omega_k, and
+    Re(i^m e) picks +-the first for even m and +-the second for odd m.
+    The columns are a running product over m in double, built once per
+    block of panels; a complex w gives a column each for its real and
+    imaginary parts.
+
+    On a panel of midpoint m and half-width h, s = m + h t and e^(i omega)
+    is e^(i (r m - (nu/2 + 1/4) pi)), one long-double product per radius
+    and panel reduced modulo 2 pi and rounded once to double, times
     e^(i r h t), one per radius, distinct half-width and rule node (a wide
     mesh's uniform run is one half-width), r h t likewise a long-double
-    product reduced and rounded once (``_cis_ld``):
-    on a mesh of ``_WIDE_PERIODS`` periods per panel built for r or more it
-    reaches 8 pi, where a double's rounding is 8 times that below pi.  So
-    every phase is rounded as a double below pi, not as one near r s.
-    ``_asym_pq`` sums P and Q at 1/x = (1/r)(1/s), with the terms
-    ``_asym_terms`` takes at each block's smallest x down to the double
-    floor, in blocks of about ``_ASYM_BLOCK`` (radius, node) pairs.
-    1/sqrt(s) goes into the weights and sqrt(2 / (pi r)) onto the sums.
+    product reduced and rounded once (``_cis_ld``): on a mesh of
+    ``_WIDE_PERIODS`` periods per panel built for r or more it reaches
+    8 pi, where a double's rounding is 8 times that below pi.  So every
+    phase is rounded as a double below pi, not as one near r s.  The
+    panels are taken a half-width at a time, so a block's e is one complex
+    product per pair of its panels' phases and its half-width's turns.
+    No block's e, columns, phases or turns hold more than
+    ``_ASYM_BLOCK`` pairs, so the temporaries do not grow with
+    radii x nodes and none reaches glibc's 128 KiB mmap threshold.
     """
-    mid, hx, _ = _panel_nodes(edges, w.shape[1])
-    _, first, kind = np.unique(hx[:, -1], return_index=True, return_inverse=True)
+    n = w.shape[1]
+    mid, hx = _panel_nodes(edges, n)[:2]
+    first, kind = np.unique(hx[:, -1], return_index=True, return_inverse=True)[1:]
     s = mid + hx
-    inv_s, w = (1 / s).astype(np.float64), np.asarray(w / np.sqrt(s), dtype=np.complex128)
-    r_ld = r.astype(_LD)
-    phase = _cis_ld(r_ld[:, None] * mid[:, 0] - (_LD(0.5 * nu) + _LD(0.25)) * (2 * _HALF_PI_LD))
-    # the rule's nodes are symmetric about 0, so the turns of the upper half
-    # are the conjugates of the lower half's
-    turn = _cis_ld(r_ld[:, None, None] * hx[first, : (hx.shape[1] + 1) // 2])
-    turn = np.concatenate([turn, turn[..., : hx.shape[1] // 2][..., ::-1].conj()], axis=-1)
-    out = np.zeros(r.size, dtype=np.complex128)
-    panels = max(1, _ASYM_BLOCK // (s.shape[1] * r.size))
-    rows = max(1, _ASYM_BLOCK // (s.shape[1] * panels))
-    for i0 in range(0, r.size, rows):
-        ri = slice(i0, i0 + rows)
-        for j0 in range(0, s.shape[0], panels):
-            pj = slice(j0, j0 + panels)
-            e = phase[ri, pj, None] * np.take(turn[ri], kind[pj], axis=1)
-            count, _ = _asym_terms(nu, float(np.min(r[ri])) * float(s[j0, 0]), floor=_DOUBLE_FLOOR)
-            p, q = _asym_pq(nu, (1 / r[ri])[:, None, None] * inv_s[pj], count, np.float64)
-            out[ri] += _matvec((e.real * p - e.imag * q).reshape(e.shape[0], -1), w[pj].ravel())
+    count = _asym_terms(nu, float(np.min(r)) * float(s[0, 0]), floor=_DOUBLE_FLOOR)[0]
+    m = np.arange(1, count + 1)
+    step = (4.0 * nu * nu - (2 * m - 1.0) ** 2) / (8.0 * m)  # a_m / a_(m-1)
+    ws = w / np.sqrt(s)
+    ws = np.stack([ws.real, ws.imag]) if np.iscomplexobj(ws) else ws[None]
+    ws, inv_s = ws.astype(np.float64), (1 / s).astype(np.float64)
+    part = ws.shape[0]
+    r_ld, shift = r.astype(_LD), (_LD(0.5 * nu) + _LD(0.25)) * (2 * _HALF_PI_LD)
+    panels = max(1, _ASYM_BLOCK // (n * (count + 1) * part))
+    e_buf = np.empty(_ASYM_BLOCK, dtype=np.complex128)
+    # per part of c and term m, sum_k c_km cos omega_k and sum_k c_km
+    # sin omega_k at each radius
+    sums = np.zeros((part, count + 1, r.size, 2))
+    for j0 in first:
+        of_kind = np.flatnonzero(kind == kind[j0])
+        rows = max(1, min(r.size, _ASYM_BLOCK // max(n, of_kind.size)))
+        for i0 in range(0, r.size, rows):
+            ri = r_ld[i0 : i0 + rows]
+            phase = _cis_ld(mid[of_kind, :1] * ri - shift)
+            # the rule's nodes are symmetric about 0, so the turns of the
+            # upper half are the conjugates of the lower half's
+            turn = _cis_ld(hx[j0, : (n + 1) // 2, None] * ri)
+            turn = np.concatenate([turn, turn[: n // 2][::-1].conj()])
+            for p0 in range(0, of_kind.size, panels):
+                pj = of_kind[p0 : p0 + panels]
+                c = np.empty((part, count + 1, pj.size * n))
+                c[:, 0] = ws[:, pj].reshape(part, -1)
+                np.multiply(step[:, None], inv_s[pj].reshape(-1), out=c[:, 1:])
+                c = np.multiply.accumulate(c, axis=1, out=c).reshape(-1, pj.size * n)
+                sub = max(1, _ASYM_BLOCK // (pj.size * n))
+                for a0 in range(0, ri.size, sub):
+                    a = slice(a0, a0 + sub)
+                    e = e_buf[: pj.size * n * ri[a].size].reshape(pj.size, n, -1)
+                    np.multiply(phase[p0 : p0 + panels, None, a], turn[:, a], out=e)
+                    at = slice(i0 + a0, i0 + a0 + e.shape[-1])
+                    sums[:, :, at] += (c @ e.reshape(pj.size * n, -1).view(np.float64)).reshape(
+                        part, count + 1, -1, 2)
+    # Re(i^m e) = Re(i^m) cos omega - Im(i^m) sin omega
+    j = np.arange(count + 1)[:, None] % 4
+    terms = np.array([1.0, 0.0, -1.0, 0.0])[j] * sums[..., 0] - np.array([0.0, 1.0, 0.0, -1.0])[j] * sums[..., 1]
+    terms = terms[0] + 1j * terms[1] if part == 2 else terms[0]
+    out = terms[count]
+    for j in range(count - 1, -1, -1):
+        out = out / r + terms[j]
     return out * np.sqrt(2 / (np.pi * r))
 
 
@@ -1283,7 +1354,11 @@ def hankel_sweep(
     start, rebuilt 8 periods wide with 40 nodes, their width and inner
     edges multiples of 2^-52 so that their uniform run is bitwise one
     width, sum that expansion with its phase factored per panel
-    (``_asym_panel_sums``).  The other node
+    (``_asym_panel_sums``): its m-sum is carried by the nodes, as columns
+    w s^(-1/2-m) a_m built once per block of panels, so a block is one
+    complex product per pair for e^(i omega), one real product of its
+    cosines and sines against the columns, and per radius a Horner sum in
+    1/r, and no temporary reaches 128 KiB.  The other node
     sets of every window and term are double-precision kernel matrices,
     r s one long-double product rounded once to double, evaluated by one
     kernel call per node kind (``_KernelSums``), and the kernel is within

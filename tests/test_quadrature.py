@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -49,6 +50,25 @@ def sonine_rhs(nu, alpha, r):
     return 2.0 ** alpha * math.gamma(alpha + 1.0) * r ** -(alpha + 1.0) * bessel_j(
         nu + alpha + 1.0, r
     )
+
+
+def middle_edges_by_steps(lo, hi, osc_width, forced=(), quantum=0.0):
+    """_middle_edges as it was when it stepped every edge one at a time: the
+    reference its vectorised uniform run must match bitwise."""
+    edges = [lo]
+    s = lo
+    while s < hi:
+        w = min(osc_width, 0.6 * s, 0.5 * (1.0 - s), 0.18)
+        w = max(w, 1e-12)
+        s = s + w
+        if quantum:
+            s = round(s / quantum) * quantum
+        s = min(s, hi)
+        edges.append(s)
+    pts = np.array(edges)
+    if forced:
+        pts = np.union1d(pts, [f for f in forced if lo < f < hi])
+    return pts
 
 
 # frozen references (independent high-precision quadrature with endpoint
@@ -859,6 +879,106 @@ class TestSweep:
             full = widths[widths >= (1.0 - 1e-12) * widths.max()]
             assert full.size >= 4 and (full == widths.max()).all()
             assert np.unique(hx[:, -1]).size <= widths.size - full.size + 1
+
+    # a C7 check's window-supremum grid: step pi/16 on [50 - 2 pi, 2000 + 2 pi]
+    C7_GRID = np.arange(50.0 - 2.0 * math.pi, 2000.0 + 2.0 * math.pi + math.pi / 16, math.pi / 16)
+
+    @staticmethod
+    def wide_panels(lam, rho, n, cutoff, radii):
+        """(nu, edges, weights) of the wide panels that panel_sweep sums with
+        _asym_panel_sums for the window ``radii``, on the mesh hankel_sweep
+        builds for it."""
+        nu = n / 2.0 - 1.0
+        mesh_r = max(float(np.max(radii)), quadrature._CUTOFF_MESH_R if cutoff else 0.0)
+        ti = _TermIntegral(lam, rho, nu, mesh_r, cutoff)
+        edges = ti.build_mesh()
+        first = int(np.searchsorted(edges * float(np.min(radii)), _expansion_start(nu, False)))
+        wide = ti.build_mesh(quadrature._WIDE_PERIODS, float(edges[first]))
+        return nu, wide, ti._legendre(wide, quadrature._WIDE_NODES).w
+
+    @pytest.mark.parametrize("block", [None, 999], ids=["default_block", "block_999"])
+    @pytest.mark.parametrize("lam,rho,n,cutoff,radii", [
+        (0.0, 1.0, 2, True, np.linspace(555.8, 683.6, 83)),
+        (1.0, 1.5, 3, False, np.linspace(60.0, 180.0, 83)),
+        (1.0, complex(1.5, 0.4), 4, True, np.linspace(299.8, 427.6, 83)),
+        (0.3, 0.5, 7, False, np.linspace(100.0, 228.0, 83)),
+        (1.0, 1.5, 30, False, np.linspace(44.0, 172.0, 83)),
+        (2.0, 3.0, 2, False, np.array([1500.0])),
+    ], ids=["nu0_cutoff", "nu0.5", "nu1_cutoff_complex_rho", "nu2.5", "nu14", "one_radius"])
+    def test_asym_panel_sums_match_the_long_double_kernel(self, monkeypatch, lam, rho, n, cutoff, radii, block):
+        """_asym_panel_sums, the expansion's m-sum carried by the nodes, is
+        within 4 eps of sum_k |w_k| sqrt(2 / (pi r s_k)) of the direct sum
+        of w_k J_nu(r s_k) with the extended-precision kernel at every
+        (radius, node) pair.  The cases: a cutoff mesh whose several
+        half-widths include the panels either side of 1/3; nu = 1/2, where
+        the expansion terminates; a complex rho, whose weights take a column
+        each for their real and imaginary parts; nu = 14 at the expansion
+        start; one radius.  83 radii leave a partial last block of radii at
+        the default budget, and a budget of 999 pairs splits every window
+        into blocks of one panel with a partial last block.  It reads at
+        most 0.13 eps, and 2.3 eps at nu = 14, where the node sums of the
+        expansion's first terms reach 14 times that mass (0.64 eps summed
+        per pair as P and Q)."""
+        if block is not None:
+            monkeypatch.setattr(quadrature, "_ASYM_BLOCK", block)
+        nu, wide, w = self.wide_panels(lam, rho, n, cutoff, radii)
+        mid, hx, _ = quadrature._panel_nodes(wide, quadrature._WIDE_NODES)
+        if cutoff:
+            assert 1.0 / 3.0 in wide and np.unique(hx[:, -1]).size >= 4
+        x = radii.astype(np.longdouble)[:, None] * (mid + hx).ravel()
+        ref = bessel_j_grid(nu, x.ravel(), longdouble=True).reshape(x.shape) @ w.ravel()
+        mass = (np.sqrt(2.0 / (np.pi * x)) @ np.abs(w.ravel())).astype(np.float64)
+        sums = quadrature._asym_panel_sums(nu, radii, wide, w)
+        err = np.abs(sums - ref.astype(np.complex128))
+        assert (err <= 4.0 * np.finfo(np.float64).eps * mass).all(), (err / mass).max()
+
+    @pytest.mark.parametrize("lo,count", [(1964.0, 55), (1878.5, 83)])
+    def test_asym_panel_sums_temporaries_are_bounded(self, lo, count):
+        """A warm _asym_panel_sums call on the widest window of a C7 cutoff
+        check, 55 or 83 radii up to 2006.3 on its mesh of 29 wide panels
+        (1,160 nodes), allocates at most 512 KiB at its peak: no block holds
+        more than _ASYM_BLOCK pairs, so no temporary grows with radii x
+        nodes, 1.5 MiB of complex pairs at 83 radii.  It reads 348 and
+        385 KiB; evaluated per (radius, node) pair in blocks of 2^14 pairs,
+        1.4 MiB."""
+        radii = np.linspace(lo, 2006.3, count)
+        nu, wide, w = self.wide_panels(0.0, 1.0, 2, True, radii)
+        assert w.size == 1160
+        quadrature._asym_panel_sums(nu, radii, wide, w)
+        tracemalloc.start()
+        try:
+            quadrature._asym_panel_sums(nu, radii, wide, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 512 * 1024, peak
+
+    def test_middle_edges_match_the_stepping_loop(self, monkeypatch):
+        """_middle_edges, its uniform run one np.add.accumulate, gives bitwise
+        the edges of stepping every edge (middle_edges_by_steps) on every
+        mesh the evaluator builds at r from 0.5 to 1e6, with and without the
+        cutoff, on the 32 meshes of a C7 cutoff check's sweep, the wide ones
+        with their 2^-52 quantum, and on 2,000 random meshes, half of them
+        with the quantum and some with a forced edge."""
+        calls, build = [], quadrature._middle_edges
+        monkeypatch.setattr(quadrature, "_middle_edges", lambda *a: calls.append(a) or build(*a))
+        for cutoff in (False, True):
+            for r in (0.5, 3.0, 30.0, 300.0, 2006.0, 1e4, 1e6):
+                finite_hankel(single(0.5, 2.0, vanishes_near_one=cutoff), r)
+        evaluator = len(calls)
+        hankel_sweep(single(0.0, 1.0, vanishes_near_one=True), self.C7_GRID)
+        assert len(calls) - evaluator == 32 and any(a[4] for a in calls[evaluator:])
+        rng = np.random.default_rng(11)
+        for _ in range(2000):
+            lo = float(rng.uniform(1e-4, 0.5))
+            hi, osc, quantum = float(rng.choice([1.0, 2.0 / 3.0, rng.uniform(lo, 1.0)])), 10 ** rng.uniform(-4, -0.5), 0.0
+            if rng.random() < 0.5:
+                quantum = 2.0**-52
+                osc = math.floor(osc / quantum) * quantum
+            calls.append((lo, hi, float(osc), (1.0 / 3.0,) if rng.random() < 0.3 else (), quantum))
+        for args in calls:
+            edges, want = build(*args), middle_edges_by_steps(*args)
+            assert edges.shape == want.shape and (edges == want).all(), args
 
     def test_one_kernel_call_per_node_kind(self, monkeypatch):
         """A sweep's panel path builds the node sets of every window and term
