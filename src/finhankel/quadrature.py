@@ -1014,8 +1014,9 @@ def _asym_panel_sums(nu: float, r: np.ndarray, edges, w) -> np.ndarray:
                     sums[:, :, at] += (c @ e.reshape(pj.size * n, -1).view(np.float64)).reshape(
                         part, count + 1, -1, 2)
     # Re(i^m e) = Re(i^m) cos omega - Im(i^m) sin omega
-    j = np.arange(count + 1)[:, None] % 4
-    terms = np.array([1.0, 0.0, -1.0, 0.0])[j] * sums[..., 0] - np.array([0.0, 1.0, 0.0, -1.0])[j] * sums[..., 1]
+    quarter = np.arange(count + 1)[:, None] % 4
+    re_power, im_power = np.array([1.0, 0.0, -1.0, 0.0])[quarter], np.array([0.0, 1.0, 0.0, -1.0])[quarter]
+    terms = re_power * sums[..., 0] - im_power * sums[..., 1]
     terms = terms[0] + 1j * terms[1] if part == 2 else terms[0]
     out = terms[count]
     for j in range(count - 1, -1, -1):

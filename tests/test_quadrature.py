@@ -971,7 +971,8 @@ class TestSweep:
         rng = np.random.default_rng(11)
         for _ in range(2000):
             lo = float(rng.uniform(1e-4, 0.5))
-            hi, osc, quantum = float(rng.choice([1.0, 2.0 / 3.0, rng.uniform(lo, 1.0)])), 10 ** rng.uniform(-4, -0.5), 0.0
+            hi = float(rng.choice([1.0, 2.0 / 3.0, rng.uniform(lo, 1.0)]))
+            osc, quantum = 10 ** rng.uniform(-4, -0.5), 0.0
             if rng.random() < 0.5:
                 quantum = 2.0**-52
                 osc = math.floor(osc / quantum) * quantum
