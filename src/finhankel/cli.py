@@ -211,11 +211,9 @@ def cmd_slowdecrease(args) -> int:
     if args.format == "json":
         sys.stdout.write(json.dumps(report.to_dict()) + "\n")
     else:
-        sys.stdout.write("passed,worst_margin,windows,failures,insufficient_resolution\n")
-        sys.stdout.write(
-            f"{int(report.passed)},{_fmt(report.worst_margin)},"
-            f"{report.windows},{report.failures},{int(report.insufficient_resolution)}\n"
-        )
+        _emit_rows(args, ("passed", "worst_margin", "windows", "failures", "insufficient_resolution"),
+                   [(int(report.passed), report.worst_margin, report.windows, report.failures,
+                     int(report.insufficient_resolution))])
     return EXIT_OK
 
 

@@ -136,7 +136,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_genlaguerre, roots_jacobi
 
 from .asymptotics import ladder_factor
 from .errors import DomainError, SmoothnessBudgetError, check_radii, check_radius
@@ -219,8 +218,12 @@ _BARY_BLOCK = 12 * 1024
 # (mean of 20 checks), against about 40 with blocks of 7 K pairs and 5,400
 # with blocks of 2^14 pairs summed per (radius, node) pair as P and Q
 _ASYM_BLOCK = 4 * 1024
-# relative accuracy of a double-precision contour sum: the Laguerre rules'
-# low moments are good to about 4e-15 when alpha = rho - 1 is near -1
+# relative accuracy of a double-precision contour sum, per unit of the edge
+# legs' absolute mass.  It was set for an earlier Laguerre rule, whose low
+# moments were off by about 4e-15 with alpha = rho - 1 near -1.  The rules
+# of _gauss_laguerre have moments 0 to 3 within 2.7e-16 for alpha from
+# -0.999 to 60 on 8 to 30 nodes, and a sum of e^(i omega tau), omega <= 0.1,
+# in double on 18 and 30 nodes is within 6e-16 of its mass for alpha <= 2.5
 _CONTOUR_ROUNDING = 4e-15
 # share of the target that a bound times a contour-path term's absolute mass
 # may take: the mass can exceed the transform by several orders
@@ -230,10 +233,12 @@ _MASS_SHARE = 1e-6
 # to 0.3, r from 60 to 4e4) read at most 5.4e-15, of which the complex Gamma
 # pair of ladder_factor takes up to 2.2e-15
 _LADDER_ROUNDING = 1e-14
-# error of a Gauss-Jacobi sum per unit of its absolute mass, measured against
-# mpmath on e^(i(c u + theta)), c <= 4, for 12 to 32 nodes: at most 4.4e-16
-# for exponents e >= -0.8, growing like 7.5e-17 / (1 + e) toward e = -1
-# (1.8e-15 at -0.98, 7.4e-14 at -0.999); charged as this / min(1, 1 + e)
+# error of a Gauss-Jacobi sum per unit of its absolute mass, charged as
+# this / min(1, 1 + e) for exponent e.  It was set for an earlier rule,
+# which read up to 4.4e-16 for e >= -0.8 and grew like 7.5e-17 / (1 + e)
+# toward e = -1.  Against mpmath on e^(i(c u + theta)), c <= 4, summed in
+# long double on 12 to 32 nodes, the rules of _gauss_jacobi read at most
+# 3.6e-17 for e from -0.999 to 14.5 (that earlier rule 4.8e-16)
 _JACOBI_ROUNDING = 5e-16
 # error of the extended-precision Bessel kernel per unit of a node's absolute
 # mass |w k|, charged on every real-axis node, where the two-resolution
@@ -272,48 +277,74 @@ _DEFAULT_CFG = QuadratureConfig()
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_eval(n: int, a: float, b: float, x: np.ndarray):
-    """P_n^(a,b)(x) and its derivative by the three-term recurrence."""
-    a, b = _LD(a), _LD(b)
-    pm = np.ones_like(x)
-    p = (a - b) / 2 + (a + b + 2) * x / 2
-    for k in range(1, n):
-        c = 2 * k + a + b
-        p, pm = (
-            (c + 1) * ((c + 2) * c * x + a * a - b * b) * p - 2 * (k + a) * (k + b) * (c + 2) * pm
-        ) / (2 * (k + 1) * (k + a + b + 1) * c), p
-    c = 2 * n + a + b
-    dp = (n * ((a - b) - c * x) * p + 2 * (n + a) * (n + b) * pm) / (c * (1 - x * x))
-    return p, dp
+def _gauss_rule(diag: np.ndarray, off: np.ndarray, mu0) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of the monic three-term recurrence whose Jacobi matrix has
+    the long-double ``diag`` and ``off`` diagonals, for a weight of zeroth
+    moment ``mu0`` (Golub & Welsch, Math. Comp. 23 (1969)): (nodes, weights)
+    in long double, read-only.
 
-
-@lru_cache(maxsize=512)
-def _gauss_jacobi(n: int, a: float, b: float):
-    """Jacobi nodes/weights for (1-x)^a (1+x)^b polished to long-double accuracy.
-
-    scipy's rule is off by up to 1e-10 relative in its moments when an
-    exponent is near -1 (1e-13 elsewhere), which the origin and boundary
-    panels would pass on to the value unseen.  With a = b = 0 this is the
-    Legendre rule of every panel: double-precision weights would put
-    O(1e-16) per-node noise into the cancelling panel sums.
+    The matrix's eigenvalues, in double, start two Newton steps on p_n,
+    which the recurrence of the orthonormal q_k and their derivatives takes
+    in long double; the weights are the Christoffel numbers
+    mu0 / sum_(k<n) q_k^2 at the polished nodes.
     """
-    x, w0 = roots_jacobi(n, a, b)
-    x = x.astype(_LD)
-    for _ in range(2):
-        p, dp = _jacobi_eval(n, a, b, x)
-        x = x - p / dp
-    _, dp = _jacobi_eval(n, a, b, x)
-    w = 1 / ((1 - x * x) * dp * dp)
-    w = w * (_LD(np.sum(w0)) / np.sum(w))  # scipy's zeroth moment is accurate
+    x = np.linalg.eigvalsh(np.diag(diag.astype(np.float64)) + np.diag(off.astype(np.float64), -1)).astype(_LD)
+    below, above = np.append(_LD(0), off), np.append(off, _LD(1))
+    for step in range(3):
+        q0, q, d0, d, total = 0, np.ones_like(x), 0, 0, 0
+        for k in range(diag.size):
+            total = total + q * q
+            t = x - diag[k]
+            q0, q, d0, d = q, (t * q - below[k] * q0) / above[k], d, (q + t * d - below[k] * d0) / above[k]
+        if step < 2:
+            x = x - q / d
+    w = mu0 / total
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
 
 
 @lru_cache(maxsize=512)
+def _gauss_jacobi(n: int, a: float, b: float):
+    """Gauss-Jacobi rule for the weight (1-x)^a (1+x)^b on (-1, 1), one of
+    a, b zero, in long double (``_gauss_rule``).
+
+    With e = a + b the zeroth moment is 2^(e+1) / (e + 1), formed in long
+    double, so no exponent in the hundreds overflows.  Against a 50-digit
+    rule, for e from -0.999 to 170 and 12 to 40 nodes, the weights are
+    within 6e-17 relative (the earlier polished rule read 3.3e-14 at e = -0.999
+    and 1.4e-13 at 170), and the nodes within one long-double spacing;
+    next to an end at which e is near -1 that spacing limits 1 - |x| to
+    1.4e-14 relative (e = -0.999, 40 nodes).  With a = b = 0 this is the Legendre
+    rule of every panel: double-precision weights would put O(1e-16)
+    per-node noise into the cancelling panel sums.
+    """
+    a, b = _LD(a), _LD(b)
+    e = a + b
+    k = np.arange(n, dtype=_LD)
+    c = 2 * k + e
+    diag = (b - a) / (c + 2) * np.append(_LD(1), e / c[1:])
+    k, c = k[1:], c[1:]
+    off = np.sqrt(4 * k * (k + a) * (k + b) * (k + e)) / (c * np.sqrt(c * c - 1))
+    return _gauss_rule(diag, off, 2 ** (e + 1) / (e + 1))
+
+
+@lru_cache(maxsize=512)
 def _gauss_laguerre(n: int, alpha: float):
-    """Generalised Gauss-Laguerre rule for the weight t^alpha e^(-t) on (0, inf)."""
-    x, w = roots_genlaguerre(n, alpha)
+    """Generalised Gauss-Laguerre rule for the weight t^alpha e^(-t) on
+    (0, inf), in double (``_gauss_rule``).
+
+    The zeroth moment Gamma(alpha + 1) is formed in long double, which
+    holds it up to alpha ~ 1500; in double the weights are infinite from
+    alpha ~ 170 on, where the contour path starts past r = 220.  Against a
+    50-digit rule, for alpha from -0.98 to 60 and 6 to 30 nodes, the
+    weights are within 2.3e-16 relative and the nodes within 1.1e-16
+    (the earlier rule: 1.3e-13 and 6.2e-16).
+    """
+    a = _LD(alpha)
+    k = np.arange(n, dtype=_LD)
+    x, w = _gauss_rule(2 * k + a + 1, np.sqrt(k[1:] * (k[1:] + a)), _gamma_real_ld(a + 2) / (a + 1))
+    x, w = x.astype(np.float64), w.astype(np.float64)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

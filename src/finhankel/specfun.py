@@ -265,8 +265,8 @@ def _hankel_truncation(nu: float, zmin: float) -> tuple[int, float]:
     """The number of terms ``hankel_scaled_grid`` sums at |z| >= zmin, and
     the bound on its relative truncation error there: DLMF 10.17.14-15,
     twice the first omitted term times exp(|nu^2 - 1/4| / |z|).  It holds
-    for real nu in the closed quarter plane where the kind decays (Re z > 0
-    and Im z >= 0 for kind 1, Im z <= 0 for kind 2) when the series keeps
+    for real nu in the closed quarter plane where H1 decays (Re z > 0 and
+    Im z >= 0), and so for H2 at conj(z), when the series keeps
     at least nu - 1/2 terms, which it does up to nu = 20.5; the bound is
     infinite beyond."""
     count, omitted = _asym_terms(nu, zmin, math.ceil(nu - 0.5))
@@ -275,20 +275,20 @@ def _hankel_truncation(nu: float, zmin: float) -> tuple[int, float]:
     return count, 2.0 * omitted * math.exp(abs(nu * nu - 0.25) / zmin)
 
 
-def hankel_scaled_grid(nu: float, z: np.ndarray, kind: int = 1):
-    """Exponentially scaled Hankel functions from the same expansion.
+def hankel_scaled_grid(nu: float, z: np.ndarray):
+    """Exponentially scaled Hankel functions of the first kind from the same
+    expansion.
 
-    Returns ``(h, bound)``: h = e^(-iz) H1_nu(z) for ``kind`` 1 or
-    e^(iz) H2_nu(z) for ``kind`` 2, in complex double, and a bound on its
-    relative error: the truncation bound of ``_hankel_truncation`` plus the
-    rounding of the sum, (count + 4) eps times sum_k |a_k(nu)| / zmin^k over
+    Returns ``(h, bound)``: h = e^(-iz) H1_nu(z) in complex double, and a
+    bound on its relative error: the truncation bound of
+    ``_hankel_truncation`` plus the rounding of the sum, (count + 4) eps
+    times sum_k |a_k(nu)| / zmin^k over
     the count terms taken (k = 0 included), zmin the smallest |z|; the 4
     covers the prefactor's product.  At nu = 20.5 and |z| = 16 the series
     terminates and its terms reach 1.8e4, so the rounding is all of the
-    bound.  Meant for |z| >= 16.
+    bound.  Meant for |z| >= 16.  For real nu, e^(iz) H2_nu(z) is the
+    conjugate of h at conj(z) (DLMF 10.11.9).
     """
-    if kind not in (1, 2):
-        raise DomainError(f"Hankel kind must be 1 or 2, got {kind!r}")
     nu = float(nu)
     z = np.asarray(z, dtype=np.complex128)
     zmin = float(np.min(np.abs(z)))
@@ -298,9 +298,8 @@ def hankel_scaled_grid(nu: float, z: np.ndarray, kind: int = 1):
                        lambda a, b: a * b)
     bound += (count + 4) * np.finfo(np.float64).eps * (1.0 + sum(terms))
     p, qs = _asym_pq(nu, 1.0 / z, count, np.float64)
-    sign = 1.0 if kind == 1 else -1.0
-    rot = np.exp(-1j * sign * (0.5 * nu + 0.25) * np.pi)
-    return np.sqrt(2.0 / (np.pi * z)) * rot * (p + 1j * sign * qs), bound
+    rot = np.exp(-1j * (0.5 * nu + 0.25) * np.pi)
+    return np.sqrt(2.0 / (np.pi * z)) * rot * (p + 1j * qs), bound
 
 
 @lru_cache(maxsize=256)

@@ -142,3 +142,79 @@ def mp_hankel_scaled(nu: float, z: complex, kind: int) -> complex:
         if kind == 1:
             return complex(mp.hankel1(nu, zz) * mp.exp(-1j * zz))
         return complex(mp.hankel2(nu, zz) * mp.exp(1j * zz))
+
+
+def _newton_rule(f, start, dps):
+    """Roots of a polynomial by Newton's method from the nodes ``start``;
+    ``f(x)`` returns (p, p', weight at a root).  Iteration stops after a
+    step below 10^(-dps/2) of max(1, |x|), so the nodes are good to about
+    dps digits, and the weights, taken before that step, to about dps/2.
+    Returns (nodes, weights)."""
+    nodes, weights = [], []
+    for x in start:
+        x = mp.mpf(x)
+        for _ in range(20):
+            p, dp, weight = f(x)
+            step = p / dp
+            x -= step
+            if abs(step) <= mp.mpf(10) ** -(dps // 2) * max(1, abs(x)):
+                break
+        nodes.append(x)
+        weights.append(weight)
+    return nodes, weights
+
+
+def mp_gauss_jacobi(n: int, a: float, b: float, start, dps: int = 50):
+    """The n-point Gauss-Jacobi rule for (1-x)^a (1+x)^b at ``dps`` digits,
+    refined by Newton's method from the nodes ``start``: (nodes, weights,
+    zeroth moment) as mpf.  P_n^(a,b) comes from its textbook recurrence
+    (DLMF 18.9.1) and the weights from its derivative,
+    2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1) n! (1-x^2) P_n'(x)^2)
+    (Szego, Orthogonal Polynomials, (15.3.5))."""
+    with mp.workdps(dps):
+        a, b = mp.mpf(a), mp.mpf(b)
+        const = 2 ** (a + b + 1) * mp.gamma(n + a + 1) * mp.gamma(n + b + 1) / (
+            mp.gamma(n + a + b + 1) * mp.factorial(n))
+
+        # P_(k+1) = (s_k x + t_k) P_k - u_k P_(k-1)
+        coeffs = []
+        for k in range(1, n):
+            c = 2 * k + a + b
+            d = 2 * (k + 1) * (k + a + b + 1) * c
+            coeffs.append(((c + 1) * (c + 2) * c / d, (c + 1) * (a * a - b * b) / d,
+                           2 * (k + a) * (k + b) * (c + 2) / d))
+
+        def f(x):
+            p0, p = mp.mpf(1), (a - b) / 2 + (a + b + 2) * x / 2
+            for s, t, u in coeffs:
+                p0, p = p, (s * x + t) * p - u * p0
+            c = 2 * n + a + b
+            dp = (n * ((a - b) - c * x) * p + 2 * (n + a) * (n + b) * p0) / (c * (1 - x * x))
+            return p, dp, const / ((1 - x * x) * dp * dp)
+
+        nodes, weights = _newton_rule(f, start, dps)
+        return nodes, weights, 2 ** (a + b + 1) * mp.beta(a + 1, b + 1)
+
+
+def mp_gauss_laguerre(n: int, alpha: float, start, dps: int = 50):
+    """The n-point generalised Gauss-Laguerre rule for t^alpha e^(-t) at
+    ``dps`` digits, refined by Newton's method from the nodes ``start``:
+    (nodes, weights, zeroth moment) as mpf.  L_n^(alpha) comes from its
+    textbook recurrence (DLMF 18.9.13), its derivative from
+    x L_n' = n L_n - (n + alpha) L_(n-1), and the weights are
+    Gamma(n+alpha+1) / (n! x L_n'(x)^2) (Szego, (15.3.5))."""
+    with mp.workdps(dps):
+        a = mp.mpf(alpha)
+        const = mp.gamma(n + a + 1) / mp.factorial(n)
+
+        coeffs = [((2 * k + 1 + a) / (k + 1), mp.mpf(1) / (k + 1), (k + a) / (k + 1)) for k in range(1, n)]
+
+        def f(x):
+            p0, p = mp.mpf(1), 1 + a - x
+            for s, t, u in coeffs:
+                p0, p = p, (s - t * x) * p - u * p0
+            dp = (n * p - (n + a) * p0) / x
+            return p, dp, const / (x * dp * dp)
+
+        nodes, weights = _newton_rule(f, start, dps)
+        return nodes, weights, mp.gamma(a + 1)

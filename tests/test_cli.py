@@ -4,11 +4,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 import numpy as np
 
+import finhankel
 from finhankel.cli import main
 from finhankel.profiles import profile_from_json
 from finhankel.quadrature import QuadratureConfig, _finite_hankel_grid
@@ -252,13 +256,17 @@ class TestClassify:
 
 class TestSlowDecrease:
     def test_csv_summary(self, capsys, sonine_path):
-        code, out, _ = run(
-            capsys, "slowdecrease", "--profile", sonine_path,
-            "--r-min", "50", "--r-max", "150",
-        )
+        """The CSV row is the JSON report's fields, numbers at 17 significant
+        digits and flags as 0 or 1."""
+        argv = ("slowdecrease", "--profile", sonine_path, "--r-min", "50", "--r-max", "150")
+        code, out, _ = run(capsys, *argv)
         assert code == 0
-        header, row = out.strip().splitlines()
-        assert header.split(",")[0] == "passed"
+        header, row = out.split("\n")[:2]
+        assert out == f"{header}\n{row}\n"
+        fields = ["passed", "worst_margin", "windows", "failures", "insufficient_resolution"]
+        assert header.split(",") == fields
+        doc = json.loads(run(capsys, *argv, "--format", "json")[1])
+        assert row.split(",") == [f"{float(doc[key]):.17g}" for key in fields]
         assert row.split(",")[0] == "1"
 
     def test_json_report(self, capsys, sonine_path):
@@ -323,3 +331,21 @@ def test_flag_the_subcommand_does_not_read_exits_2(capsys, sonine_path, argv):
     command, *flag = argv
     assert main([command, "--profile", sonine_path, *flag]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_runs_without_scipy(origin_path):
+    """The package depends on numpy alone: a fresh process that imports it
+    and runs transform over both paths (Gauss-Jacobi panels below r = 30,
+    Gauss-Laguerre edge legs above) has loaded no scipy module."""
+    child = (
+        "import contextlib, io, sys\n"
+        "import finhankel\n"
+        "from finhankel import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = cli.main(['transform', '--profile', sys.argv[1], '--r-min', '5', '--count', '6'])\n"
+        "print(code, len(out.getvalue().splitlines()), sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(finhankel.__file__)))
+    done = subprocess.run([sys.executable, "-c", child, origin_path], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "0 7 []\n"

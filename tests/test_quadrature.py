@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -19,6 +20,8 @@ from finhankel.quadrature import (
     QuadratureConfig,
     _derivative_power_terms,
     _finite_hankel_grid,
+    _gauss_jacobi,
+    _gauss_laguerre,
     _laguerre_nodes,
     _TermIntegral,
     _panel_path,
@@ -32,7 +35,7 @@ from finhankel.quadrature import (
 )
 from finhankel.specfun import _asym_terms, _expansion_start, bessel_j, bessel_j_grid, bessel_j_scaled_grid
 
-from oracles import mp_term_transform
+from oracles import mp_gauss_jacobi, mp_gauss_laguerre, mp_term_transform
 
 
 def single(lam, rho, n=2, c=1, **kw):
@@ -103,6 +106,59 @@ def test_r_domain():
         finite_hankel(single(1.0, 1.0), 0.0)
     with pytest.raises(DomainError):
         finite_hankel(single(1.0, 1.0), -3.0)
+
+
+def _mpf(v) -> mp.mpf:
+    """A double or long double, exactly."""
+    num, den = np.longdouble(v).as_integer_ratio()
+    return mp.mpf(num) / den
+
+
+def _check_rule(x, w, ref, node_tol):
+    """The rule (x, w) against the reference (nodes, weights, zeroth moment):
+    the reference holds n distinct roots, since its weights sum to the
+    moment, each weight is within 5e-16 relative and each node within
+    ``node_tol`` times max(1, |node|)."""
+    xr, wr, mu0 = ref
+    with mp.workdps(50):
+        assert abs(mp.fsum(wr) - mu0) <= mp.mpf(1e-20) * mu0
+        assert all(a < b for a, b in zip(xr, xr[1:]))
+        assert max(abs(_mpf(v) - r) / r for v, r in zip(w, wr)) <= 5e-16
+        assert max(abs(_mpf(v) - r) / max(1, abs(r)) for v, r in zip(x, xr)) <= node_tol
+
+
+class TestRules:
+    """The Gauss rules of the origin and boundary panels and of the edge
+    legs, against rules refined in mpmath at 50 digits from the textbook
+    recurrences, with weights from the Gamma-constant formula.  scipy's
+    rules, which these replaced, read weights off by up to 1.4e-13 (Jacobi
+    at exponent 170, Laguerre at alpha = 60), 3.3e-14 at exponent -0.999."""
+
+    @pytest.mark.parametrize("e", [-0.999, -0.98, 0.0, 0.37, 2.5, 14.5, 170.0])
+    def test_gauss_jacobi(self, e):
+        """Both orientations, as the boundary (e, 0) and origin (0, e) panels
+        take them.  The nodes are within one long-double spacing at 1."""
+        for n in (12, 16, 32, 40):
+            for a, b in ((e, 0.0), (0.0, e)):
+                x, w = _gauss_jacobi(n, a, b)
+                assert x.dtype == w.dtype == np.longdouble
+                _check_rule(x, w, mp_gauss_jacobi(n, a, b, map(_mpf, x)), 2.0**-63)
+
+    @pytest.mark.parametrize("alpha", [-0.98, -0.5, 0.0, 0.5, 2.5, 14.5, 60.0])
+    def test_gauss_laguerre(self, alpha):
+        """Rounded to double for the edge legs: nodes within one double
+        spacing at 1 of max(1, |node|)."""
+        for n in (6, 8, 10, 13, 18, 21, 30):
+            x, w = _gauss_laguerre(n, alpha)
+            assert x.dtype == w.dtype == np.float64
+            _check_rule(x, w, mp_gauss_laguerre(n, alpha, map(_mpf, x)), 2.0**-52)
+
+    def test_rules_are_cached_and_read_only(self):
+        for rule in (_gauss_jacobi(12, 0.0, 0.5), _gauss_laguerre(10, 0.5)):
+            for arr in rule:
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
+        assert _gauss_jacobi(12, 0.0, 0.5)[1] is _gauss_jacobi(12, 0.0, 0.5)[1]
 
 
 class TestRadiusValidation:
@@ -243,6 +299,21 @@ class TestEstimates:
                     res = finite_hankel(p, r)
                     err = abs(res.value - mp_term_transform(1.0, rho, p.nu, r))
                     assert err <= res.error_estimate, (rho, r)
+
+    @pytest.mark.parametrize("lam,rho,n,r", [
+        (200.0, 1.5, 2, 10.0), (1000.0, 2.0, 2, 10.0), (150.0, 1.5, 200, 10.0),
+        (0.5, 1000.5, 2, 60.0), (0.5, 1000.5, 2, 500.0), (0.5, 1200.0, 2, 10.0),
+    ])
+    def test_large_exponents_within_estimate(self, lam, rho, n, r):
+        """Endpoint exponents in the hundreds on the panel path.  The
+        Gauss-Jacobi rules' zeroth moment 2^(e+1) / (e+1) is formed in long
+        double: from Gamma in double it overflows on each of these, and
+        scipy's rule gave inf + nan at (0.5, 1200)."""
+        p = single(lam, rho, n=n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = finite_hankel(p, r)
+        assert abs(res.value - mp_term_transform(lam, rho, p.nu, r)) <= res.error_estimate
 
     def test_high_order_within_estimate(self):
         """n = 60 (nu = 29) has no seam, so finite_hankel takes panels at
