@@ -219,11 +219,11 @@ _BARY_BLOCK = 12 * 1024
 # with blocks of 2^14 pairs summed per (radius, node) pair as P and Q
 _ASYM_BLOCK = 4 * 1024
 # relative accuracy of a double-precision contour sum, per unit of the edge
-# legs' absolute mass.  It was set for an earlier Laguerre rule, whose low
-# moments were off by about 4e-15 with alpha = rho - 1 near -1.  The rules
-# of _gauss_laguerre have moments 0 to 3 within 2.7e-16 for alpha from
-# -0.999 to 60 on 8 to 30 nodes, and a sum of e^(i omega tau), omega <= 0.1,
-# in double on 18 and 30 nodes is within 6e-16 of its mass for alpha <= 2.5
+# legs' absolute mass.  The rules of _gauss_laguerre have moments 0 to 3
+# within 2.7e-16 for alpha from -0.999 to 60 on 8 to 30 nodes, and a sum of
+# e^(i omega tau), omega <= 0.1, in double on 18 and 30 nodes is within
+# 6e-16 of its mass for alpha <= 2.5; the charge stays above these until the
+# legs' whole rounding, the factor g and the Hankel values in double, is measured
 _CONTOUR_ROUNDING = 4e-15
 # share of the target that a bound times a contour-path term's absolute mass
 # may take: the mass can exceed the transform by several orders
@@ -234,11 +234,10 @@ _MASS_SHARE = 1e-6
 # pair of ladder_factor takes up to 2.2e-15
 _LADDER_ROUNDING = 1e-14
 # error of a Gauss-Jacobi sum per unit of its absolute mass, charged as
-# this / min(1, 1 + e) for exponent e.  It was set for an earlier rule,
-# which read up to 4.4e-16 for e >= -0.8 and grew like 7.5e-17 / (1 + e)
-# toward e = -1.  Against mpmath on e^(i(c u + theta)), c <= 4, summed in
-# long double on 12 to 32 nodes, the rules of _gauss_jacobi read at most
-# 3.6e-17 for e from -0.999 to 14.5 (that earlier rule 4.8e-16)
+# this / min(1, 1 + e) for exponent e.  Against mpmath on e^(i(c u + theta)),
+# c <= 4, summed in long double on 12 to 32 nodes, the rules of
+# _gauss_jacobi read at most 3.6e-17 for e from -0.999 to 14.5; the charge
+# stays above that until the panel path's whole rounding is measured
 _JACOBI_ROUNDING = 5e-16
 # error of the extended-precision Bessel kernel per unit of a node's absolute
 # mass |w k|, charged on every real-axis node, where the two-resolution
@@ -312,12 +311,11 @@ def _gauss_jacobi(n: int, a: float, b: float):
     With e = a + b the zeroth moment is 2^(e+1) / (e + 1), formed in long
     double, so no exponent in the hundreds overflows.  Against a 50-digit
     rule, for e from -0.999 to 170 and 12 to 40 nodes, the weights are
-    within 6e-17 relative (the earlier polished rule read 3.3e-14 at e = -0.999
-    and 1.4e-13 at 170), and the nodes within one long-double spacing;
+    within 6e-17 relative and the nodes within one long-double spacing;
     next to an end at which e is near -1 that spacing limits 1 - |x| to
-    1.4e-14 relative (e = -0.999, 40 nodes).  With a = b = 0 this is the Legendre
-    rule of every panel: double-precision weights would put O(1e-16)
-    per-node noise into the cancelling panel sums.
+    1.4e-14 relative (e = -0.999, 40 nodes).  With a = b = 0 this is the
+    Legendre rule of every panel: double-precision weights would put
+    O(1e-16) per-node noise into the cancelling panel sums.
     """
     a, b = _LD(a), _LD(b)
     e = a + b
@@ -338,8 +336,7 @@ def _gauss_laguerre(n: int, alpha: float):
     holds it up to alpha ~ 1500; in double the weights are infinite from
     alpha ~ 170 on, where the contour path starts past r = 220.  Against a
     50-digit rule, for alpha from -0.98 to 60 and 6 to 30 nodes, the
-    weights are within 2.3e-16 relative and the nodes within 1.1e-16
-    (the earlier rule: 1.3e-13 and 6.2e-16).
+    weights are within 2.3e-16 relative and the nodes within 1.1e-16.
     """
     a = _LD(alpha)
     k = np.arange(n, dtype=_LD)

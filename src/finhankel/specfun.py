@@ -138,7 +138,8 @@ def reciprocal_gamma(z: complex) -> complex:
 def _gamma_real_ld(x: float) -> np.longdouble:
     """Gamma for real x > 0 as a long double.
 
-    Used only to seed Bessel series prefactors; the Lanczos sum itself is
+    Used to seed Bessel series prefactors and for the Gauss-Laguerre rules'
+    zeroth moment, which overflows double from x ~ 171; the Lanczos sum is
     evaluated in extended precision so the seed error stays near 1 ulp of
     double precision and enters the series as a uniform scale factor.
     """
@@ -266,9 +267,9 @@ def _hankel_truncation(nu: float, zmin: float) -> tuple[int, float]:
     the bound on its relative truncation error there: DLMF 10.17.14-15,
     twice the first omitted term times exp(|nu^2 - 1/4| / |z|).  It holds
     for real nu in the closed quarter plane where H1 decays (Re z > 0 and
-    Im z >= 0), and so for H2 at conj(z), when the series keeps
-    at least nu - 1/2 terms, which it does up to nu = 20.5; the bound is
-    infinite beyond."""
+    Im z >= 0), and so for H2 at conj(z), when the series keeps at least
+    nu - 1/2 terms, which it does up to nu = 20.5; the bound is infinite
+    beyond."""
     count, omitted = _asym_terms(nu, zmin, math.ceil(nu - 0.5))
     if count < nu - 0.5:
         return count, math.inf
@@ -282,12 +283,11 @@ def hankel_scaled_grid(nu: float, z: np.ndarray):
     Returns ``(h, bound)``: h = e^(-iz) H1_nu(z) in complex double, and a
     bound on its relative error: the truncation bound of
     ``_hankel_truncation`` plus the rounding of the sum, (count + 4) eps
-    times sum_k |a_k(nu)| / zmin^k over
-    the count terms taken (k = 0 included), zmin the smallest |z|; the 4
-    covers the prefactor's product.  At nu = 20.5 and |z| = 16 the series
-    terminates and its terms reach 1.8e4, so the rounding is all of the
-    bound.  Meant for |z| >= 16.  For real nu, e^(iz) H2_nu(z) is the
-    conjugate of h at conj(z) (DLMF 10.11.9).
+    times sum_k |a_k(nu)| / zmin^k over the count terms taken (k = 0
+    included), zmin the smallest |z|; the 4 covers the prefactor's product.
+    At nu = 20.5 and |z| = 16 the series terminates and its terms reach
+    1.8e4, so the rounding is all of the bound.  Meant for |z| >= 16.  For
+    real nu, e^(iz) H2_nu(z) is the conjugate of h at conj(z) (DLMF 10.11.9).
     """
     nu = float(nu)
     z = np.asarray(z, dtype=np.complex128)

@@ -130,9 +130,7 @@ def _check_rule(x, w, ref, node_tol):
 class TestRules:
     """The Gauss rules of the origin and boundary panels and of the edge
     legs, against rules refined in mpmath at 50 digits from the textbook
-    recurrences, with weights from the Gamma-constant formula.  scipy's
-    rules, which these replaced, read weights off by up to 1.4e-13 (Jacobi
-    at exponent 170, Laguerre at alpha = 60), 3.3e-14 at exponent -0.999."""
+    recurrences, with weights from the Gamma-constant formula."""
 
     @pytest.mark.parametrize("e", [-0.999, -0.98, 0.0, 0.37, 2.5, 14.5, 170.0])
     def test_gauss_jacobi(self, e):
