@@ -68,11 +68,12 @@ That pass evaluates the edge legs once on both rules' nodes and sums each
 rule on its own, which costs little more than one resolution; S, the same
 for both, adds its bound B_K and its rounding instead of a difference.  On
 the panel path each radius runs alone: the node sets of every term at
-both resolutions are built first, and ``_kernel_terms`` gets all their
-kernel values from one call of each extended-precision kernel, plain and
-scaled; then each set is summed on its own, as it would be alone.  The
-kernel's value at a node depends on that node's x only, so batching
-changes no term's value or estimate.
+both resolutions are built first, and ``_kernel_matrices``, the batched
+kernel pass both panel paths share, gets all their kernel values from one
+call of each extended-precision kernel, plain and scaled, per batch of
+``_SWEEP_ELEMS`` pairs; then each set is summed on its own, as it would
+be alone.  The kernel's value at a node depends on that node's x only, so
+batching changes no term's value or estimate.
 
 Panel sums cancel: large r makes the transform exponentially smaller than
 the absolute mass of the integrand (panel values alternate in sign), so
@@ -99,7 +100,7 @@ its terms carried by the nodes, one real product per block of radii and
 panels (``_asym_panel_sums``).  The endpoint zones and the panels below the
 start, 12 nodes each, are double-precision kernel matrices at r s, one
 long-double product rounded once to double, and the node sets of every
-window and term share one kernel call per node kind (``_KernelSums``)
+window and term share one kernel call per node kind (``_kernel_matrices``)
 within one budget of (radius, node) pairs; the double-precision kernel
 runs Miller's recurrence where the ascending series would cancel.  With
 both, a mesh built for the window's own radii is accurate to about 1e-12
@@ -192,9 +193,10 @@ _CONTOUR_POINTS = 32
 # node count over all its rules.  The sweep's one rule has 18 nodes per leg
 # for a real rho at the default target, so 29,127 radii per chunk, and the
 # 96 Chebyshev points of a C7 sweep's 3 contour windows are 1 chunk.
-# The panel sweep's kernel matrices, of every window and term, are evaluated
-# in batches of at most this many pairs, one kernel call per node kind and
-# batch (_KernelSums).  A C7 cutoff sweep (lam = 1, rho = 3.5) has 16
+# Both panel paths' kernel matrices are evaluated in batches of at most this
+# many pairs, one kernel call per node kind and batch (_kernel_matrices): an
+# evaluator pass at one radius, over every term at both resolutions, and a
+# sweep's, over every window and term.  A C7 cutoff sweep (lam = 1, rho = 3.5) has 16
 # windows, 15 of 83 Chebyshev points and the last of 55, on meshes of 396
 # nodes (built for 300) to 2,568 (for 2006).  Its 0.10 M kernel pairs
 # (85,644 plain, below the expansion start, and 15,600 scaled, in the origin
@@ -883,10 +885,10 @@ class _TermIntegral:
 
     # -- panel sweep -----------------------------------------------------
 
-    def panel_sweep(self, radii: np.ndarray, n: int, tol: float, kernels: _KernelSums) -> np.ndarray:
+    def panel_sweep(self, radii: np.ndarray, n: int, tol: float):
         """The term at every radius of ``radii``, each at most this term's r,
-        on the panel path in double precision, complete once ``kernels``
-        has been flushed.
+        on the panel path in double precision, in two parts: (values, sets),
+        the term being values plus each node set's sum at every radius.
 
         The node sets come from this term's ``build_mesh``, n nodes per
         panel, and ``end_sets``, and serve every radius: the profile factor
@@ -897,11 +899,11 @@ class _TermIntegral:
         left edge times the smallest radius at or past it, are rebuilt
         ``_WIDE_PERIODS`` periods wide with ``_WIDE_NODES`` nodes each and
         summed here by ``_asym_panel_sums``, the expansion's terms carried
-        by the nodes and one real product per block of radii and panels.
-        The other nodes, the panels
-        below the start and the endpoint zones, go to ``kernels`` as kernel
-        matrices at r s, one long-double product rounded once to double,
-        whose sums it adds to the values returned.
+        by the nodes and one real product per block of radii and panels:
+        those sums are the values.  The other nodes, the panels below the
+        start and the endpoint zones, are the sets, whose kernel matrices
+        the caller takes from ``_kernel_matrices`` with those of other
+        windows and terms.
         """
         edges = self.build_mesh()
         sets, _ = self.end_sets(float(edges[0]), float(edges[-1]), n, tol)
@@ -912,58 +914,7 @@ class _TermIntegral:
             values += _asym_panel_sums(self.nu, radii, wide, self._legendre(wide, _WIDE_NODES).w)
         if first > 0:
             sets.insert(0, self._legendre(edges[: first + 1], n))
-        for ns in sets:
-            kernels.add(values, radii, ns.s.ravel(), np.asarray(ns.w, dtype=np.complex128).ravel(), ns.scaled)
-        return values
-
-
-class _KernelSums:
-    """The panel sweep's kernel matrices, over the node sets of every
-    window and term of a sweep.
-
-    ``add`` queues, for a node set (s, w) and radii r, the sums
-    sum_k w_k K(r s_k) over its nodes at each radius, ``_SWEEP_ELEMS`` //
-    nodes radii per entry, and ``flush`` evaluates the queue: one
-    ``bessel_j_grid`` call over every plain entry's x = r s and one
-    ``bessel_j_scaled_grid`` call over every scaled one's (times r^nu),
-    then each entry's matrix product, added to its values in the order
-    queued.  ``add`` flushes first when the queue would pass
-    ``_SWEEP_ELEMS`` (radius, node) pairs, so no call and no queue holds
-    more.  The kernel's value at an element depends on its x only, so an
-    entry's sums are those of a flush of it alone.
-    """
-
-    def __init__(self, nu: float):
-        self.nu = nu
-        self.queue, self.pairs = [], 0
-
-    def add(self, values: np.ndarray, r: np.ndarray, s: np.ndarray, w: np.ndarray, scaled: bool):
-        """Queue values[i] += sum_k w[k] K(r[i] s[k]) for every radius."""
-        rows = max(1, _SWEEP_ELEMS // s.size)
-        for i0 in range(0, r.size, rows):
-            part = r[i0 : i0 + rows]
-            if self.pairs + part.size * s.size > _SWEEP_ELEMS:
-                self.flush()
-            self.queue.append((values[i0 : i0 + rows], part, s, w, scaled))
-            self.pairs += part.size * s.size
-
-    def flush(self):
-        """Evaluate every queued sum."""
-        kernel_values = {}
-        for scaled, kernel in ((False, bessel_j_grid), (True, bessel_j_scaled_grid)):
-            todo = [(r, s) for _, r, s, _, kind in self.queue if kind == scaled]
-            if not todo:
-                continue
-            x, at = np.empty(sum(r.size * s.size for r, s in todo)), 0
-            for r, s in todo:
-                x[at : at + r.size * s.size].reshape(r.size, s.size)[...] = r.astype(_LD)[:, None] * s
-                at += r.size * s.size
-            k = kernel(self.nu, x)
-            kernel_values[scaled] = iter(np.split(k, np.cumsum([r.size * s.size for r, s in todo])[:-1]))
-        for values, r, s, w, scaled in self.queue:
-            k = next(kernel_values[scaled]).reshape(r.size, s.size)
-            values += _matvec(k, w) * r**self.nu if scaled else _matvec(k, w)
-        self.queue, self.pairs = [], 0
+        return values, sets
 
 
 def _asym_panel_sums(nu: float, r: np.ndarray, edges, w) -> np.ndarray:
@@ -1052,27 +1003,44 @@ def _asym_panel_sums(nu: float, r: np.ndarray, edges, w) -> np.ndarray:
     return out * np.sqrt(2 / (np.pi * r))
 
 
-def _kernel_terms(sets, nu: float, r: float) -> list:
-    """w times the kernel at r for every node of each set of ``sets``, in
-    extended precision, as arrays shaped like the sets.
+def _kernel_matrices(nu: float, entries, longdouble: bool = False) -> list:
+    """The kernel at x = r s for each entry (radii, nodes, scaled) of
+    ``entries``: per entry, in entry order, its (radius x node) matrix of
+    J_nu(x), or of J_nu(x)/x^nu where scaled.
 
-    The sets get their kernel values from at most one ``bessel_j_grid``
-    call, over every plain set's x = r s, and one ``bessel_j_scaled_grid``
-    call, over every scaled set's, times r^nu.  The kernel's value at an
-    element depends on that element alone, so a set's terms do not depend
-    on the sets it is batched with.
+    The entries' (radius, node) pairs go in batches of at most
+    ``_SWEEP_ELEMS``, an entry of more cut by radii, and each batch takes
+    one ``bessel_j_grid`` call over its plain pairs' x and one
+    ``bessel_j_scaled_grid`` call over its scaled ones'.  x is a
+    long-double product, rounded once to double unless ``longdouble``.
+    The kernel's value at an element depends on its x only, so an entry's
+    matrix does not depend on the entries it is batched with.
     """
-    out = [None] * len(sets)
-    for scaled, kernel in ((False, bessel_j_grid), (True, bessel_j_scaled_grid)):
-        todo = [i for i, ns in enumerate(sets) if ns.scaled == scaled]
-        if not todo:
-            continue
-        k = kernel(nu, np.concatenate([(_LD(r) * sets[i].s).ravel() for i in todo]), longdouble=True)
-        if scaled:
-            k = np.exp(_LD(nu) * np.log(_LD(r))) * k
-        for i, part in zip(todo, np.split(k, np.cumsum([sets[i].s.size for i in todo])[:-1])):
-            out[i] = sets[i].w * part.reshape(sets[i].s.shape)
-    return out
+    batches, pairs = [[]], 0
+    for i, (radii, s, scaled) in enumerate(entries):
+        rows = max(1, _SWEEP_ELEMS // s.size)
+        for i0 in range(0, radii.size, rows):
+            part = radii[i0 : i0 + rows]
+            if batches[-1] and pairs + part.size * s.size > _SWEEP_ELEMS:
+                batches.append([])
+                pairs = 0
+            batches[-1].append((i, part, s, scaled))
+            pairs += part.size * s.size
+    pieces = [[] for _ in entries]
+    for batch in batches:
+        for kind, kernel in ((False, bessel_j_grid), (True, bessel_j_scaled_grid)):
+            todo = [(i, r, s) for i, r, s, scaled in batch if scaled == kind]
+            if not todo:
+                continue
+            sizes = [r.size * s.size for _, r, s in todo]
+            x, at = np.empty(sum(sizes), dtype=_LD if longdouble else np.float64), 0
+            for (_, r, s), size in zip(todo, sizes):
+                x[at : at + size].reshape(r.size, s.size)[...] = r.astype(_LD)[:, None] * s
+                at += size
+            k = kernel(nu, x, longdouble=True) if longdouble else kernel(nu, x)
+            for (i, r, s), part in zip(todo, np.split(k, np.cumsum(sizes)[:-1])):
+                pieces[i].append(part.reshape(r.size, s.size))
+    return [p[0] if len(p) == 1 else np.concatenate(p) for p in pieces]
 
 
 def _panel_path(integrals, nu: float, r: float, tol: float) -> list:
@@ -1082,8 +1050,9 @@ def _panel_path(integrals, nu: float, r: float, tol: float) -> list:
 
     Panels on the term's ``build_mesh`` cover its whole support, with 32
     and 16 nodes per panel.  The node sets of every term at both
-    resolutions get their kernel values from one ``_kernel_terms`` call,
-    and then each set is summed in extended precision.  The value is the
+    resolutions get their kernel values from one ``_kernel_matrices``
+    pass, at x = r s in extended precision, and then each set is summed in
+    extended precision, a scaled set's kernel times r^nu.  The value is the
     fine sum; the estimate adds its difference from the coarse sum to each
     fine set's rounding times its absolute mass, and the tail bounds.
     """
@@ -1091,17 +1060,24 @@ def _panel_path(integrals, nu: float, r: float, tol: float) -> list:
     for ti in integrals:
         edges = ti.build_mesh()
         built += [ti.node_sets(edges, n, tol) for n in (_NODES, _NODES // 2)]
-    terms = iter(_kernel_terms([ns for sets, _ in built for ns in sets], nu, r))
+    sets = [ns for sets, _ in built for ns in sets]
+    kernels = iter(_kernel_matrices(nu, [(np.array([r]), ns.s.ravel(), ns.scaled) for ns in sets], longdouble=True))
+    r_nu = np.exp(_LD(nu) * np.log(_LD(r)))
+
+    def terms(ns):
+        k = next(kernels).reshape(ns.s.shape)
+        return ns.w * (r_nu * k if ns.scaled else k)
+
     out = []
     for (fine, err), (coarse, _) in zip(built[::2], built[1::2]):
         value = _LD(0.0)
         for ns in fine:
-            t = next(terms)
+            t = terms(ns)
             value = value + np.sum(t)
             err += ns.rounding * float(np.sum(np.abs(t)))
         check = _LD(0.0)
         for ns in coarse:
-            check = check + np.sum(next(terms))
+            check = check + np.sum(terms(ns))
         out.append((complex(value), abs(complex(value - check)) + err, sum(ns.s.shape[0] for ns in fine)))
     return out
 
@@ -1390,7 +1366,9 @@ def hankel_sweep(
     1/r, and no temporary reaches 128 KiB.  The other node
     sets of every window and term are double-precision kernel matrices,
     r s one long-double product rounded once to double, evaluated by one
-    kernel call per node kind (``_KernelSums``), and the kernel is within
+    kernel call per node kind (``_kernel_matrices``), whose matrix products
+    with the weights, times r^nu for a scaled set, are added to the values
+    ``panel_sweep`` returns, and the kernel is within
     4.3e-15 of J_nu's envelope.  So on the radii [43.7, 60) of a C7 check,
     when they took this path, the sweep stayed within a fifth of
     finite_hankel's estimate + 1e-12 |F|, on the cutoff (0, 1) over
@@ -1457,15 +1435,19 @@ def hankel_sweep(
         return out
 
     def panels(radii, window):
-        out, kernels, swept = np.zeros(radii.size, dtype=np.complex128), _KernelSums(nu), []
+        out, swept = np.zeros(radii.size, dtype=np.complex128), []
         for j in np.unique(window):
             part = np.flatnonzero(window == j)
             mesh_r = max(float(np.max(radii[part])), _CUTOFF_MESH_R if cutoff else 0.0)
             for t in profile.terms:
                 ti = _TermIntegral(t.lam, t.rho, nu, mesh_r, cutoff)
-                swept.append((part, t.coeff, ti.panel_sweep(radii[part], _SWEEP_NODES, tol, kernels)))
-        kernels.flush()
-        for part, c, values in swept:
+                swept.append((part, radii[part], t.coeff, *ti.panel_sweep(radii[part], _SWEEP_NODES, tol)))
+        kernels = iter(_kernel_matrices(nu, [(rs, ns.s.ravel(), ns.scaled) for _, rs, _, _, sets in swept
+                                             for ns in sets]))
+        for part, rs, c, values, sets in swept:
+            for ns in sets:
+                k, w = next(kernels), np.asarray(ns.w, dtype=np.complex128).ravel()
+                values += _matvec(k, w) * rs**nu if ns.scaled else _matvec(k, w)
             out[part] += c * values
         return out
 

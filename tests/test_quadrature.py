@@ -564,6 +564,17 @@ class TestSweep:
         return out
 
     @staticmethod
+    def panel_sweep_alone(ti, radii, tol):
+        """One term's panel sweep at ``radii`` with its own kernel pass: its
+        values plus each node set's matrix product with the weights."""
+        values, sets = ti.panel_sweep(radii, quadrature._SWEEP_NODES, tol)
+        kernels = quadrature._kernel_matrices(ti.nu, [(radii, ns.s.ravel(), ns.scaled) for ns in sets])
+        for ns, k in zip(sets, kernels):
+            w = np.asarray(ns.w, dtype=np.complex128).ravel()
+            values += quadrature._matvec(k, w) * radii**ti.nu if ns.scaled else quadrature._matvec(k, w)
+        return values
+
+    @staticmethod
     def swept(monkeypatch):
         """Record the number of radii each direct per-term sweep is given."""
         sizes = []
@@ -822,10 +833,7 @@ class TestSweep:
                     if p.vanishes_near_one:
                         mesh_r = max(mesh_r, quadrature._CUTOFF_MESH_R)
                     ti = _TermIntegral(t.lam, t.rho, p.nu, mesh_r, p.vanishes_near_one)
-                    kernels = quadrature._KernelSums(p.nu)
-                    values = ti.panel_sweep(grid[part], quadrature._SWEEP_NODES, tol, kernels)
-                    kernels.flush()
-                    expect[part] += t.coeff * values
+                    expect[part] += t.coeff * self.panel_sweep_alone(ti, grid[part], tol)
             assert (hankel_sweep(p, grid) == expect).all()
 
     @pytest.mark.parametrize("profile", [MIXED, single(0.0, 1.0, vanishes_near_one=True)],
@@ -883,10 +891,7 @@ class TestSweep:
             terms = k * np.asarray(ns.w, dtype=np.complex128).ravel()
             ref += terms.sum(axis=1)
             mass += np.abs(terms).sum(axis=1)
-        kernels = quadrature._KernelSums(nu)
-        values = ti.panel_sweep(r, n, tol, kernels)
-        kernels.flush()
-        err = np.abs(values - ref)
+        err = np.abs(self.panel_sweep_alone(ti, r, tol) - ref)
         assert (err <= 1e-14 * mass).all(), err / mass
 
     @given(lam=st.floats(-0.9, 3.0), rho=st.floats(0.1, 6.0), n=st.sampled_from([2, 3, 4]),
@@ -1054,8 +1059,8 @@ class TestSweep:
         """A sweep's panel path builds the node sets of every window and term
         first, and then makes one bessel_j_grid call and one
         bessel_j_scaled_grid call over all of them: their arguments and
-        values are, bitwise, those of one _KernelSums flush per window and
-        term.  With a budget of 2^12 (radius, node) pairs no call holds more,
+        values are, bitwise, those of one _kernel_matrices pass per window
+        and term.  With a budget of 2^12 (radius, node) pairs no call holds more,
         and the sweep moves by at most 1e-15 of its largest |F|."""
         calls = []
         for name in ("bessel_j_grid", "bessel_j_scaled_grid"):
@@ -1072,9 +1077,8 @@ class TestSweep:
         for window in self.windows(grid, p.nu):
             for t in p.terms:
                 ti = _TermIntegral(t.lam, t.rho, p.nu, max(float(window[-1]), quadrature._CUTOFF_MESH_R), True)
-                kernels = quadrature._KernelSums(p.nu)
-                ti.panel_sweep(window, quadrature._SWEEP_NODES, tol, kernels)
-                kernels.flush()
+                _, sets = ti.panel_sweep(window, quadrature._SWEEP_NODES, tol)
+                quadrature._kernel_matrices(p.nu, [(window, ns.s.ravel(), ns.scaled) for ns in sets])
         for name, x, k in batched:
             alone = [c for c in calls if c[0] == name]
             assert (np.concatenate([c[1] for c in alone]) == x).all()
