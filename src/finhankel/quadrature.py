@@ -331,18 +331,20 @@ def _gauss_jacobi(n: int, a: float, b: float):
 
 @lru_cache(maxsize=512)
 def _gauss_laguerre(n: int, alpha: float):
-    """Generalised Gauss-Laguerre rule for the weight t^alpha e^(-t) on
-    (0, inf), in double (``_gauss_rule``).
+    """Generalised Gauss-Laguerre rule for the weight t^alpha e^(-t) /
+    Gamma(alpha + 1) on (0, inf), whose weights sum to 1, in double
+    (``_gauss_rule``).
 
-    The zeroth moment Gamma(alpha + 1) is formed in long double, which
-    holds it up to alpha ~ 1500; in double the weights are infinite from
-    alpha ~ 170 on, where the contour path starts past r = 220.  Against a
-    50-digit rule, for alpha from -0.98 to 60 and 6 to 30 nodes, the
-    weights are within 2.3e-16 relative and the nodes within 1.1e-16.
+    The weights of t^alpha e^(-t) itself, which sum to Gamma(alpha + 1), are
+    infinite in double from alpha ~ 170 on, where the contour path starts
+    past r = 220; ``_leg_edge`` puts that factor back in long double.
+    Against a 50-digit rule's weights over its Gamma(alpha + 1), for alpha
+    from -0.98 to 179.5 and 6 to 30 nodes, the weights are within 2.3e-16
+    relative and the nodes within 1.1e-16.
     """
     a = _LD(alpha)
     k = np.arange(n, dtype=_LD)
-    x, w = _gauss_rule(2 * k + a + 1, np.sqrt(k[1:] * (k[1:] + a)), _gamma_real_ld(a + 2) / (a + 1))
+    x, w = _gauss_rule(2 * k + a + 1, np.sqrt(k[1:] * (k[1:] + a)), _LD(1))
     x, w = x.astype(np.float64), w.astype(np.float64)
     x.setflags(write=False)
     w.setflags(write=False)
@@ -385,6 +387,16 @@ def _graded_ratio(n: int) -> float:
     q = 1/2 (5e-19 at 12 nodes, where 1/4 would leave 4e-12).
     """
     return 0.25 if n >= 16 else 0.5
+
+
+def _graded_edges(top: float, scale: float, power: float, n: int, tol: float) -> np.ndarray:
+    """Ascending edges of n-point panels graded toward 0 (``_graded_ratio``)
+    from ``top`` down to delta, deep enough that scale * delta reaches
+    (tol/100)^(1/power), and 4 to 220 panels deep."""
+    ratio = _graded_ratio(n)
+    reach = math.log(max(tol, 1e-30) * 1e-2) / power - math.log(scale * top)
+    depth = min(220, max(4, math.ceil(reach / math.log(ratio))))
+    return np.sort(top * ratio ** np.arange(depth + 1, dtype=np.float64))
 
 
 def _cexp_ld(re, im):
@@ -482,6 +494,15 @@ def _smooth_cutoff_ld(s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _powers_ld(*factors):
+    """The product of x^e over the pairs (e, log x) of ``factors``, log x in
+    long double, as one exp of the sum of the e log x: in long double where
+    every e is real, in complex long double otherwise."""
+    if all(complex(e).imag == 0.0 for e, _ in factors):
+        return np.exp(sum(_LD(complex(e).real) * log_x for e, log_x in factors))
+    return np.exp(sum(complex(e) * log_x.astype(_CLD) for e, log_x in factors))
+
+
 def _phi_factor(s, dist1, lam, rho, from_u: bool = False):
     """s^lam * (1-s^2)^(rho-1) with 1-s supplied separately as ``dist1``.
 
@@ -490,14 +511,8 @@ def _phi_factor(s, dist1, lam, rho, from_u: bool = False):
     marks panels parametrised by u = 1-s, where dist1 itself is exact and
     log(s) must be taken as log1p(-dist1).
     """
-    one_minus_s2 = dist1 * (2.0 - dist1)
     log_s = np.log1p(-dist1) if from_u else np.log(s)
-    log_u = np.log(one_minus_s2)
-    if lam.imag == 0.0 and rho.imag == 0.0:
-        return np.exp(_LD(lam.real) * log_s + _LD(rho.real - 1.0) * log_u)
-    return np.exp(
-        complex(lam) * log_s.astype(_CLD) + (complex(rho) - 1.0) * log_u.astype(_CLD)
-    )
+    return _powers_ld((lam, log_s), (rho - 1.0, np.log(dist1 * (2.0 - dist1))))
 
 
 @dataclass(frozen=True)
@@ -623,8 +638,7 @@ class _TermIntegral:
         x, w = _gauss_jacobi(n, 0.0, b)
         h = _LD(s_a) / 2
         s = (h * (1 + x))[None, :]
-        f = np.exp(_LD(self.rho.real - 1.0) * np.log1p(-s * s)) if self.rho.imag == 0.0 \
-            else np.exp((complex(self.rho) - 1.0) * np.log1p(-(s * s).astype(_CLD)))
+        f = _powers_ld((self.rho - 1.0, np.log1p(-s * s)))
         if self.cutoff:
             f = f * _smooth_cutoff_ld(s)
         rounding = _KERNEL_ROUNDING + _JACOBI_ROUNDING / min(1.0, 1.0 + b)
@@ -636,9 +650,7 @@ class _TermIntegral:
         x, w = _gauss_jacobi(n, a, 0.0)
         h = _LD(d_b) / 2
         u = h * (1 - x)  # 1 - s
-        f = np.exp(complex(self.lam) * np.log1p(-u).astype(_CLD)) if self.lam.imag != 0.0 \
-            else np.exp(_LD(self.lam.real) * np.log1p(-u))
-        w = w * f * np.exp(_LD(a) * np.log(2 - u)) * h ** _LD(a + 1.0)
+        w = w * _powers_ld((self.lam, np.log1p(-u))) * _powers_ld((a, np.log(2 - u))) * h ** _LD(a + 1.0)
         rounding = _KERNEL_ROUNDING + _JACOBI_ROUNDING / min(1.0, 1.0 + a)
         return _NodeSet((1 - u)[None, :], w[None, :], False, rounding)
 
@@ -654,11 +666,8 @@ class _TermIntegral:
         (tol/100)^(1/(p1+2)).  Returns (node sets, bound).
         """
         p1 = self.lam.real + self.nu + 1.0
-        ratio = _graded_ratio(n)
         k = (self.r / 2) ** 2 / (self.nu + 1.0) + abs(self.rho - 1.0)
-        reach = math.log(max(tol, 1e-30) * 1e-2) / (p1 + 2.0) - math.log(max(self.r, 2.0) * s_top)
-        depth = min(220, max(4, math.ceil(reach / math.log(ratio))))
-        edges = np.sort(s_top * ratio ** np.arange(depth + 1, dtype=np.float64))
+        edges = _graded_edges(s_top, max(self.r, 2.0), p1 + 2.0, n, tol)
         delta = float(edges[0])
         p = self.lam + self.nu + 1.0
         lead = _single_node(0.0, np.exp(p * math.log(delta)) / p, True)
@@ -677,10 +686,7 @@ class _TermIntegral:
         down to (tol/100)^(1/(Re rho + 1)).  Returns (node sets, bound).
         """
         p1 = self.rho.real
-        ratio = _graded_ratio(n)
-        reach = math.log(max(tol, 1e-30) * 1e-2) / (p1 + 1.0) - math.log(max(self.r, 1.0) * d_top)
-        depth = min(220, max(4, math.ceil(reach / math.log(ratio))))
-        u_edges = np.sort(d_top * ratio ** np.arange(depth + 1, dtype=np.float64))
+        u_edges = _graded_edges(d_top, max(self.r, 1.0), p1 + 1.0, n, tol)
         delta = float(u_edges[0])
         lead = _single_node(1.0, 2.0 ** (self.rho - 1.0) * np.exp(self.rho * math.log(delta)) / self.rho, False)
         slope = 2.0 ** max(p1 - 1.0, 0.0) * (self.r + abs(self.lam) + abs(self.rho - 1.0))
@@ -767,7 +773,8 @@ class _TermIntegral:
 
     def _edge_rule(self, nl: int, n: int, tol: float):
         """Nodes and weights in tau = r t of both edge legs, with the weight
-        tau^(rho-1) e^(-tau) folded in: (x, w, delta, top, rules).
+        tau^(rho-1) e^(-tau) folded in, over Gamma(rho) for a real rho:
+        (x, w, delta, top, rules).
 
         A generalised Laguerre rule absorbs tau^(rho-1) for real rho; for
         complex rho, tau^(i Im rho) oscillates in log tau, so Legendre panels
@@ -804,7 +811,10 @@ class _TermIntegral:
         With tau = r t, f = tau^(rho-1) C g(tau), C = (2/r)^(rho-1)
         e^(-i sigma pi (rho-1)/2) and g = (1 + i sigma tau/r)^lam
         (1 + i sigma tau/(2r))^(rho-1); each rule comes from ``_edge_rule``,
-        and for complex rho both tails it discards are bounded.  H2 at
+        and for complex rho both tails it discards are bounded.  For a real
+        rho the rule's weights sum to 1, and C takes their Gamma(rho) in
+        its log magnitude, in long double, so that neither overflows double
+        for rho in the hundreds.  H2 at
         r - i tau is the conjugate of H1 at r + i tau (DLMF 10.11.9), so one
         ``hankel_scaled_grid`` call serves both legs, and it takes its
         terms at the smallest |r + i tau| of all the rules' nodes.
@@ -816,10 +826,11 @@ class _TermIntegral:
         sigma = np.array([[1.0], [-1.0]])
         r_ld = r.astype(_LD)
         lr = np.log(_LD(2.0) / r_ld)
-        pre = _cexp_ld(
-            alpha * lr + sigma * _HALF_PI_LD * rho.imag,
-            rho.imag * lr - sigma * _HALF_PI_LD * alpha + sigma * r_ld,
-        )
+        log_mag = alpha * lr + sigma * _HALF_PI_LD * rho.imag
+        if rho.imag == 0.0:
+            a = _LD(alpha)
+            log_mag = log_mag + np.log(_gamma_real_ld(a + 2) / (a + 1))
+        pre = _cexp_ld(log_mag, rho.imag * lr - sigma * _HALF_PI_LD * alpha + sigma * r_ld)
         rc = r[:, None]
         x = np.concatenate([rule[0] for rule in rules])
         d = 1j * sigma[:, :, None] * x / rc

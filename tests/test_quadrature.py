@@ -142,14 +142,19 @@ class TestRules:
                 assert x.dtype == w.dtype == np.longdouble
                 _check_rule(x, w, mp_gauss_jacobi(n, a, b, map(_mpf, x)), 2.0**-63)
 
-    @pytest.mark.parametrize("alpha", [-0.98, -0.5, 0.0, 0.5, 2.5, 14.5, 60.0])
+    @pytest.mark.parametrize("alpha", [-0.98, -0.5, 0.0, 0.5, 2.5, 14.5, 60.0, 179.5])
     def test_gauss_laguerre(self, alpha):
-        """Rounded to double for the edge legs: nodes within one double
-        spacing at 1 of max(1, |node|)."""
+        """Rounded to double for the edge legs, for the weight over its
+        zeroth moment Gamma(alpha + 1): the weights against the reference's
+        over that moment, and nodes within one double spacing at 1 of
+        max(1, |node|).  At alpha = 179.5 the weights of t^alpha e^(-t)
+        itself are infinite in double."""
         for n in (6, 8, 10, 13, 18, 21, 30):
             x, w = _gauss_laguerre(n, alpha)
             assert x.dtype == w.dtype == np.float64
-            _check_rule(x, w, mp_gauss_laguerre(n, alpha, map(_mpf, x)), 2.0**-52)
+            xr, wr, mu0 = mp_gauss_laguerre(n, alpha, map(_mpf, x))
+            with mp.workdps(50):
+                _check_rule(x, w, (xr, [v / mu0 for v in wr], mp.mpf(1)), 2.0**-52)
 
     def test_rules_are_cached_and_read_only(self):
         for rule in (_gauss_jacobi(12, 0.0, 0.5), _gauss_laguerre(10, 0.5)):
@@ -301,12 +306,16 @@ class TestEstimates:
     @pytest.mark.parametrize("lam,rho,n,r", [
         (200.0, 1.5, 2, 10.0), (1000.0, 2.0, 2, 10.0), (150.0, 1.5, 200, 10.0),
         (0.5, 1000.5, 2, 60.0), (0.5, 1000.5, 2, 500.0), (0.5, 1200.0, 2, 10.0),
+        (0.5, 180.5, 2, 400.0), (0.5, 180.5, 2, 1000.0), (0.5, 1000.5, 2, 5000.0),
     ])
     def test_large_exponents_within_estimate(self, lam, rho, n, r):
-        """Endpoint exponents in the hundreds on the panel path.  The
+        """Endpoint exponents in the hundreds.  On the panel path the
         Gauss-Jacobi rules' zeroth moment 2^(e+1) / (e+1) is formed in long
-        double: from Gamma in double it overflows on each of these, and
-        scipy's rule gave inf + nan at (0.5, 1200)."""
+        double: from Gamma in double it overflows on each of the first six,
+        and scipy's rule gave inf + nan at (0.5, 1200).  The last three take
+        the contour path, whose Laguerre weights sum to 1 and whose
+        Gamma(rho) the edge legs' factor takes in long double: the weights
+        of t^(rho-1) e^(-t) itself are infinite in double, and gave NaN."""
         p = single(lam, rho, n=n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
