@@ -196,14 +196,14 @@ _CONTOUR_POINTS = 32
 # Both panel paths' kernel matrices are evaluated in batches of at most this
 # many pairs, one kernel call per node kind and batch (_kernel_matrices): an
 # evaluator pass at one radius, over every term at both resolutions, and a
-# sweep's, over every window and term.  A C7 cutoff sweep (lam = 1, rho = 3.5) has 16
-# windows, 15 of 83 Chebyshev points and the last of 55, on meshes of 396
-# nodes (built for 300) to 2,568 (for 2006).  Its 0.10 M kernel pairs
-# (85,644 plain, below the expansion start, and 15,600 scaled, in the origin
-# zone) are 1 batch, whose temporaries of 0.10 M elements take most of a
-# warm cutoff check's page faults; its 0.87 M pairs on wide panels past the
-# start take no kernel call, and go through _asym_panel_sums in blocks of
-# _ASYM_BLOCK pairs
+# sweep's, over every window and term.  A C7 cutoff sweep (lam = 1,
+# rho = 3.5) has 16 windows, 15 of 83 Chebyshev points and the last of 55,
+# on meshes of 396 nodes (built for 300) to 2,568 (for 2006).  Its 0.10 M
+# kernel pairs (85,644 plain, below the expansion start, and 15,600 scaled,
+# in the origin zone) are 1 batch, whose temporaries of 0.10 M elements take
+# all of a warm cutoff check's page faults; its 0.87 M pairs on wide panels
+# past the start take no kernel call, and go through _asym_panel_sums in
+# blocks of _ASYM_BLOCK pairs
 _SWEEP_ELEMS = 1 << 19
 # (radius, point) pairs per block of the interpolant (_barycentric): its one
 # buffer of them holds 96 KiB, and every temporary stays under glibc's
@@ -814,10 +814,10 @@ class _TermIntegral:
         and for complex rho both tails it discards are bounded.  For a real
         rho the rule's weights sum to 1, and C takes their Gamma(rho) in
         its log magnitude, in long double, so that neither overflows double
-        for rho in the hundreds.  H2 at
-        r - i tau is the conjugate of H1 at r + i tau (DLMF 10.11.9), so one
-        ``hankel_scaled_grid`` call serves both legs, and it takes its
-        terms at the smallest |r + i tau| of all the rules' nodes.
+        for rho in the hundreds.  H2 at r - i tau is the conjugate of H1 at
+        r + i tau (DLMF 10.11.9), so one ``hankel_scaled_grid`` call serves
+        both legs, and it takes its terms at the smallest |r + i tau| of all
+        the rules' nodes.
         Returns per rule (values, absolute masses, kernel truncation and
         tail bounds), a row per leg.
         """
@@ -1071,8 +1071,9 @@ def _panel_path(integrals, nu: float, r: float, tol: float) -> list:
     for ti in integrals:
         edges = ti.build_mesh()
         built += [ti.node_sets(edges, n, tol) for n in (_NODES, _NODES // 2)]
-    sets = [ns for sets, _ in built for ns in sets]
-    kernels = iter(_kernel_matrices(nu, [(np.array([r]), ns.s.ravel(), ns.scaled) for ns in sets], longdouble=True))
+    radius = np.array([r])
+    kernels = iter(_kernel_matrices(nu, [(radius, ns.s.ravel(), ns.scaled) for sets, _ in built for ns in sets],
+                                    longdouble=True))
     r_nu = np.exp(_LD(nu) * np.log(_LD(r)))
 
     def terms(ns):
