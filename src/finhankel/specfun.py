@@ -135,11 +135,13 @@ def reciprocal_gamma(z: complex) -> complex:
     return 1.0 / _lanczos(z)
 
 
+@lru_cache(maxsize=256)
 def _gamma_real_ld(x: float) -> np.longdouble:
-    """Gamma for real x > 0 as a long double.
+    """Gamma for real x > 0 as a long double, cached: the contour path's
+    edge legs take it on every call.
 
-    Used to seed Bessel series prefactors and for the Gauss-Laguerre rules'
-    zeroth moment, which overflows double from x ~ 171; the Lanczos sum is
+    Used to seed Bessel series prefactors and for the edge legs' factor
+    Gamma(rho), which overflows double from rho ~ 171; the Lanczos sum is
     evaluated in extended precision so the seed error stays near 1 ulp of
     double precision and enters the series as a uniform scale factor.
     """
