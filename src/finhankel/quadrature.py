@@ -498,9 +498,11 @@ def _powers_ld(*factors):
     """The product of x^e over the pairs (e, log x) of ``factors``, log x in
     long double, as one exp of the sum of the e log x: in long double where
     every e is real, in complex long double otherwise."""
-    if all(complex(e).imag == 0.0 for e, _ in factors):
-        return np.exp(sum(_LD(complex(e).real) * log_x for e, log_x in factors))
-    return np.exp(sum(complex(e) * log_x.astype(_CLD) for e, log_x in factors))
+    if all(e.imag == 0.0 for e, _ in factors):
+        terms = [_LD(e.real) * log_x for e, log_x in factors]
+    else:
+        terms = [complex(e) * log_x.astype(_CLD) for e, log_x in factors]
+    return np.exp(sum(terms[1:], terms[0]))
 
 
 def _phi_factor(s, dist1, lam, rho, from_u: bool = False):
@@ -1043,14 +1045,13 @@ def _kernel_matrices(nu: float, entries, longdouble: bool = False) -> list:
             todo = [(i, r, s) for i, r, s, scaled in batch if scaled == kind]
             if not todo:
                 continue
-            sizes = [r.size * s.size for _, r, s in todo]
-            x, at = np.empty(sum(sizes), dtype=_LD if longdouble else np.float64), 0
-            for (_, r, s), size in zip(todo, sizes):
-                x[at : at + size].reshape(r.size, s.size)[...] = r.astype(_LD)[:, None] * s
-                at += size
+            bounds = np.cumsum([0] + [r.size * s.size for _, r, s in todo]).tolist()
+            x = np.empty(bounds[-1], dtype=_LD if longdouble else np.float64)
+            for (_, r, s), lo, hi in zip(todo, bounds, bounds[1:]):
+                np.multiply(r.astype(_LD)[:, None], s, out=x[lo:hi].reshape(r.size, s.size), casting="same_kind")
             k = kernel(nu, x, longdouble=True) if longdouble else kernel(nu, x)
-            for (i, r, s), part in zip(todo, np.split(k, np.cumsum(sizes)[:-1])):
-                pieces[i].append(part.reshape(r.size, s.size))
+            for (i, r, s), lo, hi in zip(todo, bounds, bounds[1:]):
+                pieces[i].append(k[lo:hi].reshape(r.size, s.size))
     return [p[0] if len(p) == 1 else np.concatenate(p) for p in pieces]
 
 
