@@ -146,7 +146,8 @@ from .profiles import (
     differentiate_power_terms,
 )
 from .specfun import (bessel_j_grid, bessel_j_scaled_grid, hankel_scaled_grid, _asym_terms,
-                      _DOUBLE_FLOOR, _expansion_start, _gamma_real_ld, _hankel_truncation, _sinpi)
+                      _DOUBLE_FLOOR, _expansion_start, _gamma_real_ld, _hankel_truncation, _log_gamma_ld,
+                      _sinpi)
 
 _LD = np.longdouble
 _CLD = np.clongdouble
@@ -289,7 +290,11 @@ def _gauss_rule(diag: np.ndarray, off: np.ndarray, mu0) -> tuple[np.ndarray, np.
     in long double; the weights are the Christoffel numbers
     mu0 / sum_(k<n) q_k^2 at the polished nodes.
     """
-    x = np.linalg.eigvalsh(np.diag(diag.astype(np.float64)) + np.diag(off.astype(np.float64), -1)).astype(_LD)
+    if np.iscomplexobj(diag):
+        m = np.diag(diag.astype(np.complex128)) + np.diag(off.astype(np.complex128), -1)
+        x = np.sort_complex(np.linalg.eigvals(m + np.diag(off.astype(np.complex128), 1))).astype(_CLD)
+    else:
+        x = np.linalg.eigvalsh(np.diag(diag.astype(np.float64)) + np.diag(off.astype(np.float64), -1)).astype(_LD)
     below, above = np.append(_LD(0), off), np.append(off, _LD(1))
     for step in range(3):
         q0, q, d0, d, total = 0, np.ones_like(x), 0, 0, 0
@@ -330,7 +335,7 @@ def _gauss_jacobi(n: int, a: float, b: float):
 
 
 @lru_cache(maxsize=512)
-def _gauss_laguerre(n: int, alpha: float):
+def _gauss_laguerre(n: int, alpha: complex):
     """Generalised Gauss-Laguerre rule for the weight t^alpha e^(-t) /
     Gamma(alpha + 1) on (0, inf), whose weights sum to 1, in double
     (``_gauss_rule``).
@@ -342,10 +347,10 @@ def _gauss_laguerre(n: int, alpha: float):
     from -0.98 to 179.5 and 6 to 30 nodes, the weights are within 2.3e-16
     relative and the nodes within 1.1e-16.
     """
-    a = _LD(alpha)
+    a, kind = (_CLD(alpha), np.complex128) if isinstance(alpha, complex) else (_LD(alpha), np.float64)
     k = np.arange(n, dtype=_LD)
     x, w = _gauss_rule(2 * k + a + 1, np.sqrt(k[1:] * (k[1:] + a)), _LD(1))
-    x, w = x.astype(np.float64), w.astype(np.float64)
+    x, w = x.astype(kind), w.astype(kind)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -773,55 +778,24 @@ class _TermIntegral:
             power = power * np.exp(1j * lam.imag * np.log(ratio))
         return values * power, self._ladder_bound(len(terms), radii) + rounding
 
-    def _edge_rule(self, nl: int, n: int, tol: float):
-        """Nodes and weights in tau = r t of both edge legs, with the weight
-        tau^(rho-1) e^(-tau) folded in, over Gamma(rho) for a real rho:
-        (x, w, delta, top, rules).
-
-        A generalised Laguerre rule absorbs tau^(rho-1) for real rho; for
-        complex rho, tau^(i Im rho) oscillates in log tau, so Legendre panels
-        graded toward tau = 0 down to delta and doubling up to top cover it,
-        and node 0 at tau = 0 carries the leading term of [0, delta] in
-        closed form (delta and top are None for real rho).
-        """
-        rho = self.rho
-        alpha = rho.real - 1.0
-        if rho.imag == 0.0:
-            x, w = _gauss_laguerre(nl, alpha)
-            return x, w, None, None, 1
-        ratio = _graded_ratio(n)
-        depth = max(4, math.ceil(math.log(tol * 1e-3) / ((alpha + 2.0) * math.log(ratio))))
-        top = 2.0 ** math.ceil(math.log2(48.0 + 4.0 * max(alpha, 0.0)))
-        e = np.concatenate([ratio ** np.arange(depth, 0, -1.0), 2.0 ** np.arange(0.0, math.log2(top) + 1)])
-        xl, wl = _gauss_jacobi(n, 0.0, 0.0)
-        mid = (e[1:] + e[:-1]) / 2
-        half = (e[1:] - e[:-1]) / 2
-        x = (mid[:, None] + half[:, None] * np.asarray(xl, dtype=np.float64)[None, :]).ravel()
-        w = (half[:, None] * np.asarray(wl, dtype=np.float64)[None, :]).ravel()
-        w = w * np.exp((rho - 1.0) * np.log(x) - x)
-        delta = float(e[0])
-        # node 0 carries the leading term of [0, delta]: g(0) = 1
-        x = np.concatenate([[0.0], x])
-        w = np.concatenate([[np.exp(rho * math.log(delta)) / rho], w])
-        return x, w, delta, top, len(e) - 1
-
     def _leg_edge(self, r: np.ndarray, rules):
         """-sigma (i/2) int_0^inf f(1 + i sigma t) H(r (1 + i sigma t)) dt at
-        every radius of ``r``, for sigma = +1 and -1 and each rule of
-        ``rules``, all in one pass.
+        every radius of ``r``, for sigma = +1 and -1 and each rule (nodes,
+        weights) of ``rules``, all in one pass.
 
         With tau = r t, f = tau^(rho-1) C g(tau), C = (2/r)^(rho-1)
         e^(-i sigma pi (rho-1)/2) and g = (1 + i sigma tau/r)^lam
-        (1 + i sigma tau/(2r))^(rho-1); each rule comes from ``_edge_rule``,
-        and for complex rho both tails it discards are bounded.  For a real
-        rho the rule's weights sum to 1, and C takes their Gamma(rho) in
-        its log magnitude, in long double, so that neither overflows double
-        for rho in the hundreds.  H2 at r - i tau is the conjugate of H1 at
-        r + i tau (DLMF 10.11.9), so one ``hankel_scaled_grid`` call serves
-        both legs, and it takes its terms at the smallest |r + i tau| of all
-        the rules' nodes.
-        Returns per rule (values, absolute masses, kernel truncation and
-        tail bounds), a row per leg.
+        (1 + i sigma tau/(2r))^(rho-1).  Each rule is ``_gauss_laguerre``'s
+        for the weight tau^(rho-1) e^(-tau) / Gamma(rho), complex for a
+        complex rho, and C takes that Gamma(rho) in its log magnitude and
+        phase, in long double, so that neither overflows double for rho in
+        the hundreds.  H2 at r - i tau is the conjugate of H1 at
+        r + i conj(tau) (DLMF 10.11.9), so one ``hankel_scaled_grid`` call,
+        over the nodes and, for complex ones, their conjugates, serves both
+        legs, and it takes its terms at the smallest |z| of all its
+        arguments.
+        Returns per rule (values, absolute masses, kernel truncation
+        bounds), a row per leg.
         """
         lam, rho = self.lam, self.rho
         alpha = rho.real - 1.0
@@ -829,48 +803,47 @@ class _TermIntegral:
         r_ld = r.astype(_LD)
         lr = np.log(_LD(2.0) / r_ld)
         log_mag = alpha * lr + sigma * _HALF_PI_LD * rho.imag
+        phase = rho.imag * lr - sigma * _HALF_PI_LD * alpha + sigma * r_ld
         if rho.imag == 0.0:
             a = _LD(alpha)
             log_mag = log_mag + np.log(_gamma_real_ld(a + 2) / (a + 1))
-        pre = _cexp_ld(log_mag, rho.imag * lr - sigma * _HALF_PI_LD * alpha + sigma * r_ld)
+        else:
+            log_gamma = _log_gamma_ld(rho)
+            log_mag, phase = log_mag + log_gamma.real, phase + log_gamma.imag
+        pre = _cexp_ld(log_mag, phase)
         rc = r[:, None]
         x = np.concatenate([rule[0] for rule in rules])
         d = 1j * sigma[:, :, None] * x / rc
         g = np.exp(lam * np.log1p(d) + (rho - 1.0) * np.log1p(d / 2.0))
-        h, kbound = hankel_scaled_grid(self.nu, rc + 1j * x)
-        h = np.array([h, h.conj()])
+        if np.iscomplexobj(x):
+            h, kbound = hankel_scaled_grid(self.nu, rc + 1j * np.concatenate([x, x.conj()]))
+            h = np.array([h[:, : x.size], h[:, x.size :].conj()])
+        else:
+            h, kbound = hankel_scaled_grid(self.nu, rc + 1j * x)
+            h = np.array([h, h.conj()])
         terms = np.concatenate([rule[1] for rule in rules]) * g * h
         scale = 0.5 / r * np.abs(pre)
         out, i = [], 0
-        for x, _, delta, top, _ in rules:
+        for x, _ in rules:
             t, i = terms[..., i : i + x.size], i + x.size
             mass = scale * np.sum(np.abs(t), axis=-1)
-            bound = kbound * mass
-            if delta is not None:
-                h0 = scale * np.abs(h[..., i - x.size])
-                slope = 1.0 + (abs(lam) + abs(rho - 1.0) + 1.0) / r
-                growth = (1.0 + top / r) ** (abs(lam.real) + abs(alpha)) * math.exp(
-                    0.5 * math.pi * (abs(lam.imag) + abs(rho.imag))
-                )
-                bound = bound + 2.0 * h0 * (
-                    slope * delta ** (alpha + 2.0) / (alpha + 2.0) + growth * top**alpha * math.exp(-top)
-                )
-            out.append((-sigma * 0.5j / r * pre * np.sum(t, axis=-1), mass, bound))
+            out.append((-sigma * 0.5j / r * pre * np.sum(t, axis=-1), mass, kbound * mass))
         return out
 
-    def steepest_descent(self, radii: np.ndarray, seam: float, rules, tol: float):
+    def steepest_descent(self, radii: np.ndarray, seam: float, sizes, tol: float):
         """The term at every radius of ``radii``, each at least seam, with
-        each rule (n, nl) of ``rules``: n nodes per graded panel and nl per
-        edge leg.  Returns per rule (values, error bounds, panels, parts).
-        The rows of ``parts`` are the seam zone S and the edge legs
+        each edge-leg rule size nl of ``sizes``.  Returns per size (values,
+        error bounds, panels, parts), the two edge legs counting as 2
+        panels.  The rows of ``parts`` are the seam zone S and the edge legs
         e^(ir) A+ and e^(-ir) A-, in the order the values sum them.
 
         On [a, 1], a = seam / r, J_nu = (H1 + H2)/2, H1 moves to a + it and
         1 + it and H2 to a - it and 1 - it.  The origin zone [0, a] and the
         contours from a are S, which ``origin_ladder`` sums in closed form;
-        only the edge legs from 1 are integrated (``_leg_edge``).  The
-        bounds add the edge legs' truncation bounds and tails, a rounding
-        floor from their absolute mass, and S's bound.
+        only the edge legs from 1 are integrated, by the generalised
+        Gauss-Laguerre rule of nl nodes for tau^(rho-1) e^(-tau), real or
+        complex (``_leg_edge``).  The bounds add the edge legs' truncation
+        bounds, a rounding floor from their absolute mass, and S's bound.
 
         The rules share one pass: the edge legs are evaluated once on the
         nodes of all of them, and only the sums are taken per rule.  S is
@@ -880,20 +853,21 @@ class _TermIntegral:
         nodes, takes other expansion terms or another omitted-term bound
         than the rule's own nodes would.
         """
-        edges = [self._edge_rule(nl, n, tol) for n, nl in rules]
+        rho = self.rho
+        rules = [_gauss_laguerre(nl, rho - 1.0 if rho.imag else rho.real - 1.0) for nl in sizes]
         legs = np.empty((len(rules), 2, radii.size), dtype=np.complex128)
         charge = np.empty((len(rules), radii.size))
-        rows = max(1, _SWEEP_ELEMS // sum(e[0].size for e in edges))
+        rows = max(1, _SWEEP_ELEMS // sum(sizes))
         for i0 in range(0, radii.size, rows):
             part = slice(i0, i0 + rows)
-            for k, (values, m, bound) in enumerate(self._leg_edge(radii[part], edges)):
+            for k, (values, m, bound) in enumerate(self._leg_edge(radii[part], rules)):
                 legs[k, :, part] = values
                 charge[k, part] = bound[0] + _CONTOUR_ROUNDING * m[0] + bound[1] + _CONTOUR_ROUNDING * m[1]
         zone, zone_bound = self.origin_ladder(radii, seam, tol)
         out = []
-        for values, bound, edge in zip(legs, charge, edges):
+        for values, bound in zip(legs, charge):
             parts = np.vstack([zone, values])
-            out.append((parts[0] + parts[1] + parts[2], zone_bound + bound, 2 * edge[4], parts))
+            out.append((parts[0] + parts[1] + parts[2], zone_bound + bound, 2, parts))
         return out
 
     # -- panel sweep -----------------------------------------------------
@@ -1154,8 +1128,7 @@ def _transform(terms, nu: float, radii: np.ndarray, cutoff: bool, cfg: Quadratur
         v, e, p = 0j, 0.0, 0
         for c, lam, rho in terms:
             ti = _TermIntegral(lam, rho, nu, float(r.min()), False)
-            (fine, bound, n, _), (coarse, *_) = ti.steepest_descent(
-                r, seam, ((_NODES, nl + 8), (_NODES // 2, nl)), tol)
+            (fine, bound, n, _), (coarse, *_) = ti.steepest_descent(r, seam, (nl + 8, nl), tol)
             # Python's complex product: numpy's vector loop may fuse it into
             # FMAs, and a one-radius call would then round differently
             v = v + np.array([c * x for x in fine.tolist()])
@@ -1429,7 +1402,7 @@ def hankel_sweep(
         out, split = np.zeros(radii.size, dtype=np.complex128), []
         for t in profile.terms:
             ti = _TermIntegral(t.lam, t.rho, nu, float(np.min(radii)), False)
-            (v, _, _, parts), = ti.steepest_descent(radii, seam, ((_NODES, _laguerre_nodes(tol) + 8),), tol)
+            (v, _, _, parts), = ti.steepest_descent(radii, seam, (_laguerre_nodes(tol) + 8,), tol)
             out += t.coeff * v
             split.append(t.coeff * parts[1:])
         return out, np.concatenate(split).T

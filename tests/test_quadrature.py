@@ -16,7 +16,6 @@ from finhankel.asymptotics import evaluate_prediction, predict
 from finhankel.errors import DomainError, SmoothnessBudgetError, check_radii, check_radius
 from finhankel.profiles import ProfileTerm, RadialProfile
 from finhankel.quadrature import (
-    _NODES,
     QuadratureConfig,
     _derivative_power_terms,
     _finite_hankel_grid,
@@ -835,7 +834,7 @@ class TestSweep:
                 if on.any():
                     ti = _TermIntegral(t.lam, t.rho, p.nu, float(np.min(grid[on])), False)
                     nl = quadrature._laguerre_nodes(tol) + 8
-                    expect[on] += t.coeff * ti.steepest_descent(grid[on], seam, ((quadrature._NODES, nl),), tol)[0][0]
+                    expect[on] += t.coeff * ti.steepest_descent(grid[on], seam, (nl,), tol)[0][0]
                 for window in windows:
                     part = np.isin(grid, window)
                     mesh_r = float(window[-1])
@@ -1213,7 +1212,7 @@ class TestSteepestDescent:
             ti = _TermIntegral(lam, rho, 0.0, r, cutoff)
             if contour:
                 (value,), (estimate,), _ = _transform([(1.0, lam, rho)], 0.0, np.array([r]), cutoff, cfg)
-                fine = ti.steepest_descent(np.array([r]), seam, ((_NODES, _laguerre_nodes(cfg.target_rel_tol) + 8),),
+                fine = ti.steepest_descent(np.array([r]), seam, (_laguerre_nodes(cfg.target_rel_tol) + 8,),
                                            cfg.target_rel_tol)[0][0]
                 assert value == fine[0]
             else:
@@ -1283,14 +1282,16 @@ class TestSteepestDescent:
         r = np.array(radii)
         assert r.min() >= contour_start(single(lam, rho, n=n))[1]
         ti = _TermIntegral(lam, rho, nu, float(r.min()), False)
-        rules = ((_NODES, nl + 8), (_NODES // 2, nl))
+        rules = (nl + 8, nl)
         both = ti.steepest_descent(r, seam, rules, tol)
         (fine, bound, _, _), (coarse, _, _, _) = both
         estimate = np.abs(fine - coarse) + bound
-        edge = [ti._edge_rule(k, m, tol)[0] for m, k in rules]
+        edge = [quadrature._gauss_laguerre(k, rho - 1.0)[0] for k in rules]
 
         def terms(x):
-            """_asym_terms as hankel_scaled_grid takes it on edge nodes x."""
+            """_asym_terms as hankel_scaled_grid takes it on edge nodes x and,
+            as it does for complex ones, their conjugates."""
+            x = np.concatenate([x, x.conj()])
             return _asym_terms(nu, float(np.min(np.abs(r[:, None] + 1j * x))), math.ceil(nu - 0.5))
 
         zone = ti.origin_ladder(r, seam, tol)[0]
