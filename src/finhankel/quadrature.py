@@ -705,14 +705,16 @@ class _TermIntegral:
         """B_k at r: the bound on the origin ladder's remainder after k terms,
         (2/pi) |cos(pi (lam - nu)/2)| |C(rho-1, k)| 2^(c-1)
         Gamma((c+1+nu)/2) Gamma((c+1-nu)/2) r^-(c+1), c = Re lam + 2k, for
-        an admissible k (``origin_ladder``)."""
+        an admissible k (``origin_ladder``), summed as logarithms, so that
+        no partial product of |C(rho-1, k)| overflows for Re rho in the
+        thousands."""
         lam, rho, nu = self.lam, self.rho, self.nu
         c = lam.real + 2.0 * k
-        scale = abs(_sinpi((lam - nu + 1.0) / 2.0)) * math.prod(abs(rho - 1.0 - j) / (j + 1.0) for j in range(k))
-        if scale == 0.0:
+        factors = [abs(_sinpi((lam - nu + 1.0) / 2.0))] + [abs(rho - 1.0 - j) / (j + 1.0) for j in range(k)]
+        if 0.0 in factors:
             return np.zeros(np.shape(r))
-        log = (math.log(2.0 / math.pi * scale) + (c - 1.0) * math.log(2.0)
-               + math.lgamma((c + 1.0 + nu) / 2.0) + math.lgamma((c + 1.0 - nu) / 2.0))
+        log = math.fsum([math.log(2.0 / math.pi), *map(math.log, factors), (c - 1.0) * math.log(2.0),
+                         math.lgamma((c + 1.0 + nu) / 2.0), math.lgamma((c + 1.0 - nu) / 2.0)])
         return np.exp(log - (c + 1.0) * np.log(r))
 
     def origin_ladder(self, radii: np.ndarray, seam: float, tol: float):

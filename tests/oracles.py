@@ -152,7 +152,7 @@ def _newton_rule(f, start, dps):
     Returns (nodes, weights)."""
     nodes, weights = [], []
     for x in start:
-        x = mp.mpf(x)
+        x = mp.mpmathify(x)
         for _ in range(20):
             p, dp, weight = f(x)
             step = p / dp
@@ -196,15 +196,18 @@ def mp_gauss_jacobi(n: int, a: float, b: float, start, dps: int = 50):
         return nodes, weights, 2 ** (a + b + 1) * mp.beta(a + 1, b + 1)
 
 
-def mp_gauss_laguerre(n: int, alpha: float, start, dps: int = 50):
+def mp_gauss_laguerre(n: int, alpha: complex, start, dps: int = 50):
     """The n-point generalised Gauss-Laguerre rule for t^alpha e^(-t) at
     ``dps`` digits, refined by Newton's method from the nodes ``start``:
-    (nodes, weights, zeroth moment) as mpf.  L_n^(alpha) comes from its
-    textbook recurrence (DLMF 18.9.13), its derivative from
-    x L_n' = n L_n - (n + alpha) L_(n-1), and the weights are
-    Gamma(n+alpha+1) / (n! x L_n'(x)^2) (Szego, (15.3.5))."""
+    (nodes, weights, zeroth moment) as mpf, or as mpc for a complex alpha.
+    L_n^(alpha) comes from its textbook recurrence (DLMF 18.9.13), its
+    derivative from x L_n' = n L_n - (n + alpha) L_(n-1), and the weights
+    are Gamma(n+alpha+1) / (n! x L_n'(x)^2) (Szego, (15.3.5)).  All three
+    are analytic in alpha, so they hold verbatim for the complex weight,
+    whose rule is exact on polynomials of degree below 2n in the bilinear
+    sense (Deano, Huybrechs & Kuijlaars, J. Approx. Theory 162 (2010))."""
     with mp.workdps(dps):
-        a = mp.mpf(alpha)
+        a = mp.mpmathify(alpha)
         const = mp.gamma(n + a + 1) / mp.factorial(n)
 
         coeffs = [((2 * k + 1 + a) / (k + 1), mp.mpf(1) / (k + 1), (k + a) / (k + 1)) for k in range(1, n)]

@@ -107,8 +107,10 @@ def test_r_domain():
         finite_hankel(single(1.0, 1.0), -3.0)
 
 
-def _mpf(v) -> mp.mpf:
-    """A double or long double, exactly."""
+def _mpf(v):
+    """A double or long double, exactly, or a complex one as an mpc."""
+    if np.iscomplexobj(v):
+        return mp.mpc(_mpf(v.real), _mpf(v.imag))
     num, den = np.longdouble(v).as_integer_ratio()
     return mp.mpf(num) / den
 
@@ -116,13 +118,14 @@ def _mpf(v) -> mp.mpf:
 def _check_rule(x, w, ref, node_tol):
     """The rule (x, w) against the reference (nodes, weights, zeroth moment):
     the reference holds n distinct roots, since its weights sum to the
-    moment, each weight is within 5e-16 relative and each node within
-    ``node_tol`` times max(1, |node|)."""
+    moment and its nodes ascend in their real parts, as the rule orders
+    complex nodes, each weight is within 5e-16 relative and each node
+    within ``node_tol`` times max(1, |node|)."""
     xr, wr, mu0 = ref
     with mp.workdps(50):
-        assert abs(mp.fsum(wr) - mu0) <= mp.mpf(1e-20) * mu0
-        assert all(a < b for a, b in zip(xr, xr[1:]))
-        assert max(abs(_mpf(v) - r) / r for v, r in zip(w, wr)) <= 5e-16
+        assert abs(mp.fsum(wr) - mu0) <= mp.mpf(1e-20) * abs(mu0)
+        assert all(mp.re(a) < mp.re(b) for a, b in zip(xr, xr[1:]))
+        assert max(abs(_mpf(v) - r) / abs(r) for v, r in zip(w, wr)) <= 5e-16
         assert max(abs(_mpf(v) - r) / max(1, abs(r)) for v, r in zip(x, xr)) <= node_tol
 
 
@@ -141,16 +144,21 @@ class TestRules:
                 assert x.dtype == w.dtype == np.longdouble
                 _check_rule(x, w, mp_gauss_jacobi(n, a, b, map(_mpf, x)), 2.0**-63)
 
-    @pytest.mark.parametrize("alpha", [-0.98, -0.5, 0.0, 0.5, 2.5, 14.5, 60.0, 179.5])
+    @pytest.mark.parametrize("alpha", [-0.98, -0.5, 0.0, 0.5, 2.5, 14.5, 60.0, 179.5,
+                                       complex(-0.5, -0.3), complex(0.5, 0.3), complex(14.5, 0.3),
+                                       complex(179.5, 0.2)])
     def test_gauss_laguerre(self, alpha):
-        """Rounded to double for the edge legs, for the weight over its
-        zeroth moment Gamma(alpha + 1): the weights against the reference's
-        over that moment, and nodes within one double spacing at 1 of
-        max(1, |node|).  At alpha = 179.5 the weights of t^alpha e^(-t)
-        itself are infinite in double."""
+        """Rounded to double, or complex double for a complex alpha, for the
+        edge legs, for the weight over its zeroth moment Gamma(alpha + 1):
+        the weights against the reference's over that moment, and nodes
+        within one double spacing at 1 of max(1, |node|).  At alpha = 179.5
+        the weights of t^alpha e^(-t) itself are infinite in double.  A
+        complex alpha gives a complex Jacobi matrix, whose rule is the
+        complex Gaussian rule of the reference."""
+        kind = np.complex128 if isinstance(alpha, complex) else np.float64
         for n in (6, 8, 10, 13, 18, 21, 30):
             x, w = _gauss_laguerre(n, alpha)
-            assert x.dtype == w.dtype == np.float64
+            assert x.dtype == w.dtype == kind
             xr, wr, mu0 = mp_gauss_laguerre(n, alpha, map(_mpf, x))
             with mp.workdps(50):
                 _check_rule(x, w, (xr, [v / mu0 for v in wr], mp.mpf(1)), 2.0**-52)
@@ -306,20 +314,30 @@ class TestEstimates:
         (200.0, 1.5, 2, 10.0), (1000.0, 2.0, 2, 10.0), (150.0, 1.5, 200, 10.0),
         (0.5, 1000.5, 2, 60.0), (0.5, 1000.5, 2, 500.0), (0.5, 1200.0, 2, 10.0),
         (0.5, 180.5, 2, 400.0), (0.5, 180.5, 2, 1000.0), (0.5, 1000.5, 2, 5000.0),
+        (0.5, 1500.5, 2, 2500.0), (0.5, 1500.5, 2, 1e4),
+        (0.5, complex(60.5, 0.2), 2, 300.0), (0.5, complex(120.5, 0.2), 2, 400.0),
+        (0.5, complex(180.5, 0.2), 2, 1000.0), (0.5, complex(1000.5, 0.2), 2, 5000.0),
     ])
     def test_large_exponents_within_estimate(self, lam, rho, n, r):
         """Endpoint exponents in the hundreds.  On the panel path the
         Gauss-Jacobi rules' zeroth moment 2^(e+1) / (e+1) is formed in long
         double: from Gamma in double it overflows on each of the first six,
-        and scipy's rule gave inf + nan at (0.5, 1200).  The last three take
-        the contour path, whose Laguerre weights sum to 1 and whose
-        Gamma(rho) the edge legs' factor takes in long double: the weights
-        of t^(rho-1) e^(-t) itself are infinite in double, and gave NaN."""
+        and scipy's rule gave inf + nan at (0.5, 1200).  The rest take the
+        contour path, where every value is certified.  Its Laguerre weights
+        sum to 1, and the edge legs' factor takes their Gamma(rho) in long
+        double, as log Gamma for a complex rho: the weights of
+        t^(rho-1) e^(-t) itself are infinite in double, and gave NaN, and the
+        graded rule that complex rho took raised OverflowError from
+        Re rho ~ 100.  At rho = 1500.5 the origin ladder's bound sums
+        |C(rho-1, K)| as logarithms; as a product in double it was
+        infinite, and so was the estimate."""
         p = single(lam, rho, n=n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = finite_hankel(p, r)
         assert abs(res.value - mp_term_transform(lam, rho, p.nu, r)) <= res.error_estimate
+        if r >= contour_start(p)[1]:
+            assert res.error_estimate <= QuadratureConfig().target_rel_tol * abs(res.value)
 
     def test_high_order_within_estimate(self):
         """n = 60 (nu = 29) has no seam, so finite_hankel takes panels at

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -101,8 +102,9 @@ def test_long_double_kernels_vs_reference(nu):
     [0.01, 60] and at a few larger arguments.  With the ascending series run
     up to x = 16, or 1.8 nu from nu = 9 on, these points read up to 1.4e-14
     at nu = 0, 3.2e-13 at nu = 9 and 3.8e-2 at nu = 29, all near the
-    series' switch.  The worst left, about 6e-16 at nu = -0.9, is
-    Gamma(0.1) from ``_gamma_real_ld``."""
+    series' switch.  At nu = -0.9, Gamma(0.1) from ``_gamma_real_ld``
+    left 6.4e-16 while it took the Lanczos sum below 0.5; it reads
+    1.3e-16 now."""
     x = np.concatenate([np.linspace(0.01, 60.0, 161), [100.0, 317.0, 1e3, 1e4]])
     plain = bessel_j_grid(nu, x, longdouble=True)
     scaled = bessel_j_scaled_grid(nu, x, longdouble=True)
@@ -257,6 +259,29 @@ def test_reciprocal_gamma_inverts_gamma():
 def test_gamma_finite_input_required():
     with pytest.raises(DomainError):
         gamma(complex(float("nan"), 0.0))
+
+
+@pytest.mark.parametrize("x", [0.001, 0.01, 0.1, 0.3])
+def test_gamma_real_ld_below_one_half(x):
+    """Below x = 0.5, where the Lanczos sum does not hold, Gamma(x + 1) / x
+    with x + 1 in long double: 6.0e-17 to 7.2e-17 relative of 40-digit
+    mpmath.  The sum itself read 1.0e-15 at 0.001, 9.8e-16 at 0.01,
+    5.8e-16 at 0.1 and 1.5e-16 at 0.3."""
+    num, den = specfun._gamma_real_ld(x).as_integer_ratio()
+    with mp.workdps(40):
+        assert abs(mp.mpf(num) / den / mp.gamma(x) - 1) <= 1e-16
+
+
+@pytest.mark.parametrize("z", [0.02 + 0.05j, 0.5 + 0.3j, 1.0 + 2.0j, 25.0 - 0.5j, 180.5 + 0.2j])
+def test_log_gamma_ld_vs_reference(z):
+    """The edge legs' log Gamma(rho) for a complex rho, up to a multiple of
+    2 pi i: Gamma's relative error is within 1e-15 of 40-digit mpmath."""
+    got = specfun._log_gamma_ld(z)
+    assert got.dtype == np.clongdouble
+    parts = [np.longdouble(v).as_integer_ratio() for v in (got.real, got.imag)]
+    with mp.workdps(40):
+        diff = mp.mpc(*(mp.mpf(num) / den for num, den in parts)) - mp.loggamma(z)
+        assert abs(mp.exp(diff) - 1) <= 1e-15
 
 
 @pytest.mark.parametrize("nu", [0.0, 1.0, 3.0])
