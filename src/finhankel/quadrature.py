@@ -14,13 +14,15 @@ edge legs' Laguerre rule cannot resolve there (``_contour_start``):
 * on [a, 1], a = seam / r, J_nu = (H1 + H2)/2.  The H1 part moves onto
   a + it and 1 + it, the H2 part onto a - it and 1 - it (t >= 0), where
   the kernel decays like e^(-r t);
-* the edge legs, from 1: Gauss-Laguerre rules in tau = r t cover each,
-  with weight tau^(rho - 1); a complex rho leaves tau^(i Im rho), which
-  Legendre panels graded toward tau = 0 absorb instead.  The exponentially
-  scaled Hankel functions come from the same large-argument expansion as
-  the Bessel kernel (specfun.hankel_scaled_grid), at |z| >= r.  Nothing
-  cancels on them, so they run in double precision, and no part of the
-  cost grows with r;
+* the edge legs, from 1: generalised Gauss-Laguerre rules in tau = r t
+  cover each, with weight tau^(rho - 1) e^(-tau) for real and complex rho
+  alike; for a complex rho the Jacobi matrix is complex symmetric and the
+  rule is the complex Gaussian one, exact on polynomials in the bilinear
+  sense (Deano, Huybrechs & Kuijlaars, J. Approx. Theory 162 (2010)).
+  The exponentially scaled Hankel functions come from the same
+  large-argument expansion as the Bessel kernel
+  (specfun.hankel_scaled_grid), at |z| >= r.  Nothing cancels on them, so
+  they run in double precision, and no part of the cost grows with r;
 * the seam zone S, the origin zone [0, a] and the legs from a: moved onto
   the imaginary axis it is an integral of K_nu, and integrated term by
   term it is the paper's origin ladder, sum_k T_k(r) with
@@ -192,7 +194,7 @@ _CONTOUR_POINTS = 32
 # largest temporaries hold at most 8 MB (16 MB for steepest_descent's edge
 # legs, which hold both legs).  steepest_descent chunks by the edge legs'
 # node count over all its rules.  The sweep's one rule has 18 nodes per leg
-# for a real rho at the default target, so 29,127 radii per chunk, and the
+# at the default target, so 29,127 radii per chunk, and the
 # 96 Chebyshev points of a C7 sweep's 3 contour windows are 1 chunk.
 # Both panel paths' kernel matrices are evaluated in batches of at most this
 # many pairs, one kernel call per node kind and batch (_kernel_matrices): an
@@ -288,7 +290,12 @@ def _gauss_rule(diag: np.ndarray, off: np.ndarray, mu0) -> tuple[np.ndarray, np.
     The matrix's eigenvalues, in double, start two Newton steps on p_n,
     which the recurrence of the orthonormal q_k and their derivatives takes
     in long double; the weights are the Christoffel numbers
-    mu0 / sum_(k<n) q_k^2 at the polished nodes.
+    mu0 / sum_(k<n) q_k^2 at the polished nodes.  A complex ``diag`` (and
+    ``off``) makes the matrix complex symmetric: its eigenvalues come from
+    ``np.linalg.eigvals``, ordered by their real parts, and the rest runs
+    unchanged in complex long double, with no conjugates, since the rule's
+    form is bilinear.  A real matrix stays real: ``np.linalg.eigvalsh``
+    and long double.
     """
     if np.iscomplexobj(diag):
         m = np.diag(diag.astype(np.complex128)) + np.diag(off.astype(np.complex128), -1)
@@ -337,15 +344,21 @@ def _gauss_jacobi(n: int, a: float, b: float):
 @lru_cache(maxsize=512)
 def _gauss_laguerre(n: int, alpha: complex):
     """Generalised Gauss-Laguerre rule for the weight t^alpha e^(-t) /
-    Gamma(alpha + 1) on (0, inf), whose weights sum to 1, in double
-    (``_gauss_rule``).
+    Gamma(alpha + 1) on (0, inf), whose weights sum to 1, in double, or in
+    complex double for a complex alpha (``_gauss_rule``).
 
+    The recurrence is analytic in alpha, so a complex alpha, Re alpha > -1,
+    gives the complex Gaussian rule for that complex weight: nodes near the
+    positive axis, ordered by their real parts, and weights that sum to 1.
     The weights of t^alpha e^(-t) itself, which sum to Gamma(alpha + 1), are
-    infinite in double from alpha ~ 170 on, where the contour path starts
-    past r = 220; ``_leg_edge`` puts that factor back in long double.
-    Against a 50-digit rule's weights over its Gamma(alpha + 1), for alpha
-    from -0.98 to 179.5 and 6 to 30 nodes, the weights are within 2.3e-16
-    relative and the nodes within 1.1e-16.
+    infinite in double from Re alpha ~ 170 on, where the contour path
+    starts past r = 220; ``_leg_edge`` puts that factor back in long double.
+    Against a 50-digit rule's weights over its Gamma(alpha + 1), the
+    weights are within 2.3e-16 relative and the nodes within 1.1e-16 for
+    real alpha from -0.98 to 179.5 and 6 to 30 nodes, and within 1.1e-16
+    for complex alpha from -0.98 + 0.05i to 999.5 + 0.2i, and 0.1 + 2i, on
+    8 to 30 nodes.  Pass a complex alpha only with a nonzero imaginary
+    part: alpha and alpha + 0j share one cache entry.
     """
     a, kind = (_CLD(alpha), np.complex128) if isinstance(alpha, complex) else (_LD(alpha), np.float64)
     k = np.arange(n, dtype=_LD)
@@ -384,21 +397,17 @@ def _seam_phase(nu: float, tol: float):
     return None
 
 
-def _graded_ratio(n: int) -> float:
-    """Width ratio of successive panels graded toward a branch point.
-
-    An n-point Legendre panel [q a, a] next to the branch point at 0 is
-    good to about 3^-2n at q = 1/4 (5e-16 from 16 nodes up) and 5.8^-2n at
-    q = 1/2 (5e-19 at 12 nodes, where 1/4 would leave 4e-12).
-    """
-    return 0.25 if n >= 16 else 0.5
-
-
 def _graded_edges(top: float, scale: float, power: float, n: int, tol: float) -> np.ndarray:
-    """Ascending edges of n-point panels graded toward 0 (``_graded_ratio``)
-    from ``top`` down to delta, deep enough that scale * delta reaches
-    (tol/100)^(1/power), and 4 to 220 panels deep."""
-    ratio = _graded_ratio(n)
+    """Ascending edges of n-point panels graded toward the branch point at
+    0 from ``top`` down to delta, deep enough that scale * delta reaches
+    (tol/100)^(1/power), and 4 to 220 panels deep.
+
+    Successive widths have the ratio q: an n-point Legendre panel [q a, a]
+    next to the branch point is good to about 3^-2n at q = 1/4 (5e-16 from
+    16 nodes up) and 5.8^-2n at q = 1/2 (5e-19 at 12 nodes, where 1/4
+    would leave 4e-12).
+    """
+    ratio = 0.25 if n >= 16 else 0.5
     reach = math.log(max(tol, 1e-30) * 1e-2) / power - math.log(scale * top)
     depth = min(220, max(4, math.ceil(reach / math.log(ratio))))
     return np.sort(top * ratio ** np.arange(depth + 1, dtype=np.float64))
@@ -817,12 +826,9 @@ class _TermIntegral:
         x = np.concatenate([rule[0] for rule in rules])
         d = 1j * sigma[:, :, None] * x / rc
         g = np.exp(lam * np.log1p(d) + (rho - 1.0) * np.log1p(d / 2.0))
-        if np.iscomplexobj(x):
-            h, kbound = hankel_scaled_grid(self.nu, rc + 1j * np.concatenate([x, x.conj()]))
-            h = np.array([h[:, : x.size], h[:, x.size :].conj()])
-        else:
-            h, kbound = hankel_scaled_grid(self.nu, rc + 1j * x)
-            h = np.array([h, h.conj()])
+        z = np.concatenate([x, x.conj()]) if np.iscomplexobj(x) else x
+        h, kbound = hankel_scaled_grid(self.nu, rc + 1j * z)
+        h = np.array([h[:, : x.size], h[:, -x.size :].conj()])
         terms = np.concatenate([rule[1] for rule in rules]) * g * h
         scale = 0.5 / r * np.abs(pre)
         out, i = [], 0
@@ -1112,11 +1118,12 @@ def _transform(terms, nu: float, radii: np.ndarray, cutoff: bool, cfg: Quadratur
     at every radius of ``radii``: (values, estimates, panels), one per radius.
 
     From the contour start on (``_contour_start``), each term runs
-    ``steepest_descent`` once over all those radii, with two rules: 32
-    nodes per graded panel and nl + 8 per edge leg, and 16 and nl.  The
-    fine values are the values; the estimate adds their distance from the
-    coarse ones to the fine rule's bounds.  Below it and where there is no
-    seam, each radius runs ``_panel_path``, every term in one pass.
+    ``steepest_descent`` once over all those radii, with two Laguerre
+    rules: nl + 8 and nl nodes per edge leg, for real and complex rho
+    alike.  The fine values are the values; the estimate adds their
+    distance from the coarse ones to the fine rule's bounds.  Below it and
+    where there is no seam, each radius runs ``_panel_path``, every term in
+    one pass.
     """
     tol = cfg.target_rel_tol
     terms = list(terms)
