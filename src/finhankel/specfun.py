@@ -159,8 +159,8 @@ def _gamma_real_ld(x: float) -> np.longdouble:
     evaluated in extended precision so the seed error stays near 1 ulp of
     double precision and enters the series as a uniform scale factor.
     Below x = 0.5, where the sum does not hold, it is Gamma(x + 1) / x,
-    with x + 1 formed in long double: against 40-digit mpmath, 3.1e-18
-    relative at x = 0.001 and 1.0e-16 at 0.1.
+    with x + 1 formed in long double: against 40-digit mpmath, 6.0e-17 to
+    7.2e-17 relative for x from 0.001 to 0.3.
     """
     z = _LD(x)
     return _lanczos_ld(z + 1) / z if x < 0.5 else _lanczos_ld(z)
